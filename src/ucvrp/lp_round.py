@@ -7,8 +7,11 @@ Catalog variants:
   lp2(delta) — demand-feasible sets of non-small customers only
                (normalized demand > delta); only those must be covered.
 
-Each catalog entry is priced with the optimal tour cost of its set, so
-the LP optimum is a valid lower bound on the optimal solution cost.
+Only the demand-feasible sets are enumerated and priced, each with the
+optimal tour cost of its set, so the LP optimum is a valid lower bound
+on the optimal solution cost.  Should a feasible set exceed the
+Held-Karp cap, every entry is priced by MST doubling instead and the
+catalog is flagged ``exact_priced = False``.
 Rounding selects each tour independently with probability
 min{1, gamma * x*_T}; draws are keyed by (seed, tour content) so the
 outcome does not depend on enumeration order.
@@ -25,16 +28,14 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ucvrp.instance import Instance
-from ucvrp.tsp import SubsetTooLarge, heldkarp_cap, tour_costs_all_subsets
+from ucvrp.tsp import SubsetTooLarge, approx_tsp, tour_costs
 
 LP_TOL = 1e-9
 DEFAULT_SIZE_CAP = 5_000_000
 
 
 class CatalogTooLarge(ValueError):
-    def __init__(self, estimate: int, cap: int):
-        self.estimate = estimate
-        super().__init__(f"catalog would hold ~{estimate} tours (cap {cap})")
+    pass
 
 
 class LpInfeasible(RuntimeError):
@@ -116,45 +117,43 @@ def enumerate_tours(
 
     s = len(ground)
     if s > 24:
-        # Rough count of sets of size up to the per-tour customer limit.
-        import math
-        per_tour = inst.capacity if variant == "lp1" else max(
-            1, int(1 / delta) if delta else inst.capacity
-        )
-        est = sum(math.comb(s, i) for i in range(1, min(per_tour, s) + 1))
-        raise CatalogTooLarge(est, size_cap)
+        raise CatalogTooLarge(f"ground set of {s} customers exceeds the limit of 24")
     if not ground:
         return TourCatalog(variant, delta, (), cover)
 
-    demands = [inst.demand(v) for v in ground]
-    full = (1 << s) - 1
-    dsum = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        dsum[mask] = dsum[mask ^ low] + demands[low.bit_length() - 1]
-    feasible = [mask for mask in range(1, full + 1) if dsum[mask] <= inst.capacity]
-    if len(feasible) > size_cap:
-        raise CatalogTooLarge(len(feasible), size_cap)
-
-    exact = True
+    masks = feasible_masks([inst.demand(v) for v in ground], inst.capacity, size_cap)
+    sets = [frozenset(ground[i] for i in range(s) if (mask >> i) & 1) for mask in masks]
     try:
-        all_costs = tour_costs_all_subsets(inst, ground)
-        cost_of = all_costs.__getitem__
+        costs = list(tour_costs(inst, ground, masks).values())
+        exact = True
     except SubsetTooLarge:
-        # Out of reach of the shared pass; price greedily and flag it.
+        # A feasible set is out of Held-Karp's reach; price greedily and flag it.
+        costs = [approx_tsp(inst, members).cost for members in sets]
         exact = False
-        from ucvrp.tsp import approx_tsp
-
-        def cost_of(mask: int) -> float:
-            members = [ground[i] for i in range(s) if (mask >> i) & 1]
-            return approx_tsp(inst, members).cost
-
-    entries = []
-    for mask in feasible:
-        members = frozenset(ground[i] for i in range(s) if (mask >> i) & 1)
-        entries.append(CatalogEntry(members, cost_of(mask), _digest(members)))
+    entries = [CatalogEntry(m, c, _digest(m)) for m, c in zip(sets, costs)]
     entries.sort(key=lambda e: (len(e.customers), sorted(e.customers)))
     return TourCatalog(variant, delta, tuple(entries), cover, exact)
+
+
+def feasible_masks(
+    demands: Sequence[int], capacity: int, size_cap: int = DEFAULT_SIZE_CAP
+) -> list[int]:
+    """Masks of the non-empty position sets of ``demands`` with load at
+    most ``capacity``, in increasing order.  The depth-first search adds
+    only positions below a set's lowest member, ascending, so its
+    preorder is increasing and it never visits an overloaded set."""
+    out: list[int] = []
+
+    def extend(mask: int, load: int, below: int) -> None:
+        for i in range(below):
+            if load + demands[i] <= capacity:
+                out.append(mask | 1 << i)
+                if len(out) > size_cap:
+                    raise CatalogTooLarge(f"catalog would hold more than {size_cap} tours")
+                extend(mask | 1 << i, load + demands[i], i)
+
+    extend(0, 0, len(demands))
+    return out
 
 
 def solve_covering_lp(catalog: TourCatalog) -> LpSolution:

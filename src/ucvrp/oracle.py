@@ -7,8 +7,9 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ucvrp.instance import Instance
+from ucvrp.lp_round import feasible_masks
 from ucvrp.solution import Solution
-from ucvrp.tsp import Tour, tour_costs_all_subsets
+from ucvrp.tsp import Tour, tour_costs
 
 DEFAULT_ORACLE_CAP = 14
 
@@ -38,24 +39,20 @@ def exact_cvrp(inst: Instance, cap: int = DEFAULT_ORACLE_CAP) -> OracleResult:
     best[S] = min over demand-feasible T subseteq S of cost(T) + best[S - T],
     where T is anchored at the lowest-indexed customer of S (any optimal
     partition has exactly one group containing it, so anchoring loses
-    nothing and cuts the submask enumeration by a factor of |S|).
+    nothing and cuts the submask enumeration by a factor of |S|).  Only
+    the demand-feasible sets are priced, so feasibility is a dict lookup.
     """
     n = inst.n
     if n > cap:
         raise InstanceTooLarge(f"{n} customers exceeds oracle cap {cap}")
     ground = list(inst.customers)
-    tour_cost = tour_costs_all_subsets(inst, ground)
-    demands = [inst.demand(v) for v in ground]
-    full = (1 << n) - 1
-    dsum = [0] * (full + 1)
-    for mask in range(1, full + 1):
-        low = mask & -mask
-        dsum[mask] = dsum[mask ^ low] + demands[low.bit_length() - 1]
+    masks = feasible_masks([inst.demand(v) for v in ground], inst.capacity)
+    tour_cost = tour_costs(inst, ground, masks)
 
+    full = (1 << n) - 1
     INF = float("inf")
     best = [0.0] + [INF] * full
     choice = [0] * (full + 1)
-    k = inst.capacity
     for mask in range(1, full + 1):
         low = mask & -mask
         rest = mask ^ low
@@ -63,8 +60,9 @@ def exact_cvrp(inst: Instance, cap: int = DEFAULT_ORACLE_CAP) -> OracleResult:
         sub = rest
         while True:
             t = sub | low
-            if dsum[t] <= k:
-                cand = tour_cost[t] + best[mask ^ t]
+            cost = tour_cost.get(t)  # None: t is not demand-feasible
+            if cost is not None:
+                cand = cost + best[mask ^ t]
                 if cand < best[mask]:
                     best[mask] = cand
                     choice[mask] = t

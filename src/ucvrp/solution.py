@@ -45,11 +45,12 @@ def check_feasible(inst: Instance, sol: Solution) -> FeasibilityReport:
     """
     problems: list[str] = []
     assigned = set(sol.assignment)
+    known = set(inst.customers)
     for v in inst.customers:
         if v not in assigned:
             problems.append(f"CustomerUnserved({v})")
     for v in sol.assignment:
-        if v not in set(inst.customers):
+        if v not in known:
             problems.append(f"UnknownCustomer({v})")
     for v, ti in sol.assignment.items():
         if ti < 0 or ti >= len(sol.tours):
@@ -57,7 +58,6 @@ def check_feasible(inst: Instance, sol: Solution) -> FeasibilityReport:
         elif v not in sol.tours[ti].customers:
             problems.append(f"ServedOffTour({v},{ti})")
     loads: dict[int, int] = {}
-    known = set(inst.customers)
     for v, ti in sol.assignment.items():
         if v in known:
             loads[ti] = loads.get(ti, 0) + inst.demand(v)

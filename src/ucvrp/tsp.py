@@ -1,21 +1,28 @@
 """Exact and 2-approximate TSP tours on customer subsets, plus
 shortcutting of closed walks.
 
-The exact solver is a Held-Karp subset dynamic program capped at 18
-customers (override via the UCVRP_HELDKARP_CAP environment variable).
-The approximate solver doubles a minimum spanning tree and shortcuts the
-resulting Euler walk, guaranteeing cost at most twice the optimum.
+One Held-Karp subset dynamic program prices any downward-closed family
+of customer sets, such as every subset for an exact tour or only the
+demand-feasible sets of a tour catalog; the largest set it prices is
+capped at 18 customers (override via the UCVRP_HELDKARP_CAP environment
+variable).  The approximate solver doubles a minimum spanning tree and
+shortcuts the resulting Euler walk, guaranteeing cost at most twice the
+optimum.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from operator import add
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from ucvrp.instance import Instance
 
 COST_TOL = 1e-9
+INF = float("inf")
 
 
 class SubsetTooLarge(ValueError):
@@ -29,7 +36,11 @@ class KeepNotVisited(ValueError):
 
 
 def heldkarp_cap() -> int:
-    return int(os.environ.get("UCVRP_HELDKARP_CAP", "18"))
+    raw = os.environ.get("UCVRP_HELDKARP_CAP", "18")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"UCVRP_HELDKARP_CAP must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -69,55 +80,30 @@ def exact_tsp(inst: Instance, subset: Iterable[int]) -> Tour:
         v = subset[0]
         return Tour((0, v, 0), 2.0 * inst.depot_cost(v), "exact")
 
-    m = inst.metric
-    s = len(subset)
-    full = (1 << s) - 1
-    INF = float("inf")
-    # dp[mask][i]: cheapest path depot -> ... -> subset[i] covering mask.
-    dp = [[INF] * s for _ in range(full + 1)]
-    for i in range(s):
-        dp[1 << i][i] = float(m[0, subset[i]])
-    for mask in range(1, full + 1):
-        row = dp[mask]
-        for i in range(s):
-            cur = row[i]
-            if cur == INF or not (mask >> i) & 1:
-                continue
-            vi = subset[i]
-            for j in range(s):
-                if (mask >> j) & 1:
-                    continue
-                nmask = mask | (1 << j)
-                cand = cur + float(m[vi, subset[j]])
-                if cand < dp[nmask][j]:
-                    dp[nmask][j] = cand
-    best = min(dp[full][i] + float(m[subset[i], 0]) for i in range(s))
-
-    def finish_cost(rest: int, v: int) -> float:
-        # Cheapest path v -> (all of rest) -> depot.  By symmetry of c this
-        # is the reversal of a depot-rooted path ending at some i in rest.
-        if not rest:
-            return float(m[v, 0])
-        return min(
-            dp[rest][i] + float(m[subset[i], v])
-            for i in range(s)
-            if (rest >> i) & 1
-        )
+    into = _costs_into(inst, subset)
+    full = (1 << len(subset)) - 1
+    paths = _held_karp(into, range(1, full + 1))
+    best = min(map(add, paths[full], into[0]))
 
     # Greedy front-to-back reconstruction, scanning candidates in ascending
     # vertex order, yields the lexicographically smallest optimal sequence.
     seq = [0]
     mask, last, target = full, 0, best
     while mask:
-        for j in range(s):
-            if not (mask >> j) & 1:
+        for j in range(1, len(subset) + 1):
+            bit = 1 << (j - 1)
+            if not mask & bit:
                 continue
-            step = float(m[last, subset[j]])
-            if step + finish_cost(mask ^ (1 << j), subset[j]) <= target + COST_TOL:
-                seq.append(subset[j])
+            rest = mask ^ bit
+            # Cheapest path j -> (all of rest) -> depot.  By symmetry of c
+            # this is the reversal of a depot-rooted path ending in rest.
+            finish = min(map(add, paths[rest], into[j])) if rest else into[0][j]
+            step = into[j][last]
+            if step + finish <= target + COST_TOL:
+                seq.append(subset[j - 1])
                 target -= step
-                last = subset[j]
-                mask ^= 1 << j
+                last = j
+                mask = rest
                 break
         else:
             raise AssertionError("tour reconstruction failed")
@@ -183,42 +169,52 @@ def shortcut(inst: Instance, walk: Sequence[int], keep: Iterable[int]) -> Tour:
     return Tour(tuple(seq), inst.route_cost(seq), "external")
 
 
-def tour_costs_all_subsets(inst: Instance, ground: Sequence[int]) -> list[float]:
-    """Optimal tour cost for every subset of ``ground`` in one Held-Karp
-    pass; entry ``mask`` prices {ground[i] : bit i of mask set}.
+def tour_costs(
+    inst: Instance, ground: Sequence[int], masks: Sequence[int]
+) -> dict[int, float]:
+    """Optimal tour cost of every set in ``masks``, where ``mask`` stands
+    for {ground[i] : bit i of mask set}.  ``masks`` must be downward
+    closed and increasing, like the demand-feasible sets of a catalog."""
+    cap = heldkarp_cap()
+    largest = max(map(int.bit_count, masks), default=0)
+    if largest > cap:
+        raise SubsetTooLarge(f"{largest} customers exceeds cap {cap}")
+    into = _costs_into(inst, ground)
+    paths = _held_karp(into, masks)
+    return {mask: min(map(add, row, into[0])) for mask, row in paths.items()}
 
-    Used to price whole tour catalogs and by the exact CVRP solver.
+
+def tour_costs_all_subsets(inst: Instance, ground: Sequence[int]) -> list[float]:
+    """Optimal tour cost for every subset of ``ground``; entry ``mask``
+    prices {ground[i] : bit i of mask set}."""
+    costs = tour_costs(inst, ground, range(1, 1 << len(ground)))
+    return [0.0, *costs.values()]
+
+
+def _costs_into(inst: Instance, ground: Sequence[int]) -> list[list[float]]:
+    """into[j][i] = c(x_i, x_j) over x = (depot, *ground), as Python lists:
+    indexing numpy scalars would dominate the DP."""
+    idx = [0, *ground]
+    return inst.metric[np.ix_(idx, idx)].T.tolist()
+
+
+def _held_karp(into: list[list[float]], masks: Iterable[int]) -> dict[int, list[float]]:
+    """The Held-Karp subset DP over a downward-closed family of masks of
+    the ground set of ``into`` (bit i is vertex i + 1), in increasing order.
+
+    paths[mask][j] is the cheapest depot-rooted path that visits exactly
+    the members of ``mask`` and ends at vertex j.  It is inf for the depot
+    and for non-members, so a min over a whole row only picks members.
     """
-    ground = list(ground)
-    s = len(ground)
-    if s > heldkarp_cap():
-        raise SubsetTooLarge(f"{s} customers exceeds cap {heldkarp_cap()}")
-    m = inst.metric
-    full = (1 << s) - 1
-    INF = float("inf")
-    dp = [[INF] * s for _ in range(full + 1)]
-    for i in range(s):
-        dp[1 << i][i] = float(m[0, ground[i]])
-    for mask in range(1, full + 1):
-        row = dp[mask]
-        for i in range(s):
-            cur = row[i]
-            if cur == INF or not (mask >> i) & 1:
-                continue
-            vi = ground[i]
-            for j in range(s):
-                if (mask >> j) & 1:
-                    continue
-                nmask = mask | (1 << j)
-                cand = cur + float(m[vi, ground[j]])
-                if cand < dp[nmask][j]:
-                    dp[nmask][j] = cand
-    out = [0.0] * (full + 1)
-    for mask in range(1, full + 1):
-        row = dp[mask]
-        out[mask] = min(
-            row[i] + float(m[ground[i], 0])
-            for i in range(s)
-            if (mask >> i) & 1
-        )
-    return out
+    paths: dict[int, list[float]] = {}
+    for mask in masks:
+        row = [INF] * len(into)
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length()
+            prev = mask ^ low
+            row[j] = min(map(add, paths[prev], into[j])) if prev else into[j][0]
+        paths[mask] = row
+    return paths

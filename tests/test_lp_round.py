@@ -1,8 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucvrp.instance import gen_instance
 from ucvrp.lp_round import (
@@ -16,6 +19,7 @@ from ucvrp.lp_round import (
     solve_covering_lp,
 )
 from ucvrp.oracle import exact_cvrp
+from ucvrp.tsp import exact_tsp
 
 from test_instance import line_instance
 
@@ -61,8 +65,46 @@ class TestCatalog:
 
     def test_large_ground_set_rejected(self):
         inst = gen_instance("euclidean", 25, 3, seed=0)
-        with pytest.raises(CatalogTooLarge):
+        with pytest.raises(CatalogTooLarge, match="ground set of 25 customers.*limit of 24"):
             enumerate_tours(inst, "lp1")
+
+    def test_size_cap_rejected(self):
+        inst = gen_instance("euclidean", 6, 3, seed=0)
+        with pytest.raises(CatalogTooLarge, match="more than 5 tours"):
+            enumerate_tours(inst, "lp1", size_cap=5)
+
+    def test_wide_ground_set_exact_priced(self):
+        # 20 customers, but no demand-feasible set holds more than 3 of them.
+        inst = gen_instance("euclidean", 20, 3, seed=1)
+        cat = enumerate_tours(inst, "lp1")
+        assert cat.exact_priced
+        for entry in cat.tours:
+            assert entry.cost == exact_tsp(inst, entry.customers).cost
+
+    @given(
+        n=st.integers(1, 9),
+        k=st.integers(1, 5),
+        kind=st.sampled_from(["euclidean", "random_metric"]),
+        law=st.sampled_from(["uniform", "heavy"]),
+        seed=st.integers(0, 10_000),
+        variant=st.sampled_from(["lp1", "lp2"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_prices_exactly_the_feasible_sets(self, n, k, kind, law, seed, variant):
+        inst = gen_instance(kind, n, k, law, seed=seed)
+        delta = Fraction(1, 5) if variant == "lp2" else None
+        cat = enumerate_tours(inst, variant, delta)
+        ground = sorted(cat.cover_set)
+        expected = [
+            list(members)
+            for size in range(1, len(ground) + 1)
+            for members in itertools.combinations(ground, size)
+            if sum(inst.demand(v) for v in members) <= inst.capacity
+        ]
+        assert [sorted(t.customers) for t in cat.tours] == expected
+        assert cat.exact_priced
+        for entry in cat.tours:
+            assert entry.cost == exact_tsp(inst, entry.customers).cost
 
     def test_deterministic_order(self, inst_line3):
         a = enumerate_tours(inst_line3, "lp1")

@@ -149,6 +149,12 @@ class TestAllSubsets:
             tour_costs_all_subsets(inst_line3, [1, 2, 3])
 
 
+def test_cap_must_be_an_integer(inst_line3, monkeypatch):
+    monkeypatch.setenv("UCVRP_HELDKARP_CAP", "eighteen")
+    with pytest.raises(ValueError, match="UCVRP_HELDKARP_CAP.*'eighteen'"):
+        exact_tsp(inst_line3, [1, 2, 3])
+
+
 def test_tour_customers_property():
     t = Tour((0, 4, 2, 0), 5.0, "external")
     assert t.customers == frozenset({2, 4})
