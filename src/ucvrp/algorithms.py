@@ -30,7 +30,7 @@ from ucvrp.lp_round import (
     solve_covering_lp,
 )
 from ucvrp.solution import Solution, check_feasible, merge
-from ucvrp.tsp import SubsetTooLarge, Tour, approx_tsp, exact_tsp, shortcut
+from ucvrp.tsp import SubsetTooLarge, Tour, approx_tsp, exact_tsp
 
 THIRD = Fraction(1, 3)
 
@@ -102,12 +102,9 @@ def lp_itp_pipeline(
         notes.append(f"delta_lp={delta_lp} outside the (0, 1/3) analysis regime")
 
     lp_solved = False
-    rounded_tours: list = []
     rounded_cost = 0.0
-    if gamma == 0:
-        leftover = set(inst.customers)
-        selected_entries = []
-    else:
+    selected_entries = []
+    if gamma != 0:
         if catalog is None:
             catalog = enumerate_tours(inst, lp_variant, delta_lp)
         if catalog.cover_set:
@@ -116,16 +113,11 @@ def lp_itp_pipeline(
             lp_solved = True
             outcome = round_tours(catalog, lpsol, gamma, seed)
             selected_entries = [catalog.tours[j] for j in outcome.selected]
-            covered = set()
-            for t in selected_entries:
-                covered |= t.customers
-            leftover = (set(catalog.cover_set) - covered) | (
-                set(inst.customers) - set(catalog.cover_set)
-            )
-        else:
-            # Degenerate cover set: nothing to round.
-            selected_entries = []
-            leftover = set(inst.customers)
+    # Catalog tours hold cover-set customers only, so whatever they miss,
+    # inside the cover set or outside it, goes to the partition stage.
+    leftover = set(inst.customers).difference(
+        *(entry.customers for entry in selected_entries)
+    )
 
     tours = []
     assignment = {}
@@ -143,15 +135,8 @@ def lp_itp_pipeline(
             assignment.setdefault(v, len(tours) - 1)
     rounded_sol = Solution(tuple(tours), assignment)
 
-    if leftover:
-        half = Fraction(1, 2)
-        non_large = [v for v in sorted(leftover) if inst.norm_demand(v) <= half]
-        sub_tour = shortcut(inst, tour.vertices, non_large)
-        itp_sol = delta_itp_plus(inst, leftover, sub_tour, delta_itp_threshold)
-    else:
-        itp_sol = Solution((), {})
-
-    sol = merge(rounded_sol, itp_sol) if rounded_sol.tours or itp_sol.tours else Solution((), {})
+    itp_sol = delta_itp_plus(inst, leftover, tour, delta_itp_threshold)
+    sol = merge(rounded_sol, itp_sol)
     feas = check_feasible(inst, sol)
     report = SolveReport(
         algorithm=f"pipeline-{lp_variant}",

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from ucvrp import algorithms, big_matching, constants, itp, lp_round, oracle, tsp
+from ucvrp import algorithms, big_matching, constants, itp, lp_round, oracle
 from ucvrp.instance import (
     Instance,
     f_integral,
@@ -60,10 +60,7 @@ def _solve_one(inst: Instance, args):
     elif args.alg == "ditp+":
         if delta is None:
             raise SystemExit("--delta required for ditp+")
-        half = Fraction(1, 2)
-        rest = [v for v in inst.customers if inst.norm_demand(v) <= half]
-        sub_tour = tsp.shortcut(inst, tour.vertices, rest)
-        sol = itp.delta_itp_plus(inst, set(inst.customers), sub_tour, delta)
+        sol = itp.delta_itp_plus(inst, set(inst.customers), tour, delta)
         report = None
     elif args.alg == "subalg1":
         plan, _ = big_matching.serve_big_by_matching(inst)
@@ -90,11 +87,13 @@ def _solve_one(inst: Instance, args):
             inst, "lp2", gamma, delta, args.seed, tour, delta_lp=delta
         )
     elif args.alg == "alg1":
-        sol, report = algorithms.alg1(inst, seed=args.seed, gamma=args.gamma)
+        sol, report = algorithms.alg1(
+            inst, seed=args.seed, gamma=args.gamma, tour=tour
+        )
     elif args.alg == "alg2":
         if delta is None:
             raise SystemExit("--delta required for alg2")
-        sol, report = algorithms.alg2(inst, delta, seed=args.seed)
+        sol, report = algorithms.alg2(inst, delta, seed=args.seed, tour=tour)
     else:
         raise SystemExit(f"unknown algorithm {args.alg!r}")
     return sol, report, tour, trace_payload
@@ -168,10 +167,7 @@ def check_instance_invariants(inst: Instance) -> list[str]:
             failures.append(f"partition bound exceeded at delta={delta}")
         if not check_feasible(inst, sol).ok:
             failures.append(f"partition infeasible at delta={delta}")
-        half = Fraction(1, 2)
-        rest = [v for v in inst.customers if inst.norm_demand(v) <= half]
-        sub_tour = tsp.shortcut(inst, tour.vertices, rest)
-        plus = itp.delta_itp_plus(inst, set(inst.customers), sub_tour, delta)
+        plus = itp.delta_itp_plus(inst, set(inst.customers), tour, delta)
         bound4 = itp.itp_bound(inst, inst.customers, tour.cost, delta, "lemma4")
         if plus.cost > bound4 + 1e-6:
             failures.append(f"trivial-tour bound exceeded at delta={delta}")

@@ -264,7 +264,6 @@ def appendix_a2(
     easy_general = (
         alpha + 1.0 + (1.0 - eps_general) * y1e.mid
         + math.log((1.0 - eps_general) * (2.0 - 2.0 * y1e.mid))
-        + 1e-100
     )
     hard_general = 2.0 + f_general.value + y1 + math.log(2.0 - 2.0 * y1)
     final_general = max(easy_general, hard_general)

@@ -9,10 +9,13 @@ fits the vehicle) or served by a trivial tour.  The offset is
 derandomized: the cost is piecewise constant in eta, so evaluating every
 breakpoint residue and the midpoints between them and keeping the
 cheapest outcome is at least as good as the uniform-offset expectation.
+For delta = p/q every position is a multiple of 1/(2kq), so the line is
+scaled by 2kq once and each offset is one sweep over exact integers;
+only the ``PartitionTrace`` holds ``Fraction``s.
 
 ``delta_itp_plus`` first serves every customer with normalized demand
-above 1/2 by a trivial tour and runs ``delta_itp`` on the remainder,
-which never costs more.
+above 1/2 by a trivial tour and runs ``delta_itp`` on the remainder over
+the shortcut of the tour it is given, which never costs more.
 
 ``itp_bound`` evaluates the closed-form cost guarantees the two
 procedures are tested against:
@@ -32,13 +35,14 @@ relative to delta inside the served subset.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain, pairwise
 from typing import Iterable, Sequence
 
 from ucvrp.instance import Instance
 from ucvrp.solution import Solution, merge, trivial_solution
-from ucvrp.tsp import Tour
+from ucvrp.tsp import Tour, shortcut
 
 
 class DemandExceedsCapacity(ValueError):
@@ -71,97 +75,77 @@ def _segment_solution(
     inst: Instance,
     order: Sequence[int],
     segments: Sequence[Sequence[int]],
-    trivial: Sequence[int],
+    disposition: dict[int, str],
+    oversize: Sequence[int],
 ) -> Solution:
-    pos = {v: i for i, v in enumerate(order)}
+    """One tour per non-empty segment (positions in ``order``), then a
+    trivial tour per trivial-tour position and per ``oversize`` customer."""
     tours: list[Tour] = []
     assignment: dict[int, int] = {}
     for seg in segments:
         if not seg:
             continue
-        members = sorted(seg, key=pos.__getitem__)
-        seq = (0, *members, 0)
+        seq = (0, *(order[i] for i in sorted(seg)), 0)
         tours.append(Tour(seq, inst.route_cost(seq), "external"))
-        for v in members:
+        for v in seq[1:-1]:
             assignment[v] = len(tours) - 1
-    for v in trivial:
+    trivial = [order[i] for i, d in disposition.items() if d == "trivial-tour"]
+    for v in trivial + list(oversize):
         tours.append(Tour((0, v, 0), 2.0 * inst.depot_cost(v), "external"))
         assignment[v] = len(tours) - 1
     return Solution(tuple(tours), assignment)
 
 
-def _evaluate_offset(
-    inst: Instance,
-    order: Sequence[int],
-    prefix: Sequence[Fraction],
-    span: Fraction,
-    eta: Fraction,
-) -> tuple[list[list[int]], list[int], dict[int, str], list[Fraction]]:
-    """Partition ``order`` for one offset; returns (segments, trivial
-    customers, dispositions, cut positions)."""
+def _evaluate_offset(prefix, span, eta, unit):
+    """Partition the line for one offset.  Position i occupies
+    (prefix[i], prefix[i + 1]], cuts lie at eta + m*span and a vehicle
+    holds ``unit``; ints and Fractions both work.
+
+    Returns (cut positions, each segment's positions, disposition of each
+    position).  A segment lists its in-segment positions first, then the
+    straddlers it absorbed in cut order; dispositions follow the same
+    order over all segments.
+    """
     total = prefix[-1]
-    cuts: list[Fraction] = []
-    pos = eta if eta > 0 else eta + span
+    cuts = []
+    pos = eta or span
     while pos < total:
         cuts.append(pos)
         pos += span
 
-    bounds = [Fraction(0), *cuts, total]
-    nseg = len(bounds) - 1
-    seg_members: list[list[int]] = [[] for _ in range(nseg)]
-    seg_load: list[Fraction] = [Fraction(0)] * nseg
-    disposition: dict[int, str] = {}
-
-    # Straddlers: customer i straddles a cut strictly inside its interval
-    # (prefix[i], prefix[i+1]].  Demand <= span, so at most one cut each.
-    straddler_at: dict[int, int] = {}  # cut index -> customer position
-    for i, v in enumerate(order):
+    # Segment c runs from cuts[c - 1] to cuts[c].  Every width is at most
+    # the spacing and above zero, so one walk over positions and cuts
+    # finds each customer's segment, or the one cut strictly inside it.
+    segments: list[list[int]] = [[] for _ in range(len(cuts) + 1)]
+    loads = [0] * len(segments)
+    straddlers = []
+    c = 0
+    for i in range(len(prefix) - 1):
         lo, hi = prefix[i], prefix[i + 1]
-        inside = None
-        for ci, cut in enumerate(cuts):
-            if lo < cut < hi:
-                inside = ci
-                break
-            if cut >= hi:
-                break
-        if inside is None:
-            # Fully inside the segment whose bounds bracket the interval.
-            for j in range(nseg):
-                if bounds[j] <= lo and hi <= bounds[j + 1]:
-                    seg_members[j].append(v)
-                    seg_load[j] += hi - lo
-                    disposition[v] = "in-segment"
-                    break
+        while c < len(cuts) and cuts[c] <= lo:
+            c += 1
+        if c < len(cuts) and cuts[c] < hi:
+            straddlers.append((c, i))
         else:
-            straddler_at[inside] = i
+            segments[c].append(i)
+            loads[c] += hi - lo
 
-    one = Fraction(1)
-    for ci in sorted(straddler_at):
-        i = straddler_at[ci]
-        v = order[i]
-        d = prefix[i + 1] - prefix[i]
-        left_portion = cuts[ci] - prefix[i]
-        right_portion = prefix[i + 1] - cuts[ci]
-        left, right = ci, ci + 1  # segment indices around this cut
-        fits_left = seg_load[left] + d <= one
-        fits_right = seg_load[right] + d <= one
-        if fits_left and fits_right:
-            side = left if left_portion >= right_portion else right
-        elif fits_left:
-            side = left
+    disposition = dict.fromkeys(chain.from_iterable(segments), "in-segment")
+    for c, i in straddlers:
+        lo, hi = prefix[i], prefix[i + 1]
+        fits_left = loads[c] + hi - lo <= unit
+        fits_right = loads[c + 1] + hi - lo <= unit
+        if fits_left and (not fits_right or cuts[c] - lo >= hi - cuts[c]):
+            side = c
         elif fits_right:
-            side = right
+            side = c + 1
         else:
-            side = None
-        if side is None:
-            disposition[v] = "trivial-tour"
-        else:
-            seg_members[side].append(v)
-            seg_load[side] += d
-            disposition[v] = "absorbed-left" if side == left else "absorbed-right"
-
-    trivial = [v for v, disp in disposition.items() if disp == "trivial-tour"]
-    return seg_members, trivial, disposition, cuts
+            disposition[i] = "trivial-tour"
+            continue
+        segments[side].append(i)
+        loads[side] += hi - lo
+        disposition[i] = "absorbed-left" if side == c else "absorbed-right"
+    return cuts, segments, disposition
 
 
 def delta_itp(
@@ -183,17 +167,24 @@ def delta_itp(
     if tour.customers != subset:
         raise ValueError("tour must visit exactly the requested subset")
     for v in subset:
-        if inst.norm_demand(v) > 1:
+        if inst.demand(v) > inst.capacity:
             raise DemandExceedsCapacity(v)
+        if inst.demand(v) < 1:
+            raise ValueError(f"customer {v} has demand {inst.demand(v)} below 1")
 
-    span = 1 - delta
-    full_order = [v for v in tour.vertices[1:-1]]
+    # Scaled by unit = 2kq for delta = p/q, widths, the cut spacing,
+    # residues and the midpoints between them are all exact integers.
+    q = delta.denominator
+    unit = 2 * inst.capacity * q
+    span = 2 * inst.capacity * (q - delta.numerator)
+    width = {v: 2 * q * inst.demand(v) for v in subset}
+    full_order = tour.vertices[1:-1]
     # Customers wider than the cut spacing would contain a cut regardless
     # of the offset; serving them by trivial tours up front is always
     # within the "lemma3" budget (their demand exceeds 1/2) and leaves
     # every remaining demand at most the spacing.
-    oversize = [v for v in full_order if inst.norm_demand(v) > span]
-    order = [v for v in full_order if inst.norm_demand(v) <= span]
+    oversize = [v for v in full_order if width[v] > span]
+    order = [v for v in full_order if width[v] <= span]
 
     if not order:
         sol = trivial_solution(inst, oversize)
@@ -202,37 +193,45 @@ def delta_itp(
         )
         return sol, trace
 
-    prefix = [Fraction(0)]
-    for v in order:
-        prefix.append(prefix[-1] + inst.norm_demand(v))
+    prefix = list(accumulate((width[v] for v in order), initial=0))
+    residues = sorted({x % span for x in prefix})
+    candidates = {0, *residues, (residues[-1] + span) // 2}
+    candidates.update((a + b) // 2 for a, b in pairwise(residues))
 
-    residues = sorted({p % span for p in prefix})
-    candidates = set(residues)
-    for a, b in zip(residues, residues[1:]):
-        candidates.add((a + b) / 2)
-    candidates.add((residues[-1] + span) / 2)
-    candidates.add(Fraction(0))
+    # A segment is a run of consecutive positions.  Its tour cost, and the
+    # candidate's total, add the same floats in the same order as
+    # route_cost and Solution.cost over _segment_solution's tours.
+    out = [inst.cost(0, v) for v in order]
+    back = [inst.cost(v, 0) for v in order]
+    step = [inst.cost(a, b) for a, b in pairwise(order)]
+    oversize_costs = [2.0 * inst.depot_cost(v) for v in oversize]
 
     best = None
-    candidate_costs: list[tuple[Fraction, float]] = []
+    candidate_costs: list[tuple[int, float]] = []
     for eta in sorted(candidates):
-        segs, trivial, disp, cuts = _evaluate_offset(inst, order, prefix, span, eta)
-        sol = _segment_solution(inst, order, segs, trivial + oversize)
-        for v in oversize:
-            disp[v] = "trivial-tour"
-        candidate_costs.append((eta, sol.cost))
-        if best is None or sol.cost < best[1] - 1e-12:
-            best = (eta, sol.cost, sol, segs, disp, cuts)
+        cuts, segments, disposition = _evaluate_offset(prefix, span, eta, unit)
+        costs = []
+        for seg in segments:
+            if seg:
+                a, b = min(seg), max(seg)
+                costs.append(sum(step[a:b], out[a]) + back[b])
+        costs += [2.0 * out[i] for i, d in disposition.items() if d == "trivial-tour"]
+        cost = sum(costs + oversize_costs)
+        candidate_costs.append((eta, cost))
+        if best is None or cost < best[1] - 1e-12:
+            best = (eta, cost, cuts, segments, disposition)
 
-    eta, _, sol, segs, disp, cuts = best
+    eta, _, cuts, segments, disposition = best
+    dispositions = {order[i]: d for i, d in disposition.items()}
+    dispositions.update(dict.fromkeys(oversize, "trivial-tour"))
     trace = PartitionTrace(
-        offset=eta,
-        breakpoints=tuple(cuts),
-        dispositions=disp,
-        segments=tuple(tuple(s) for s in segs if s),
-        candidate_costs=tuple(candidate_costs),
+        offset=Fraction(eta, unit),
+        breakpoints=tuple(Fraction(c, unit) for c in cuts),
+        dispositions=dispositions,
+        segments=tuple(tuple(order[i] for i in s) for s in segments if s),
+        candidate_costs=tuple((Fraction(e, unit), c) for e, c in candidate_costs),
     )
-    return sol, trace
+    return _segment_solution(inst, order, segments, disposition, oversize), trace
 
 
 def delta_itp_plus(
@@ -242,22 +241,16 @@ def delta_itp_plus(
     delta: Fraction,
 ) -> Solution:
     """Trivial tours for every customer with normalized demand above 1/2,
-    ``delta_itp`` for the rest.  ``tour`` must cover exactly the
-    non-large part of ``subset``."""
+    ``delta_itp`` over the shortcut of ``tour`` for the rest.  ``tour``
+    must visit every non-large customer of ``subset``; it may visit more."""
     subset = set(subset)
-    half = Fraction(1, 2)
-    large = sorted(v for v in subset if inst.norm_demand(v) > half)
-    rest = subset - set(large)
-    if tour.customers != rest:
-        raise ValueError("tour must cover exactly the non-large customers")
-    parts = []
-    if large:
-        parts.append(trivial_solution(inst, large))
+    large = sorted(v for v in subset if 2 * inst.demand(v) > inst.capacity)
+    rest = subset.difference(large)
+    sol = trivial_solution(inst, large)
     if rest:
-        parts.append(delta_itp(inst, rest, tour, delta)[0])
-    if not parts:
-        return Solution((), {})
-    return merge(*parts)
+        sub_tour = shortcut(inst, tour.vertices, rest)
+        sol = merge(sol, delta_itp(inst, rest, sub_tour, delta)[0])
+    return sol
 
 
 def itp_bound(

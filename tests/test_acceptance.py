@@ -117,7 +117,6 @@ def test_criterion_2_lower_bounds(capfd):
 
 def test_criterion_3_partition_bounds(capfd):
     failures = []
-    half = Fraction(1, 2)
     for i, inst in enumerate(mixed_instances(500, max_n=40, max_k=10, seed_base=2000)):
         if inst.n <= 10:
             tour = exact_tsp(inst, inst.customers)
@@ -127,8 +126,6 @@ def test_criterion_3_partition_bounds(capfd):
         sol1 = subalg1(inst, tour)
         if sol1.cost > subalg1_bound(inst, tour.cost, plan.cost) + 1e-9:
             failures.append(f"{inst.name}: matching-branch bound")
-        rest = [v for v in inst.customers if inst.norm_demand(v) <= half]
-        sub = shortcut(inst, tour.vertices, rest)
         for delta in DELTAS:
             sol, _ = delta_itp(inst, set(inst.customers), tour, delta)
             b3 = itp_bound(inst, inst.customers, tour.cost, delta, "lemma3")
@@ -136,7 +133,7 @@ def test_criterion_3_partition_bounds(capfd):
                 failures.append(f"{inst.name} d={delta}: partition bound")
             if not check_feasible(inst, sol).ok:
                 failures.append(f"{inst.name} d={delta}: partition infeasible")
-            plus = delta_itp_plus(inst, set(inst.customers), sub, delta)
+            plus = delta_itp_plus(inst, set(inst.customers), tour, delta)
             b4 = itp_bound(inst, inst.customers, tour.cost, delta, "lemma4")
             if plus.cost > b4 + 1e-9:
                 failures.append(f"{inst.name} d={delta}: trivial-variant bound")

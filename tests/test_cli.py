@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ucvrp import algorithms
 from ucvrp.cli import main
 from ucvrp.instance import load_json
 from ucvrp.oracle import exact_cvrp
@@ -68,6 +69,23 @@ class TestSolve:
         payload = json.loads(out)
         assert "lp" in payload
         assert payload["lp"]["solution"]["objective"] > 0
+
+    @pytest.mark.parametrize("argv", [
+        ("--alg", "alg1"),
+        ("--alg", "alg2", "--delta", "1/5"),
+    ])
+    def test_builds_depot_tour_once(self, instance_file, capsys, monkeypatch, argv):
+        calls = []
+        real = algorithms.default_tour
+
+        def counting(inst):
+            calls.append(inst.name)
+            return real(inst)
+
+        monkeypatch.setattr(algorithms, "default_tour", counting)
+        code, _ = run(capsys, "solve", str(instance_file), *argv)
+        assert code == 0
+        assert len(calls) == 1
 
     def test_delta_required(self, instance_file, capsys):
         with pytest.raises(SystemExit):

@@ -1,9 +1,15 @@
+import dataclasses
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ucvrp.instance import classify
+from ucvrp.big_matching import subalg1
+from ucvrp.instance import classify, gen_instance
 from ucvrp.itp import (
     _evaluate_offset,
     _segment_solution,
@@ -12,7 +18,7 @@ from ucvrp.itp import (
     itp_bound,
 )
 from ucvrp.solution import check_feasible
-from ucvrp.tsp import exact_tsp, shortcut
+from ucvrp.tsp import KeepNotVisited, Tour, approx_tsp, exact_tsp
 
 from conftest import instance_mix
 from test_instance import line_instance
@@ -62,11 +68,11 @@ class TestTrivialTourVariant:
         assert bound == pytest.approx(6.75, abs=1e-12)
         assert sol.cost <= bound + 1e-9
 
-    def test_tour_must_cover_non_large(self):
+    def test_tour_must_visit_non_large(self):
         inst = line_instance([1.0, 2.0], capacity=4, demands=(1, 3))
-        full_tour = exact_tsp(inst, [1, 2])
-        with pytest.raises(ValueError):
-            delta_itp_plus(inst, {1, 2}, full_tour, Fraction(1, 3))
+        large_only = exact_tsp(inst, [2])
+        with pytest.raises(KeepNotVisited):
+            delta_itp_plus(inst, {1, 2}, large_only, Fraction(1, 3))
 
     def test_all_large(self):
         inst = line_instance([1.0, 2.0], capacity=3, demands=(2, 2))
@@ -112,13 +118,10 @@ class TestPartitionInvariants:
                 assert served == set(inst.customers)
 
     def test_plus_never_worse_than_bound(self):
-        half = Fraction(1, 2)
         for inst in instance_mix(15, max_n=12, max_k=8, seed_base=330):
             tour = exact_tsp(inst, inst.customers)
-            rest = [v for v in inst.customers if inst.norm_demand(v) <= half]
-            sub = shortcut(inst, tour.vertices, rest)
             for delta in DELTAS:
-                sol = delta_itp_plus(inst, set(inst.customers), sub, delta)
+                sol = delta_itp_plus(inst, set(inst.customers), tour, delta)
                 assert check_feasible(inst, sol).ok
                 bound = itp_bound(inst, inst.customers, tour.cost, delta, "lemma4")
                 assert sol.cost <= bound + 1e-9
@@ -143,14 +146,21 @@ class TestPartitionInvariants:
                 prefix.append(prefix[-1] + inst.norm_demand(v))
             for _ in range(20):
                 eta = Fraction(rng.randrange(10**6), 10**6) * span
-                segs, trivial, _, _ = _evaluate_offset(inst, order, prefix, span, eta)
-                cand = _segment_solution(inst, order, segs, trivial + oversize)
+                _, segs, disp = _evaluate_offset(prefix, span, eta, 1)
+                cand = _segment_solution(inst, order, segs, disp, oversize)
                 assert sol.cost <= cand.cost + 1e-9
 
     def test_delta_domain(self, inst_line3):
         tour = exact_tsp(inst_line3, [1, 2, 3])
         with pytest.raises(ValueError):
             delta_itp(inst_line3, {1, 2, 3}, tour, Fraction(1, 2))
+
+    def test_rejects_zero_demand(self):
+        # validate_instance rejects d_v < 1, but an Instance does not.
+        inst = line_instance([1.0, 2.0], capacity=2, demands=(0, 1))
+        tour = exact_tsp(inst, [1, 2])
+        with pytest.raises(ValueError, match="customer 1"):
+            delta_itp(inst, {1, 2}, tour, Fraction(0))
 
     def test_tour_subset_mismatch(self, inst_line3):
         tour = exact_tsp(inst_line3, [1, 2])
@@ -167,3 +177,76 @@ class TestPartitionInvariants:
         sol, _ = delta_itp(inst, set(inst.customers), tour, Fraction(1, 3))
         assert len(sol.tours) == 1
         assert check_feasible(inst, sol).ok
+
+
+@st.composite
+def partition_cases(draw):
+    """An arbitrary tour over n <= 12 customers with mixed demands and
+    delta = p/q for q <= 12, plus one off-grid offset in [0, 1)."""
+    k = draw(st.integers(1, 10))
+    n = draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["euclidean", "random_metric"]))
+    inst = gen_instance(kind, n, k, seed=draw(st.integers(0, 2**16)))
+    demands = draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
+    inst = dataclasses.replace(inst, demands=tuple(demands))
+    seq = (0, *draw(st.permutations(list(inst.customers))), 0)
+    tour = Tour(seq, inst.route_cost(seq), "external")
+    q = draw(st.integers(1, 12))
+    delta = Fraction(draw(st.integers(0, (q - 1) // 2)), q)
+    u = Fraction(draw(st.integers(0, 10**6 - 1)), 10**6)
+    return inst, tour, delta, u
+
+
+@given(partition_cases())
+@settings(max_examples=150, deadline=None)
+def test_partition_properties(case):
+    inst, tour, delta, u = case
+    customers = set(inst.customers)
+    sol, _ = delta_itp(inst, customers, tour, delta)
+    assert check_feasible(inst, sol).ok
+    assert sol.cost <= itp_bound(inst, customers, tour.cost, delta, "lemma3") + 1e-9
+    plus = delta_itp_plus(inst, customers, tour, delta)
+    assert check_feasible(inst, plus).ok
+    assert plus.cost <= itp_bound(inst, customers, tour.cost, delta, "lemma4") + 1e-9
+
+    span = 1 - delta
+    order = [v for v in tour.vertices[1:-1] if inst.norm_demand(v) <= span]
+    oversize = [v for v in tour.vertices[1:-1] if inst.norm_demand(v) > span]
+    if order:
+        prefix = [Fraction(0)]
+        for v in order:
+            prefix.append(prefix[-1] + inst.norm_demand(v))
+        _, segs, disp = _evaluate_offset(prefix, span, u * span, 1)
+        cand = _segment_solution(inst, order, segs, disp, oversize)
+        assert sol.cost <= cand.cost + 1e-9
+
+
+PINNED_DELTAS = (
+    Fraction(0), Fraction(1, 10), Fraction(1, 5), Fraction(2, 7), Fraction(1, 3),
+    Fraction(49, 100),
+)
+# sha256 of the rows built below.  A partition that changes but stays
+# feasible passes every other test; change this only with the outputs.
+PINNED_DIGEST = "ea00cacf9ff580e1cc045b6024dfb8b43686d75af86d42c7efc7c7d9c17e6e50"
+
+
+def test_partition_outputs_pinned():
+    rows = []
+    for inst in instance_mix(60, max_n=40, max_k=10, seed_base=2000):
+        if inst.n <= 10:
+            tour = exact_tsp(inst, inst.customers)
+        else:
+            tour = approx_tsp(inst, inst.customers)
+        sol = subalg1(inst, tour)
+        rows.append([repr(sol.cost), [t.vertices for t in sol.tours]])
+        for delta in PINNED_DELTAS:
+            sol, trace = delta_itp(inst, set(inst.customers), tour, delta)
+            rows.append([
+                repr(sol.cost),
+                [t.vertices for t in sol.tours],
+                json.dumps(trace.to_json_dict(), sort_keys=True),
+            ])
+            plus = delta_itp_plus(inst, set(inst.customers), tour, delta)
+            rows.append([repr(plus.cost), [t.vertices for t in plus.tours]])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == PINNED_DIGEST
