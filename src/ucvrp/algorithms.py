@@ -1,23 +1,31 @@
-"""Composed solvers: the LP-round-then-partition pipelines and the two
+"""Composed solvers: the LP-round-then-partition pipeline and the two
 meta-algorithms that take the best of their branches.
 
+Each step of a solve exists once: the depot tour, the tour catalog with
+its covering LP, the LP branch (round the LP, then serve the leftover
+customers by the threshold partition) and the report, which checks
+feasibility once per public call.  ``lp_itp_pipeline`` runs one LP
+branch, ``alg1`` one and ``alg2`` two over a shared catalog.
+
 ``alg1`` (fixed capacity) runs the matching branch and the full-catalog
-pipeline with threshold 1/3, keeping the cheaper solution; its default
+branch with threshold 1/3, keeping the cheaper solution; its default
 selection intensity is gamma* = ln(2 - y0/2) at the root y0 of
-ln(2 - y/2) = (3/2) y.  ``alg2`` (general capacity) runs the matching
-branch plus two restricted-catalog pipelines, with default intensities
-gamma1 = ln(2 - 2 y1 - y2/2) and gamma2 = ln(2 - 2 y1) at the root y1 of
-(1/2) y + 6 (1 - y)(1 - e^{-y/2}) = ln(2 - 2 y), y2 = 4 (1 - y1)(1 - e^{-y1/2}).
+ln(2 - y/2) = (3/2) y.  A refused catalog (``CatalogTooLarge``) makes it
+run its LP branch at gamma = 0, with a note.  ``alg2`` (general capacity)
+runs the matching branch plus two restricted-catalog branches, with
+default intensities gamma1 = ln(2 - 2 y1 - y2/2) and gamma2 = ln(2 - 2 y1)
+at the root y1 of (1/2) y + 6 (1 - y)(1 - e^{-y/2}) = ln(2 - 2 y),
+y2 = 4 (1 - y1)(1 - e^{-y1/2}); a refused catalog raises.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional
 
-from ucvrp.big_matching import serve_big_by_matching, subalg1
+from ucvrp.big_matching import subalg1
 from ucvrp.constants import default_gammas
 from ucvrp.instance import Instance, radial_lower_bound
 from ucvrp.itp import delta_itp_plus
@@ -49,29 +57,78 @@ class SolveReport:
     notes: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "params": self.params,
-            "cost": self.cost,
-            "branch_costs": self.branch_costs,
-            "lower_bounds": self.lower_bounds,
-            "feasible": self.feasible,
-            "alpha_tag": self.alpha_tag,
-            "seed": self.seed,
-            "lp_solved": self.lp_solved,
-            "notes": list(self.notes),
-        }
+        return {**asdict(self), "notes": list(self.notes)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def default_tour(inst: Instance) -> Tour:
+def _tour(inst: Instance, members) -> Tour:
     """Exact tour when the subset DP can afford it, MST doubling otherwise."""
     try:
-        return exact_tsp(inst, inst.customers)
+        return exact_tsp(inst, members)
     except SubsetTooLarge:
-        return approx_tsp(inst, inst.customers)
+        return approx_tsp(inst, members)
+
+
+def default_tour(inst: Instance) -> Tour:
+    """The depot tour over every customer, by the rule of ``_tour``."""
+    return _tour(inst, inst.customers)
+
+
+def _catalog_lp(inst, lp_variant, delta_lp, catalog, lpsol):
+    """The tour catalog and its covering-LP solution, each built unless
+    passed in.  A catalog that covers nobody gets no LP."""
+    if catalog is None:
+        catalog = enumerate_tours(inst, lp_variant, delta_lp)
+    if lpsol is None and catalog.cover_set:
+        lpsol = solve_covering_lp(catalog)
+    return catalog, lpsol
+
+
+def _round_then_partition(
+    inst, catalog, lpsol, gamma, threshold, seed, tour
+) -> tuple[Solution, float, float, bool]:
+    """One LP branch: round the fractional cover, then partition the rest.
+    Returns the solution, the rounded and partition costs and whether the
+    LP was used; with gamma = 0 the catalog is ignored and may be None."""
+    lp_used = gamma != 0 and bool(catalog.cover_set)
+    selected_entries = []
+    if lp_used:
+        outcome = round_tours(catalog, lpsol, gamma, seed)
+        selected_entries = [catalog.tours[j] for j in outcome.selected]
+    # Catalog tours hold cover-set customers only, so whatever they miss,
+    # inside the cover set or outside it, goes to the partition stage.
+    leftover = set(inst.customers).difference(
+        *(entry.customers for entry in selected_entries)
+    )
+
+    tours = []
+    assignment = {}
+    rounded_cost = 0.0
+    for entry in selected_entries:
+        t = _tour(inst, sorted(entry.customers))
+        tours.append(t)
+        rounded_cost += t.cost
+        for v in entry.customers:
+            # First selected tour containing v wins; later tours keep
+            # their vertices with slack capacity.
+            assignment.setdefault(v, len(tours) - 1)
+    rounded_sol = Solution(tuple(tours), assignment)
+
+    itp_sol = delta_itp_plus(inst, leftover, tour, threshold)
+    return merge(rounded_sol, itp_sol), rounded_cost, itp_sol.cost, lp_used
+
+
+def _report(inst: Instance, sol: Solution, tour: Tour, **fields) -> SolveReport:
+    """The one report of a public solve: bound, feasibility, tour tag."""
+    return SolveReport(
+        cost=sol.cost,
+        lower_bounds={"radial": radial_lower_bound(inst)},
+        feasible=check_feasible(inst, sol).ok,
+        alpha_tag=tour.quality_tag,
+        **fields,
+    )
 
 
 def lp_itp_pipeline(
@@ -97,64 +154,25 @@ def lp_itp_pipeline(
     if tour.customers != set(inst.customers):
         raise ValueError("tour must cover all customers")
     delta_itp_threshold = Fraction(delta_itp_threshold)
-    notes = []
+    notes = ()
     if lp_variant == "lp2" and delta_lp is not None and Fraction(delta_lp) >= THIRD:
-        notes.append(f"delta_lp={delta_lp} outside the (0, 1/3) analysis regime")
+        notes = (f"delta_lp={delta_lp} outside the (0, 1/3) analysis regime",)
 
-    lp_solved = False
-    rounded_cost = 0.0
-    selected_entries = []
     if gamma != 0:
-        if catalog is None:
-            catalog = enumerate_tours(inst, lp_variant, delta_lp)
-        if catalog.cover_set:
-            if lpsol is None:
-                lpsol = solve_covering_lp(catalog)
-            lp_solved = True
-            outcome = round_tours(catalog, lpsol, gamma, seed)
-            selected_entries = [catalog.tours[j] for j in outcome.selected]
-    # Catalog tours hold cover-set customers only, so whatever they miss,
-    # inside the cover set or outside it, goes to the partition stage.
-    leftover = set(inst.customers).difference(
-        *(entry.customers for entry in selected_entries)
+        catalog, lpsol = _catalog_lp(inst, lp_variant, delta_lp, catalog, lpsol)
+    sol, rounded_cost, itp_cost, lp_solved = _round_then_partition(
+        inst, catalog, lpsol, gamma, delta_itp_threshold, seed, tour
     )
-
-    tours = []
-    assignment = {}
-    for entry in selected_entries:
-        members = sorted(entry.customers)
-        try:
-            t = exact_tsp(inst, members)
-        except SubsetTooLarge:
-            t = approx_tsp(inst, members)
-        tours.append(t)
-        rounded_cost += t.cost
-        for v in entry.customers:
-            # First selected tour containing v wins; later tours keep
-            # their vertices with slack capacity.
-            assignment.setdefault(v, len(tours) - 1)
-    rounded_sol = Solution(tuple(tours), assignment)
-
-    itp_sol = delta_itp_plus(inst, leftover, tour, delta_itp_threshold)
-    sol = merge(rounded_sol, itp_sol)
-    feas = check_feasible(inst, sol)
-    report = SolveReport(
-        algorithm=f"pipeline-{lp_variant}",
-        params={
-            "gamma": gamma,
-            "delta_itp": str(delta_itp_threshold),
-            "delta_lp": None if delta_lp is None else str(delta_lp),
-        },
-        cost=sol.cost,
-        branch_costs={"rounded": rounded_cost, "itp": itp_sol.cost},
-        lower_bounds={"radial": radial_lower_bound(inst)},
-        feasible=feas.ok,
-        alpha_tag=tour.quality_tag,
-        seed=seed,
-        lp_solved=lp_solved,
-        notes=tuple(notes),
+    params = {
+        "gamma": gamma,
+        "delta_itp": str(delta_itp_threshold),
+        "delta_lp": None if delta_lp is None else str(delta_lp),
+    }
+    return sol, _report(
+        inst, sol, tour, algorithm=f"pipeline-{lp_variant}", params=params,
+        branch_costs={"rounded": rounded_cost, "itp": itp_cost},
+        seed=seed, lp_solved=lp_solved, notes=notes,
     )
-    return sol, report
 
 
 def alg1(
@@ -165,38 +183,28 @@ def alg1(
     catalog: Optional[TourCatalog] = None,
     lpsol: Optional[LpSolution] = None,
 ) -> tuple[Solution, SolveReport]:
-    """Better of the matching branch and the full-catalog pipeline."""
+    """Better of the matching branch and the full-catalog LP branch."""
     if tour is None:
         tour = default_tour(inst)
     if gamma is None:
         gamma = default_gammas().gamma_star
-    notes = []
     sol_a = subalg1(inst, tour)
-    try:
-        sol_b, rep_b = lp_itp_pipeline(
-            inst, "lp1", gamma, THIRD, seed, tour, catalog=catalog, lpsol=lpsol
-        )
-        lp_solved = rep_b.lp_solved
-    except CatalogTooLarge:
-        # Polynomial fallback: skip the LP entirely.
-        sol_b, rep_b = lp_itp_pipeline(inst, "lp1", 0.0, THIRD, seed, tour)
-        lp_solved = False
-        notes.append("catalog too large; gamma forced to 0")
-    sol = sol_a if sol_a.cost <= sol_b.cost else sol_b
-    feas = check_feasible(inst, sol)
-    report = SolveReport(
-        algorithm="alg1",
-        params={"gamma": gamma},
-        cost=sol.cost,
-        branch_costs={"subalg1": sol_a.cost, "subalg2": sol_b.cost},
-        lower_bounds={"radial": radial_lower_bound(inst)},
-        feasible=feas.ok,
-        alpha_tag=tour.quality_tag,
-        seed=seed,
-        lp_solved=lp_solved,
-        notes=tuple(notes),
+    branch_gamma, notes = gamma, ()
+    if gamma != 0:
+        try:
+            catalog, lpsol = _catalog_lp(inst, "lp1", None, catalog, lpsol)
+        except CatalogTooLarge:
+            # Polynomial fallback: skip the LP entirely.
+            branch_gamma, notes = 0.0, ("catalog too large; gamma forced to 0",)
+    sol_b, _, _, lp_solved = _round_then_partition(
+        inst, catalog, lpsol, branch_gamma, THIRD, seed, tour
     )
-    return sol, report
+    sol = sol_a if sol_a.cost <= sol_b.cost else sol_b
+    return sol, _report(
+        inst, sol, tour, algorithm="alg1", params={"gamma": gamma},
+        branch_costs={"subalg1": sol_a.cost, "subalg2": sol_b.cost},
+        seed=seed, lp_solved=lp_solved, notes=notes,
+    )
 
 
 def alg2(
@@ -209,7 +217,7 @@ def alg2(
     catalog: Optional[TourCatalog] = None,
     lpsol: Optional[LpSolution] = None,
 ) -> tuple[Solution, SolveReport]:
-    """Best of the matching branch and two restricted-catalog pipelines
+    """Best of the matching branch and two restricted-catalog LP branches
     (thresholds 1/3 and ``delta`` for the partition stage)."""
     delta = Fraction(delta)
     if not 0 < delta < THIRD:
@@ -221,35 +229,20 @@ def alg2(
         gamma1 = g.gamma1
     if gamma2 is None:
         gamma2 = g.gamma2
-    if catalog is None and (gamma1 > 0 or gamma2 > 0):
-        catalog = enumerate_tours(inst, "lp2", delta)
-    if lpsol is None and catalog is not None and catalog.cover_set:
-        lpsol = solve_covering_lp(catalog)
+    if gamma1 != 0 or gamma2 != 0:
+        catalog, lpsol = _catalog_lp(inst, "lp2", delta, catalog, lpsol)
 
     sol_a = subalg1(inst, tour)
-    sol_b, rep_b = lp_itp_pipeline(
-        inst, "lp2", gamma1, THIRD, seed, tour,
-        delta_lp=delta, catalog=catalog, lpsol=lpsol,
+    sol_b, _, _, lp_b = _round_then_partition(
+        inst, catalog, lpsol, gamma1, THIRD, seed, tour
     )
-    sol_c, rep_c = lp_itp_pipeline(
-        inst, "lp2", gamma2, delta, seed, tour,
-        delta_lp=delta, catalog=catalog, lpsol=lpsol,
+    sol_c, _, _, lp_c = _round_then_partition(
+        inst, catalog, lpsol, gamma2, delta, seed, tour
     )
     sol = min((sol_a, sol_b, sol_c), key=lambda s: s.cost)
-    feas = check_feasible(inst, sol)
-    report = SolveReport(
-        algorithm="alg2",
-        params={"delta": str(delta), "gamma1": gamma1, "gamma2": gamma2},
-        cost=sol.cost,
-        branch_costs={
-            "subalg1": sol_a.cost,
-            "subalg3": sol_b.cost,
-            "subalg4": sol_c.cost,
-        },
-        lower_bounds={"radial": radial_lower_bound(inst)},
-        feasible=feas.ok,
-        alpha_tag=tour.quality_tag,
-        seed=seed,
-        lp_solved=rep_b.lp_solved or rep_c.lp_solved,
+    params = {"delta": str(delta), "gamma1": gamma1, "gamma2": gamma2}
+    costs = {"subalg1": sol_a.cost, "subalg3": sol_b.cost, "subalg4": sol_c.cost}
+    return sol, _report(
+        inst, sol, tour, algorithm="alg2", params=params, branch_costs=costs,
+        seed=seed, lp_solved=lp_b or lp_c,
     )
-    return sol, report

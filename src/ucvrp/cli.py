@@ -22,11 +22,16 @@ from ucvrp.instance import (
     save_json,
     validate_instance,
 )
+from ucvrp.lp_round import LpInfeasible
 from ucvrp.solution import check_feasible
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+
+# Solvers that take --delta, and the catalog each LP pipeline rounds.
+_NEEDS_DELTA = ("ditp", "ditp+", "subalg3", "subalg4", "alg2")
+_LP_VARIANTS = {"subalg2": "lp1", "subalg3": "lp2", "subalg4": "lp2"}
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -41,58 +46,43 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _solve_one(inst: Instance, args):
+def _solve_one(inst: Instance, args, catalog=None, lpsol=None):
     tour = algorithms.default_tour(inst)
     delta = args.delta
-    trace_payload = None
+    trace_payload = report = None
     g = constants.default_gammas()
 
     if args.alg == "itp":
         sol, trace = itp.delta_itp(inst, set(inst.customers), tour, Fraction(0))
         trace_payload = trace.to_json_dict()
-        report = None
     elif args.alg == "ditp":
-        if delta is None:
-            raise SystemExit("--delta required for ditp")
         sol, trace = itp.delta_itp(inst, set(inst.customers), tour, delta)
         trace_payload = trace.to_json_dict()
-        report = None
     elif args.alg == "ditp+":
-        if delta is None:
-            raise SystemExit("--delta required for ditp+")
         sol = itp.delta_itp_plus(inst, set(inst.customers), tour, delta)
-        report = None
     elif args.alg == "subalg1":
         plan, _ = big_matching.serve_big_by_matching(inst)
         sol = big_matching.subalg1(inst, tour)
         trace_payload = plan.to_json_dict()
-        report = None
-    elif args.alg == "subalg2":
-        gamma = args.gamma if args.gamma is not None else g.gamma_star
+    elif args.alg in _LP_VARIANTS:
+        variant = _LP_VARIANTS[args.alg]
+        # Each pipeline's default gamma and partition threshold.
+        default_gamma, threshold = {
+            "subalg2": (g.gamma_star, Fraction(1, 3)),
+            "subalg3": (g.gamma1, Fraction(1, 3)),
+            "subalg4": (g.gamma2, delta),
+        }[args.alg]
         sol, report = algorithms.lp_itp_pipeline(
-            inst, "lp1", gamma, Fraction(1, 3), args.seed, tour
-        )
-    elif args.alg == "subalg3":
-        if delta is None:
-            raise SystemExit("--delta required for subalg3")
-        gamma = args.gamma if args.gamma is not None else g.gamma1
-        sol, report = algorithms.lp_itp_pipeline(
-            inst, "lp2", gamma, Fraction(1, 3), args.seed, tour, delta_lp=delta
-        )
-    elif args.alg == "subalg4":
-        if delta is None:
-            raise SystemExit("--delta required for subalg4")
-        gamma = args.gamma if args.gamma is not None else g.gamma2
-        sol, report = algorithms.lp_itp_pipeline(
-            inst, "lp2", gamma, delta, args.seed, tour, delta_lp=delta
+            inst, variant, default_gamma if args.gamma is None else args.gamma,
+            threshold, args.seed, tour,
+            delta_lp=None if variant == "lp1" else delta,
+            catalog=catalog, lpsol=lpsol,
         )
     elif args.alg == "alg1":
         sol, report = algorithms.alg1(
             inst, seed=args.seed, gamma=args.gamma, tour=tour
         )
     elif args.alg == "alg2":
-        if delta is None:
-            raise SystemExit("--delta required for alg2")
         sol, report = algorithms.alg2(inst, delta, seed=args.seed, tour=tour)
     else:
         raise SystemExit(f"unknown algorithm {args.alg!r}")
@@ -100,8 +90,16 @@ def _solve_one(inst: Instance, args):
 
 
 def cmd_solve(args) -> int:
+    if args.alg in _NEEDS_DELTA and args.delta is None:
+        print(f"--delta required for {args.alg}", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     inst = validate_instance(load_json(args.instance))
-    sol, report, tour, trace_payload = _solve_one(inst, args)
+    catalog = lpsol = None
+    if args.dump_lp and args.alg in _LP_VARIANTS:
+        # Built once: the pipeline solves with the objects that are dumped.
+        catalog = lp_round.enumerate_tours(inst, _LP_VARIANTS[args.alg], args.delta)
+        lpsol = lp_round.solve_covering_lp(catalog)
+    sol, report, tour, trace_payload = _solve_one(inst, args, catalog, lpsol)
     feas = check_feasible(inst, sol)
     out = {
         "algorithm": args.alg,
@@ -117,10 +115,7 @@ def cmd_solve(args) -> int:
         out["report"] = report.to_json_dict()
     if args.trace and trace_payload is not None:
         out["trace"] = trace_payload
-    if args.dump_lp and args.alg in ("subalg2", "subalg3", "subalg4"):
-        variant = "lp1" if args.alg == "subalg2" else "lp2"
-        catalog = lp_round.enumerate_tours(inst, variant, args.delta)
-        lpsol = lp_round.solve_covering_lp(catalog)
+    if catalog is not None:
         out["lp"] = {
             "catalog": catalog.to_json_dict(),
             "solution": lpsol.to_json_dict(),
@@ -314,7 +309,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, KeyError, OSError, LpInfeasible) as exc:
+        # The library's typed errors (all ValueErrors but LpInfeasible) and
+        # unreadable or malformed input: a usage error, not a violation.
+        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -242,9 +242,14 @@ def delta_itp_plus(
 ) -> Solution:
     """Trivial tours for every customer with normalized demand above 1/2,
     ``delta_itp`` over the shortcut of ``tour`` for the rest.  ``tour``
-    must visit every non-large customer of ``subset``; it may visit more."""
+    must visit every non-large customer of ``subset``; it may visit more.
+    A customer whose demand exceeds the capacity raises
+    ``DemandExceedsCapacity``, as in ``delta_itp``."""
     subset = set(subset)
     large = sorted(v for v in subset if 2 * inst.demand(v) > inst.capacity)
+    for v in large:
+        if inst.demand(v) > inst.capacity:
+            raise DemandExceedsCapacity(v)
     rest = subset.difference(large)
     sol = trivial_solution(inst, large)
     if rest:

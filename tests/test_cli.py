@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ucvrp import algorithms
+from ucvrp import algorithms, lp_round
 from ucvrp.cli import main
 from ucvrp.instance import load_json
 from ucvrp.oracle import exact_cvrp
@@ -87,13 +87,66 @@ class TestSolve:
         assert code == 0
         assert len(calls) == 1
 
-    def test_delta_required(self, instance_file, capsys):
-        with pytest.raises(SystemExit):
-            main(["solve", str(instance_file), "--alg", "ditp"])
+    @pytest.mark.parametrize("alg", ["ditp", "ditp+", "subalg3", "subalg4", "alg2"])
+    def test_delta_required(self, instance_file, capsys, alg):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(instance_file), "--alg", alg])
+        assert exc.value.code == 2
+        assert "--delta required" in capsys.readouterr().err
+
+    def test_lp_dump_builds_catalog_and_lp_once(self, instance_file, capsys, monkeypatch):
+        calls = []
+        for name in ("enumerate_tours", "solve_covering_lp"):
+            real = getattr(lp_round, name)
+
+            def counting(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(lp_round, name, counting)
+            monkeypatch.setattr(algorithms, name, counting)
+        code, out = run(capsys, "solve", str(instance_file), "--alg", "subalg2",
+                        "--dump-lp")
+        assert code == 0
+        assert json.loads(out)["report"]["lp_solved"]
+        assert sorted(calls) == ["enumerate_tours", "solve_covering_lp"]
 
     def test_unknown_alg_is_usage_error(self, instance_file, capsys):
         code, _ = run(capsys, "solve", str(instance_file), "--alg", "magic")
         assert code == 2
+
+
+class TestLibraryErrors:
+    """Typed library errors and unreadable input end with exit code 2 and
+    one JSON error object on stdout, not a traceback."""
+
+    @pytest.fixture
+    def large_file(self, tmp_path, capsys):
+        path = tmp_path / "n30.json"
+        code, _ = run(capsys, "gen", "-n", "30", "-k", "3", "--seed", "1",
+                      "--out", str(path))
+        assert code == 0
+        return path
+
+    def test_exact_beyond_oracle_cap(self, large_file, capsys):
+        code, out = run(capsys, "exact", str(large_file))
+        assert code == 2
+        assert json.loads(out)["error"] == "InstanceTooLarge"
+
+    def test_alg2_catalog_too_large(self, large_file, capsys):
+        code, out = run(capsys, "solve", str(large_file), "--alg", "alg2",
+                        "--delta", "1/5")
+        assert code == 2
+        payload = json.loads(out)
+        assert payload["error"] == "CatalogTooLarge"
+        assert "30 customers" in payload["message"]
+
+    def test_malformed_json(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        code, out = run(capsys, "solve", str(path), "--alg", "alg1")
+        assert code == 2
+        assert json.loads(out)["error"] == "JSONDecodeError"
 
 
 class TestExact:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from ucvrp.big_matching import subalg1
 from ucvrp.instance import classify, gen_instance
 from ucvrp.itp import (
+    DemandExceedsCapacity,
     _evaluate_offset,
     _segment_solution,
     delta_itp,
@@ -79,6 +80,14 @@ class TestTrivialTourVariant:
         sol = delta_itp_plus(inst, {1, 2}, exact_tsp(inst, []), Fraction(1, 10))
         assert check_feasible(inst, sol).ok
         assert sol.cost == pytest.approx(6.0)
+
+    def test_rejects_demand_above_capacity(self):
+        # validate_instance rejects d_v > k, but an Instance does not; a
+        # trivial tour for such a customer would exceed the capacity.
+        inst = line_instance([1.0, 2.0], capacity=2, demands=(1, 3))
+        tour = exact_tsp(inst, [1, 2])
+        with pytest.raises(DemandExceedsCapacity, match="customer 2"):
+            delta_itp_plus(inst, {1, 2}, tour, Fraction(1, 3))
 
 
 class TestBounds:
