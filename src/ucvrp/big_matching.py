@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Optional
 
 import networkx as nx
 
-from ucvrp.instance import Instance
+from ucvrp.instance import Instance, radial_mass
 from ucvrp.itp import delta_itp
 from ucvrp.solution import Solution, merge
 from ucvrp.tsp import Tour, shortcut
@@ -62,7 +62,7 @@ def serve_big_by_matching(inst: Instance) -> tuple[MatchingPlan, Solution]:
     Solved as maximum-weight matching on the savings graph: pairing u and
     v saves c(r,u) + c(r,v) - c(u,v) >= 0 over two solos.
     """
-    big = sorted(v for v in inst.customers if inst.norm_demand(v) > BIG_THRESHOLD)
+    big = [v for v in inst.customers if inst.exceeds(v, BIG_THRESHOLD)]
     if not big:
         plan = MatchingPlan(frozenset(), frozenset(), 0.0)
         return plan, Solution((), {})
@@ -70,7 +70,7 @@ def serve_big_by_matching(inst: Instance) -> tuple[MatchingPlan, Solution]:
     g.add_nodes_from(big)
     for i, u in enumerate(big):
         for v in big[i + 1:]:
-            if inst.norm_demand(u) + inst.norm_demand(v) <= 1:
+            if inst.demand(u) + inst.demand(v) <= inst.capacity:
                 saving = inst.depot_cost(u) + inst.depot_cost(v) - inst.cost(u, v)
                 g.add_edge(u, v, weight=saving)
     mate = nx.max_weight_matching(g, maxcardinality=False)
@@ -97,7 +97,7 @@ def best_cover_bruteforce(inst: Instance, big: Iterable[int]) -> float:
         u, rest = remaining[0], remaining[1:]
         best = 2.0 * inst.depot_cost(u) + rec(rest)
         for j, v in enumerate(rest):
-            if inst.norm_demand(u) + inst.norm_demand(v) <= 1:
+            if inst.demand(u) + inst.demand(v) <= inst.capacity:
                 cand = _pair_cost(inst, u, v) + rec(rest[:j] + rest[j + 1:])
                 best = min(best, cand)
         return best
@@ -105,13 +105,16 @@ def best_cover_bruteforce(inst: Instance, big: Iterable[int]) -> float:
     return rec(tuple(big))
 
 
-def subalg1(inst: Instance, tour: Tour) -> Solution:
+def subalg1(
+    inst: Instance, tour: Tour, matching: Optional[tuple[MatchingPlan, Solution]] = None
+) -> Solution:
     """Matching for demand > 1/3, then 1/3-threshold tour partition on the
-    remaining customers over the shortcut of ``tour``."""
+    remaining customers over the shortcut of ``tour``.  ``matching`` may
+    pass in the result of ``serve_big_by_matching(inst)``."""
     if tour.customers != set(inst.customers):
         raise ValueError("tour must cover all customers")
-    _, big_sol = serve_big_by_matching(inst)
-    rest = [v for v in inst.customers if inst.norm_demand(v) <= BIG_THRESHOLD]
+    _, big_sol = serve_big_by_matching(inst) if matching is None else matching
+    rest = [v for v in inst.customers if not inst.exceeds(v, BIG_THRESHOLD)]
     if not rest:
         return big_sol
     sub_tour = shortcut(inst, tour.vertices, rest)
@@ -123,9 +126,5 @@ def subalg1(inst: Instance, tour: Tour) -> Solution:
 
 def subalg1_bound(inst: Instance, tour_cost: float, matching_cost: float) -> float:
     """c(tour) + (3/2) sum_{small} 2 d_v c(r,v) + matching cost."""
-    small_term = sum(
-        2.0 * float(inst.norm_demand(v)) * inst.depot_cost(v)
-        for v in inst.customers
-        if inst.norm_demand(v) <= BIG_THRESHOLD
-    )
-    return tour_cost + 1.5 * small_term + matching_cost
+    small = [v for v in inst.customers if not inst.exceeds(v, BIG_THRESHOLD)]
+    return tour_cost + 1.5 * radial_mass(inst, small) + matching_cost

@@ -61,8 +61,8 @@ def _solve_one(inst: Instance, args, catalog=None, lpsol=None):
     elif args.alg == "ditp+":
         sol = itp.delta_itp_plus(inst, set(inst.customers), tour, delta)
     elif args.alg == "subalg1":
-        plan, _ = big_matching.serve_big_by_matching(inst)
-        sol = big_matching.subalg1(inst, tour)
+        plan, big_sol = big_matching.serve_big_by_matching(inst)
+        sol = big_matching.subalg1(inst, tour, matching=(plan, big_sol))
         trace_payload = plan.to_json_dict()
     elif args.alg in _LP_VARIANTS:
         variant = _LP_VARIANTS[args.alg]
@@ -100,18 +100,23 @@ def cmd_solve(args) -> int:
         catalog = lp_round.enumerate_tours(inst, _LP_VARIANTS[args.alg], args.delta)
         lpsol = lp_round.solve_covering_lp(catalog)
     sol, report, tour, trace_payload = _solve_one(inst, args, catalog, lpsol)
-    feas = check_feasible(inst, sol)
+    # A report holds the bound and the check; a failed check reruns for its violations.
+    violations = []
+    if report is None or not report.feasible:
+        violations = list(check_feasible(inst, sol).violations)
     out = {
         "algorithm": args.alg,
         "cost": sol.cost,
         "tours": [list(t.vertices) for t in sol.tours],
-        "feasible": feas.ok,
-        "violations": list(feas.violations),
-        "lower_bounds": {"radial": radial_lower_bound(inst)},
+        "feasible": not violations,
+        "violations": violations,
         "alpha_tag": tour.quality_tag,
         "seed": args.seed,
     }
-    if report is not None:
+    if report is None:
+        out["lower_bounds"] = {"radial": radial_lower_bound(inst)}
+    else:
+        out["lower_bounds"] = report.lower_bounds
         out["report"] = report.to_json_dict()
     if args.trace and trace_payload is not None:
         out["trace"] = trace_payload
@@ -121,7 +126,7 @@ def cmd_solve(args) -> int:
             "solution": lpsol.to_json_dict(),
         }
     print(json.dumps(out, sort_keys=True))
-    return EXIT_OK if feas.ok else EXIT_VIOLATION
+    return EXIT_OK if not violations else EXIT_VIOLATION
 
 
 def cmd_exact(args) -> int:
@@ -169,8 +174,8 @@ def check_instance_invariants(inst: Instance) -> list[str]:
         if bound4 > bound3 + 1e-9:
             failures.append(f"bound ordering violated at delta={delta}")
 
-    plan, _ = big_matching.serve_big_by_matching(inst)
-    sol1 = big_matching.subalg1(inst, tour)
+    plan, big_sol = big_matching.serve_big_by_matching(inst)
+    sol1 = big_matching.subalg1(inst, tour, matching=(plan, big_sol))
     if sol1.cost > big_matching.subalg1_bound(inst, tour.cost, plan.cost) + 1e-6:
         failures.append("matching-branch bound exceeded")
 
@@ -311,9 +316,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, LpInfeasible) as exc:
-        # The library's typed errors (all ValueErrors but LpInfeasible) and
-        # unreadable or malformed input: a usage error, not a violation.
+    except (ValueError, KeyError, OSError, LpInfeasible,
+            constants.NoSignChange, constants.DomainViolation) as exc:
+        # The library's typed errors and unreadable or malformed input: a
+        # usage error, not a violation.
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return EXIT_USAGE
 

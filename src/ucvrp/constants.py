@@ -84,23 +84,26 @@ def count_sign_changes(g: Callable[[float], float], lo: float, hi: float) -> int
     return int(np.sum(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
 
 
-def _g_y0(y: float) -> float:
-    return math.log(2.0 - 0.5 * y) - 1.5 * y
+def _g_y0(y: float, eps: float = 0.0) -> float:
+    e = 1.0 - eps
+    return math.log(e * (2.0 - 0.5 * y)) - 1.5 * e * y
 
 
-def _g_y1(y: float) -> float:
-    return 0.5 * y + 6.0 * (1.0 - y) * (1.0 - math.exp(-0.5 * y)) - math.log(2.0 - 2.0 * y)
+def _g_y1(y: float, eps: float = 0.0) -> float:
+    e = 1.0 - eps
+    grow = 6.0 * e * (1.0 - y) * (1.0 - math.exp(-0.5 * e * y))
+    return 0.5 * e * y + grow - math.log(e * (2.0 - 2.0 * y))
 
 
 def solve_y0() -> RootEnclosure:
     """Root of ln(2 - y/2) = (3/2) y on (0, 1)."""
-    return bisect_enclosure(_g_y0, 1e-12, 1.0 - 1e-12)
+    return solve_y0_eps(0.0)
 
 
 def solve_y1() -> tuple[RootEnclosure, RootEnclosure]:
     """Root of (1/2) y + 6 (1-y)(1 - e^{-y/2}) = ln(2 - 2y) plus the
     derived quantity y2 = 4 (1 - y1)(1 - e^{-y1/2}) as an enclosure."""
-    enc = bisect_enclosure(_g_y1, 1e-12, 0.5 - 1e-9)
+    enc = solve_y1_eps(0.0)
     y2 = lambda y: 4.0 * (1.0 - y) * (1.0 - math.exp(-0.5 * y))
     vals = sorted((y2(enc.lo), y2(enc.hi)))
     return enc, RootEnclosure(vals[0], vals[1])
@@ -230,19 +233,12 @@ class A2Report:
 
 def solve_y0_eps(eps: float) -> RootEnclosure:
     """Root of ln[(1-eps)(2 - y/2)] = (3/2)(1-eps) y."""
-    g = lambda y: math.log((1.0 - eps) * (2.0 - 0.5 * y)) - 1.5 * (1.0 - eps) * y
-    return bisect_enclosure(g, 1e-12, 1.0 - 1e-12)
+    return bisect_enclosure(lambda y: _g_y0(y, eps), 1e-12, 1.0 - 1e-12)
 
 
 def solve_y1_eps(eps: float) -> RootEnclosure:
     """Root of the (1-eps)-scaled general-capacity balance equation."""
-    def g(y: float) -> float:
-        return (
-            0.5 * (1.0 - eps) * y
-            + 6.0 * (1.0 - eps) * (1.0 - y) * (1.0 - math.exp(-0.5 * (1.0 - eps) * y))
-            - math.log((1.0 - eps) * (2.0 - 2.0 * y))
-        )
-    return bisect_enclosure(g, 1e-12, 0.5 - 1e-9)
+    return bisect_enclosure(lambda y: _g_y1(y, eps), 1e-12, 0.5 - 1e-9)
 
 
 def appendix_a2(

@@ -2,12 +2,12 @@
 
 An instance is a depot (index 0), n customers (indices 1..n) with integer
 demands, an integer vehicle capacity, and a symmetric metric cost matrix
-over all n+1 points.  Demands are compared as exact rationals d_v / k so
-that threshold classifications (small / big / large) are tie-free; costs
-stay 64-bit floats.
+over all n+1 points.  Demands stay integers: ``Instance.exceeds`` decides
+each threshold d_v/k > p/q as d_v q > p k, so the small / big / large
+classifications are exact and tie-free; costs stay 64-bit floats.
 
 Also provided here: instance generators, JSON and TSPLIB I/O, the radial
-lower bound on the optimum, and the demand-profile integral
+mass and its lower bound on the optimum, and the demand-profile integral
 
     int_l^r x^t dF(x) = sum_{v: l < d_v/k <= r} 2 (d_v/k)^t c(r,v)
                         / sum_v 2 (d_v/k) c(r,v),   t in {0, 1},
@@ -27,6 +27,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 METRIC_TOL = 1e-9
+HALF = Fraction(1, 2)
 
 
 class InstanceError(ValueError):
@@ -98,6 +99,10 @@ class Instance:
         """Demand of customer v scaled to a unit-capacity vehicle."""
         return Fraction(self.demands[v - 1], self.capacity)
 
+    def exceeds(self, v: int, t: Fraction) -> bool:
+        """d_v/k > t for a Fraction or int t = p/q, decided as d_v q > p k."""
+        return self.demands[v - 1] * t.denominator > t.numerator * self.capacity
+
     def cost(self, x: int, y: int) -> float:
         return float(self.metric[x, y])
 
@@ -156,13 +161,14 @@ def validate_instance(inst: Instance) -> Instance:
     if len(asym):
         x, y = (int(i) for i in asym[0])
         raise AsymmetricCost(x, y)
-    # Exhaustive triangle check; n is desk-scale so O(n^3) with numpy is fine.
-    # slack[x, y, z] = c(x,y) - c(x,z) - c(z,y)
-    slack = m[:, :, None] - m[:, None, :] - m.T[None, :, :]
-    bad = np.argwhere(slack > METRIC_TOL)
-    if len(bad):
-        x, y, z = (int(i) for i in bad[0])
-        raise TriangleViolation(x, y, z, float(m[x, y] - m[x, z] - m[z, y]))
+    # Exhaustive triangle check, x by x in O(n^2) memory, reporting the first
+    # violation in (x, y, z) order; slack[y, z] = c(x,y) - c(x,z) - c(z,y).
+    for x in range(n + 1):
+        slack = m[x][:, None] - m[x][None, :] - m.T
+        bad = np.argwhere(slack > METRIC_TOL)
+        if len(bad):
+            y, z = (int(i) for i in bad[0])
+            raise TriangleViolation(x, y, z, float(m[x, y] - m[x, z] - m[z, y]))
     for v in inst.customers:
         d = inst.demand(v)
         if not 1 <= d <= inst.capacity:
@@ -170,55 +176,47 @@ def validate_instance(inst: Instance) -> Instance:
     return inst
 
 
+def radial_mass(inst: Instance, customers: Iterable[int]) -> float:
+    """sum_{v in customers} 2 (d_v/k) c(r,v), added in the given order."""
+    k = inst.capacity
+    return float(
+        sum(2.0 * (inst.demand(v) / k) * inst.depot_cost(v) for v in customers)
+    )
+
+
 def radial_lower_bound(inst: Instance) -> float:
     """sum_v 2 (d_v/k) c(r,v); never exceeds the optimal solution cost."""
-    return float(
-        sum(2.0 * float(inst.norm_demand(v)) * inst.depot_cost(v)
-            for v in inst.customers)
-    )
+    return radial_mass(inst, inst.customers)
 
 
 def classify(inst: Instance, delta: Fraction) -> DemandClass:
     """Split customers into small / big / large relative to ``delta``."""
     delta = Fraction(delta)
-    if not 0 <= delta <= Fraction(1, 2):
+    if not 0 <= delta <= HALF:
         raise ValueError(f"delta must lie in [0, 1/2], got {delta}")
-    half = Fraction(1, 2)
-    small, big, large = set(), set(), set()
-    for v in inst.customers:
-        dv = inst.norm_demand(v)
-        if dv <= delta:
-            small.add(v)
-        elif dv <= half:
-            big.add(v)
-        else:
-            large.add(v)
-    return DemandClass(frozenset(small), frozenset(big), frozenset(large))
+    small = frozenset(v for v in inst.customers if not inst.exceeds(v, delta))
+    large = frozenset(v for v in inst.customers if inst.exceeds(v, HALF))
+    return DemandClass(small, frozenset(inst.customers) - small - large, large)
 
 
 def f_integral(inst: Instance, l: Fraction, r: Fraction, t: int) -> float:
     """Demand-profile integral over the half-open interval (l, r].
 
-    Membership of a customer is decided by exact rational comparison of
-    its normalized demand against l and r; the returned value is a float
-    ratio of radial masses.
+    Membership of a customer is decided exactly by ``Instance.exceeds``
+    against l and r; the returned value is a float ratio of radial masses.
     """
     l, r = Fraction(l), Fraction(r)
     if not 0 <= l <= r <= 1:
         raise ValueError(f"need 0 <= l <= r <= 1, got l={l}, r={r}")
     if t not in (0, 1):
         raise ValueError(f"t must be 0 or 1, got {t}")
-    denom = sum(
-        2.0 * float(inst.norm_demand(v)) * inst.depot_cost(v)
-        for v in inst.customers
-    )
+    denom = radial_lower_bound(inst)
     if denom == 0.0:
         raise ZeroRadialMass()
     num = 0.0
     for v in inst.customers:
-        dv = inst.norm_demand(v)
-        if l < dv <= r:
-            num += 2.0 * float(dv) ** t * inst.depot_cost(v)
+        if inst.exceeds(v, l) and not inst.exceeds(v, r):
+            num += 2.0 * (inst.demand(v) / inst.capacity) ** t * inst.depot_cost(v)
     return num / denom
 
 

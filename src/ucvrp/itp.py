@@ -40,7 +40,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, pairwise
 from typing import Iterable, Sequence
 
-from ucvrp.instance import Instance
+from ucvrp.instance import HALF, Instance, radial_mass
 from ucvrp.solution import Solution, merge, trivial_solution
 from ucvrp.tsp import Tour, shortcut
 
@@ -161,7 +161,7 @@ def delta_itp(
     partition with the "lemma1" guarantee.
     """
     delta = Fraction(delta)
-    if not 0 <= delta < Fraction(1, 2):
+    if not 0 <= delta < HALF:
         raise ValueError(f"delta must lie in [0, 1/2), got {delta}")
     subset = set(subset)
     if tour.customers != subset:
@@ -177,14 +177,13 @@ def delta_itp(
     q = delta.denominator
     unit = 2 * inst.capacity * q
     span = 2 * inst.capacity * (q - delta.numerator)
-    width = {v: 2 * q * inst.demand(v) for v in subset}
     full_order = tour.vertices[1:-1]
-    # Customers wider than the cut spacing would contain a cut regardless
-    # of the offset; serving them by trivial tours up front is always
-    # within the "lemma3" budget (their demand exceeds 1/2) and leaves
-    # every remaining demand at most the spacing.
-    oversize = [v for v in full_order if width[v] > span]
-    order = [v for v in full_order if width[v] <= span]
+    # Customers with d_v/k > 1 - delta, wider than the cut spacing, would
+    # contain a cut regardless of the offset; trivial tours for them are
+    # within the "lemma3" budget (their demand exceeds 1/2) and leave every
+    # remaining demand at most the spacing.
+    oversize = [v for v in full_order if inst.exceeds(v, 1 - delta)]
+    order = [v for v in full_order if not inst.exceeds(v, 1 - delta)]
 
     if not order:
         sol = trivial_solution(inst, oversize)
@@ -193,7 +192,7 @@ def delta_itp(
         )
         return sol, trace
 
-    prefix = list(accumulate((width[v] for v in order), initial=0))
+    prefix = list(accumulate((2 * q * inst.demand(v) for v in order), initial=0))
     residues = sorted({x % span for x in prefix})
     candidates = {0, *residues, (residues[-1] + span) // 2}
     candidates.update((a + b) // 2 for a, b in pairwise(residues))
@@ -246,7 +245,7 @@ def delta_itp_plus(
     A customer whose demand exceeds the capacity raises
     ``DemandExceedsCapacity``, as in ``delta_itp``."""
     subset = set(subset)
-    large = sorted(v for v in subset if 2 * inst.demand(v) > inst.capacity)
+    large = sorted(v for v in subset if inst.exceeds(v, HALF))
     for v in large:
         if inst.demand(v) > inst.capacity:
             raise DemandExceedsCapacity(v)
@@ -267,22 +266,19 @@ def itp_bound(
 ) -> float:
     delta = Fraction(delta)
     subset = set(subset)
-    half = Fraction(1, 2)
     scale = 1.0 / (1.0 - float(delta))
     total = tour_cost
     if variant == "lemma1":
-        return tour_cost + sum(
-            4.0 * float(inst.norm_demand(v)) * inst.depot_cost(v) for v in subset
-        )
+        return tour_cost + 2.0 * radial_mass(inst, subset)
     if variant not in ("lemma3", "lemma4"):
         raise ValueError(f"unknown bound variant {variant!r}")
     for v in subset:
-        d = inst.norm_demand(v)
+        d = inst.demand(v) / inst.capacity
         c = inst.depot_cost(v)
-        if d <= delta:
-            total += scale * 2.0 * float(d) * c
-        elif variant == "lemma4" and d > half:
+        if not inst.exceeds(v, delta):
+            total += scale * 2.0 * d * c
+        elif variant == "lemma4" and inst.exceeds(v, HALF):
             total += 2.0 * c
         else:
-            total += scale * (2.0 * float(d) - float(delta)) * 2.0 * c
+            total += scale * (2.0 * d - float(delta)) * 2.0 * c
     return total

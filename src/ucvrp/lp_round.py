@@ -110,7 +110,7 @@ def enumerate_tours(
         if delta is None:
             raise ValueError("lp2 requires delta")
         delta = Fraction(delta)
-        ground = [v for v in inst.customers if inst.norm_demand(v) > delta]
+        ground = [v for v in inst.customers if inst.exceeds(v, delta)]
         cover = frozenset(ground)
     else:
         raise ValueError(f"unknown catalog variant {variant!r}")

@@ -2,10 +2,27 @@ import json
 
 import pytest
 
-from ucvrp import algorithms, lp_round
+from ucvrp import algorithms, big_matching, cli, lp_round
 from ucvrp.cli import main
 from ucvrp.instance import load_json
 from ucvrp.oracle import exact_cvrp
+from ucvrp.solution import FeasibilityReport
+
+
+def count_calls(monkeypatch, name, replacement=None):
+    """Wrap ``name`` in every module that binds it; return the call log."""
+    calls = []
+    for module in (algorithms, big_matching, cli):
+        real = getattr(module, name, None)
+        if real is None:
+            continue
+
+        def counting(*args, _real=real, **kwargs):
+            calls.append(name)
+            return (replacement or _real)(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
 
 
 def run(capsys, *argv):
@@ -111,6 +128,28 @@ class TestSolve:
         assert json.loads(out)["report"]["lp_solved"]
         assert sorted(calls) == ["enumerate_tours", "solve_covering_lp"]
 
+    @pytest.mark.parametrize("alg, name", [
+        ("subalg1", "serve_big_by_matching"),
+        ("alg1", "check_feasible"),
+        ("alg1", "radial_lower_bound"),
+    ])
+    def test_computes_each_step_once(self, instance_file, capsys, monkeypatch,
+                                     alg, name):
+        calls = count_calls(monkeypatch, name)
+        code, _ = run(capsys, "solve", str(instance_file), "--alg", alg)
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_infeasible_report_lists_violations(self, instance_file, capsys,
+                                                monkeypatch):
+        failed = FeasibilityReport(False, ("CustomerUnserved(1)",))
+        count_calls(monkeypatch, "check_feasible", lambda inst, sol: failed)
+        code, out = run(capsys, "solve", str(instance_file), "--alg", "alg1")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["feasible"] is False
+        assert payload["violations"] == ["CustomerUnserved(1)"]
+
     def test_unknown_alg_is_usage_error(self, instance_file, capsys):
         code, _ = run(capsys, "solve", str(instance_file), "--alg", "magic")
         assert code == 2
@@ -172,12 +211,23 @@ class TestConstants:
         assert code == 0
         assert "gamma_star" in out
 
+    def test_eps_without_root_is_usage_error(self, capsys):
+        code, out = run(capsys, "constants", "--eps-fixed", "0.5")
+        assert code == 2
+        assert json.loads(out)["error"] == "NoSignChange"
+
 
 class TestCheckAndBench:
     def test_check_directory(self, instance_file, capsys):
         code, out = run(capsys, "check", str(instance_file.parent))
         assert code == 0
         assert "ok" in out
+
+    def test_check_matches_once(self, instance_file, capsys, monkeypatch):
+        calls = count_calls(monkeypatch, "serve_big_by_matching")
+        code, _ = run(capsys, "check", str(instance_file.parent))
+        assert code == 0
+        assert len(calls) == 1
 
     def test_check_empty_directory(self, tmp_path, capsys):
         assert main(["check", str(tmp_path)]) == 2

@@ -1,0 +1,77 @@
+"""Every demand-threshold decision is an integer comparison made by
+``Instance.exceeds``, and every radial sum goes through ``radial_mass``."""
+
+import hashlib
+import json
+from fractions import Fraction
+
+from ucvrp.algorithms import alg1, alg2, default_tour, lp_itp_pipeline
+from ucvrp.big_matching import serve_big_by_matching, subalg1, subalg1_bound
+from ucvrp.instance import Instance, classify, f_integral, gen_instance, radial_lower_bound
+from ucvrp.itp import itp_bound
+from ucvrp.lp_round import enumerate_tours
+from ucvrp.tsp import approx_tsp, exact_tsp
+
+from conftest import instance_mix
+
+GRID = [Fraction(0), Fraction(1, 10), Fraction(1, 5), Fraction(1, 3),
+        Fraction(2, 5), Fraction(1, 2), Fraction(1)]
+DELTAS = [Fraction(0), Fraction(1, 10), Fraction(1, 5), Fraction(1, 3),
+          Fraction(49, 100)]
+# lp2 keeps accepting a delta above 1/2 (``solve --alg subalg3`` passes it).
+LP2_DELTAS = [Fraction(1, 5), Fraction(1, 3), Fraction(3, 5)]
+
+# sha256 of the rows below, computed with the Fraction-based rules that
+# these integer ones replaced.
+PINNED_DIGEST = "4dba585578a83ef97b5997563c81ee4548367ac22566a421bc58f5947291c6c4"
+
+
+def test_demand_rules_pinned():
+    rows = []
+    insts = instance_mix(200, max_n=30, max_k=12, seed_base=4242)
+    insts.append(gen_instance("euclidean", 150, 10, "heavy", seed=5))
+    for inst in insts:
+        if inst.n <= 10:
+            tour = exact_tsp(inst, inst.customers)
+        else:
+            tour = approx_tsp(inst, inst.customers)
+        row = [repr(radial_lower_bound(inst))]
+        for delta in DELTAS:
+            cls = classify(inst, delta)
+            row.append([sorted(cls.small), sorted(cls.big), sorted(cls.large)])
+        row.append([repr(f_integral(inst, l, r, t))
+                    for l in GRID for r in GRID if l <= r for t in (0, 1)])
+        half = list(inst.customers)[::2]
+        row.append([repr(itp_bound(inst, subset, tour.cost, delta, variant))
+                    for subset in (inst.customers, half) for delta in DELTAS
+                    for variant in ("lemma1", "lemma3", "lemma4")])
+        plan, _ = serve_big_by_matching(inst)
+        row.append(plan.to_json_dict())
+        row.append(repr(subalg1_bound(inst, tour.cost, plan.cost)))
+        sol = subalg1(inst, tour)
+        row.append([repr(sol.cost), [t.vertices for t in sol.tours]])
+        if inst.n <= 12:
+            row.append([enumerate_tours(inst, "lp2", d).to_json_dict()
+                        for d in LP2_DELTAS])
+        rows.append(row)
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == PINNED_DIGEST
+
+
+def test_solvers_never_build_a_normalized_demand(monkeypatch):
+    def refuse(self, v):
+        raise AssertionError("norm_demand called")
+
+    monkeypatch.setattr(Instance, "norm_demand", refuse)
+    inst = gen_instance("euclidean", 9, 4, "heavy", seed=3)
+    tour = default_tour(inst)
+    alg1(inst, seed=1, tour=tour)
+    alg2(inst, Fraction(1, 5), seed=1, tour=tour)
+    lp_itp_pipeline(inst, "lp2", 0.5, Fraction(1, 3), 1, tour, delta_lp=Fraction(1, 5))
+    classify(inst, Fraction(1, 5))
+    f_integral(inst, Fraction(1, 5), Fraction(1, 2), 1)
+    for variant in ("lemma1", "lemma3", "lemma4"):
+        itp_bound(inst, inst.customers, tour.cost, Fraction(1, 5), variant)
+    plan, _ = serve_big_by_matching(inst)
+    subalg1_bound(inst, tour.cost, plan.cost)
+

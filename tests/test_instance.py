@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -68,10 +69,52 @@ class TestValidation:
         for inst in instance_mix(30, max_n=12, max_k=6):
             validate_instance(inst)
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_reports_first_triangle_violation(self, seed):
+        # A random symmetric matrix violates the inequality at many triples;
+        # the reported one is the first in row-major (x, y, z) order.
+        rng = np.random.default_rng(seed)
+        m = rng.random((7, 7))
+        m = m + m.T
+        np.fill_diagonal(m, 0.0)
+        first = next(
+            (x, y, z)
+            for x in range(7) for y in range(7) for z in range(7)
+            if m[x, y] - m[x, z] - m[z, y] > 1e-9
+        )
+        with pytest.raises(TriangleViolation) as exc:
+            validate_instance(Instance("bad", 2, (1,) * 6, m))
+        assert exc.value.triple == first
+
+    def test_triangle_check_memory_is_quadratic(self):
+        # An (n+1)^3 float64 slack tensor alone takes ~27 MB at n = 150.
+        inst = gen_instance("euclidean", 150, 10, seed=1)
+        tracemalloc.start()
+        try:
+            validate_instance(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
 
 class TestBasics:
     def test_norm_demand_exact_fraction(self, inst_line3):
         assert inst_line3.norm_demand(1) == Fraction(1, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 10**6),
+        st.integers(0, 2 * 10**6),
+        st.integers(0, 10**6),
+        st.integers(1, 10**6),
+    )
+    def test_exceeds_is_exact(self, k, d, p, q):
+        inst = Instance("one", k, (d,), np.zeros((2, 2)))
+        t = Fraction(p, q)
+        assert inst.exceeds(1, t) == (Fraction(d, k) > t)
+        assert inst.exceeds(1, p) == (Fraction(d, k) > p)
+        assert not inst.exceeds(1, Fraction(d, k))
 
     def test_radial_lower_bound_line3(self, inst_line3):
         # By hand: sum of 2 * (1/2) * c(r,v) over c(r,v) in {1, 2, 3}.
