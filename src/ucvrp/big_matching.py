@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 import networkx as nx
 
@@ -82,27 +82,6 @@ def serve_big_by_matching(inst: Instance) -> tuple[MatchingPlan, Solution]:
     )
     plan = MatchingPlan(pairs, solos, float(cost))
     return plan, _plan_to_solution(inst, plan)
-
-
-def best_cover_bruteforce(inst: Instance, big: Iterable[int]) -> float:
-    """Exhaustive pair/solo cover enumeration; cross-checks the matching
-    solver on small groups."""
-    big = sorted(big)
-    if len(big) > 12:
-        raise ValueError("brute-force cover capped at 12 customers")
-
-    def rec(remaining: tuple[int, ...]) -> float:
-        if not remaining:
-            return 0.0
-        u, rest = remaining[0], remaining[1:]
-        best = 2.0 * inst.depot_cost(u) + rec(rest)
-        for j, v in enumerate(rest):
-            if inst.demand(u) + inst.demand(v) <= inst.capacity:
-                cand = _pair_cost(inst, u, v) + rec(rest[:j] + rest[j + 1:])
-                best = min(best, cand)
-        return best
-
-    return rec(tuple(big))
 
 
 def subalg1(

@@ -179,7 +179,7 @@ def check_instance_invariants(inst: Instance) -> list[str]:
     if sol1.cost > big_matching.subalg1_bound(inst, tour.cost, plan.cost) + 1e-6:
         failures.append("matching-branch bound exceeded")
 
-    if inst.n <= oracle.DEFAULT_ORACLE_CAP and tour.quality_tag == "exact":
+    if inst.n <= oracle.ORACLE_CAP and tour.quality_tag == "exact":
         opt = oracle.exact_cvrp(inst).opt_cost
         if radial_lower_bound(inst) > opt + 1e-6:
             failures.append("radial bound exceeds OPT")

@@ -27,7 +27,6 @@ import numpy as np
 from scipy.optimize import minimize
 
 ENCLOSURE_WIDTH = 1e-12
-SIGN_SCAN_POINTS = 10_000
 
 
 class NoSignChange(RuntimeError):
@@ -52,13 +51,9 @@ class RootEnclosure:
         return self.hi - self.lo
 
 
-def bisect_enclosure(
-    g: Callable[[float], float],
-    lo: float,
-    hi: float,
-    width: float = ENCLOSURE_WIDTH,
-) -> RootEnclosure:
-    """Shrink [lo, hi] by bisection until ``width``, keeping a sign change."""
+def bisect_enclosure(g: Callable[[float], float], lo: float, hi: float) -> RootEnclosure:
+    """Shrink [lo, hi] by bisection to ``ENCLOSURE_WIDTH``, keeping a sign
+    change."""
     glo, ghi = g(lo), g(hi)
     if glo == 0.0:
         return RootEnclosure(lo, lo)
@@ -66,7 +61,7 @@ def bisect_enclosure(
         return RootEnclosure(hi, hi)
     if glo * ghi > 0:
         raise NoSignChange(f"g({lo})={glo}, g({hi})={ghi}")
-    while hi - lo > width:
+    while hi - lo > ENCLOSURE_WIDTH:
         mid = 0.5 * (lo + hi)
         gm = g(mid)
         if gm == 0.0:
@@ -76,12 +71,6 @@ def bisect_enclosure(
         else:
             lo, glo = mid, gm
     return RootEnclosure(lo, hi)
-
-
-def count_sign_changes(g: Callable[[float], float], lo: float, hi: float) -> int:
-    xs = np.linspace(lo, hi, SIGN_SCAN_POINTS)
-    vals = np.array([g(x) for x in xs])
-    return int(np.sum(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
 
 
 def _g_y0(y: float, eps: float = 0.0) -> float:

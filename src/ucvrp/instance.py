@@ -6,7 +6,7 @@ over all n+1 points.  Demands stay integers: ``Instance.exceeds`` decides
 each threshold d_v/k > p/q as d_v q > p k, so the small / big / large
 classifications are exact and tie-free; costs stay 64-bit floats.
 
-Also provided here: instance generators, JSON and TSPLIB I/O, the radial
+Also provided here: instance generators, JSON I/O, the radial
 mass and its lower bound on the optimum, and the demand-profile integral
 
     int_l^r x^t dF(x) = sum_{v: l < d_v/k <= r} 2 (d_v/k)^t c(r,v)
@@ -19,8 +19,7 @@ terms of.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -94,10 +93,6 @@ class Instance:
 
     def demand(self, v: int) -> int:
         return self.demands[v - 1]
-
-    def norm_demand(self, v: int) -> Fraction:
-        """Demand of customer v scaled to a unit-capacity vehicle."""
-        return Fraction(self.demands[v - 1], self.capacity)
 
     def exceeds(self, v: int, t: Fraction) -> bool:
         """d_v/k > t for a Fraction or int t = p/q, decided as d_v q > p k."""
@@ -263,8 +258,7 @@ def gen_instance(
     name = f"{kind}-n{n}-k{k}-{demand_law}-s{seed}"
     if kind == "euclidean":
         pts = rng.random((n + 1, 2))
-        diff = pts[:, None, :] - pts[None, :, :]
-        m = np.sqrt((diff ** 2).sum(axis=2))
+        m = _euclidean(pts)
         demands = _draw_demands(rng, n, k, demand_law)
         coords = tuple((float(x), float(y)) for x, y in pts)
         return Instance(name, k, demands, m, coords)
@@ -280,22 +274,73 @@ def gen_instance(
     raise ValueError(f"unknown instance kind {kind!r}")
 
 
-def from_json_dict(data: dict) -> Instance:
+def _euclidean(pts: np.ndarray) -> np.ndarray:
+    """Exact-float Euclidean distances between the rows of ``pts``."""
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.sqrt((diff ** 2).sum(axis=2))
+
+
+def _integer(value, what: str) -> int:
+    """A JSON number with an integral value, as an int."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise InstanceError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _reals(values, what: str) -> list[float]:
+    """A JSON list of numbers, as floats."""
+    if not isinstance(values, list) or any(type(x) not in (int, float) for x in values):
+        raise InstanceError(f"{what} must be a list of numbers, got {values!r}")
+    try:
+        return [float(x) for x in values]
+    except OverflowError:
+        raise InstanceError(f"{what} holds a number beyond the float range") from None
+
+
+def from_json_dict(data) -> Instance:
+    """The instance that ``Instance.to_json_dict`` wrote.
+
+    Raises ``InstanceError`` for anything else: not a JSON object, a
+    missing key, a value of the wrong type, or a capacity or demand that
+    is not an integer.  Metric properties are ``validate_instance``'s.
+    """
+    if not isinstance(data, dict):
+        raise InstanceError(f"an instance must be a JSON object, got {type(data).__name__}")
+    missing = [key for key in ("name", "capacity", "demands", "metric") if key not in data]
+    if missing:
+        raise InstanceError(f"instance lacks {', '.join(missing)}")
     metric = data["metric"]
-    if metric["type"] == "euc2d":
-        coords = tuple((float(x), float(y)) for x, y in metric["coords"])
-        pts = np.array(coords)
-        diff = pts[:, None, :] - pts[None, :, :]
-        m = np.sqrt((diff ** 2).sum(axis=2))
-    elif metric["type"] == "explicit":
+    if not isinstance(metric, dict):
+        raise InstanceError(f"metric must be a JSON object, got {type(metric).__name__}")
+    kind = metric.get("type")
+    if kind == "euc2d":
+        points = metric.get("coords")
+        if not isinstance(points, list):
+            raise InstanceError(f"coords must be a list of points, got {type(points).__name__}")
+        coords = tuple(tuple(_reals(p, "a point")) for p in points)
+        if any(len(p) != 2 for p in coords):
+            raise InstanceError("every point must have two coordinates")
+        m = _euclidean(np.array(coords).reshape(-1, 2))
+    elif kind == "explicit":
+        rows = metric.get("matrix")
+        if not isinstance(rows, list):
+            raise InstanceError(f"matrix must be a list of rows, got {type(rows).__name__}")
         coords = None
-        m = np.array(metric["matrix"], dtype=float)
+        matrix = [_reals(row, "a matrix row") for row in rows]
+        if any(len(row) != len(matrix) for row in matrix):
+            raise InstanceError("matrix must be square")
+        m = np.array(matrix).reshape(len(matrix), len(matrix))
     else:
-        raise InstanceError(f"unknown metric type {metric['type']!r}")
+        raise InstanceError(f"unknown metric type {kind!r}")
+    demands = data["demands"]
+    if not isinstance(demands, list):
+        raise InstanceError(f"demands must be a list, got {type(demands).__name__}")
     return Instance(
         name=str(data["name"]),
-        capacity=int(data["capacity"]),
-        demands=tuple(int(d) for d in data["demands"]),
+        capacity=_integer(data["capacity"], "capacity"),
+        demands=tuple(_integer(d, "a demand") for d in demands),
         metric=m,
         coords=coords,
     )
@@ -310,79 +355,3 @@ def save_json(inst: Instance, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(inst.to_json())
         fh.write("\n")
-
-
-_TSPLIB_KEYS = {
-    "NAME", "TYPE", "COMMENT", "DIMENSION", "CAPACITY",
-    "EDGE_WEIGHT_TYPE", "EDGE_WEIGHT_FORMAT", "DISPLAY_DATA_TYPE",
-}
-
-
-def load_tsplib(path: str, round_distances: bool = False) -> Instance:
-    """Import the supported TSPLIB-CVRP subset.
-
-    Supported: EDGE_WEIGHT_TYPE EUC_2D or EXPLICIT with FULL_MATRIX,
-    NODE_COORD_SECTION, DEMAND_SECTION, DEPOT_SECTION with depot 1.
-    Anything else is rejected.  Distances stay exact floats unless
-    ``round_distances`` asks for TSPLIB integer rounding.
-    """
-    header: dict[str, str] = {}
-    sections: dict[str, list[str]] = {}
-    current = None
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line == "EOF":
-                continue
-            if ":" in line and line.split(":")[0].strip() in _TSPLIB_KEYS:
-                key, _, val = line.partition(":")
-                header[key.strip()] = val.strip()
-                current = None
-            elif line.endswith("_SECTION"):
-                current = line
-                sections[current] = []
-            elif current is not None:
-                sections[current].append(line)
-            else:
-                raise InstanceError(f"unsupported TSPLIB line: {line!r}")
-
-    dim = int(header["DIMENSION"])
-    cap = int(header["CAPACITY"])
-    ewt = header.get("EDGE_WEIGHT_TYPE", "")
-    if ewt == "EUC_2D":
-        rows = sections.get("NODE_COORD_SECTION")
-        if rows is None:
-            raise InstanceError("EUC_2D requires NODE_COORD_SECTION")
-        coords_by_id = {}
-        for row in rows:
-            idx, x, y = row.split()[:3]
-            coords_by_id[int(idx)] = (float(x), float(y))
-        pts = np.array([coords_by_id[i] for i in range(1, dim + 1)])
-        diff = pts[:, None, :] - pts[None, :, :]
-        m = np.sqrt((diff ** 2).sum(axis=2))
-        if round_distances:
-            m = np.floor(m + 0.5)
-        coords = tuple((float(x), float(y)) for x, y in pts)
-    elif ewt == "EXPLICIT":
-        if header.get("EDGE_WEIGHT_FORMAT") != "FULL_MATRIX":
-            raise InstanceError("only FULL_MATRIX explicit weights are supported")
-        vals = [float(x) for row in sections["EDGE_WEIGHT_SECTION"] for x in row.split()]
-        if len(vals) != dim * dim:
-            raise InstanceError("EDGE_WEIGHT_SECTION has wrong length")
-        m = np.array(vals).reshape(dim, dim)
-        coords = None
-    else:
-        raise InstanceError(f"unsupported EDGE_WEIGHT_TYPE {ewt!r}")
-
-    demands_by_id = {}
-    for row in sections.get("DEMAND_SECTION", []):
-        idx, d = row.split()[:2]
-        demands_by_id[int(idx)] = int(d)
-    depot_rows = [int(r) for r in sections.get("DEPOT_SECTION", []) if int(r) != -1]
-    if depot_rows and depot_rows != [1]:
-        raise InstanceError("only depot node 1 is supported")
-    if demands_by_id.get(1, 0) != 0:
-        raise InstanceError("depot must carry zero demand")
-    demands = tuple(demands_by_id[i] for i in range(2, dim + 1))
-    name = header.get("NAME", path)
-    return Instance(name, cap, demands, m, coords)

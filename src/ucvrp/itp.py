@@ -30,7 +30,8 @@ procedures are tested against:
       as "lemma3" with the demand > 1/2 terms replaced by sum 2 c(r,v)
 
 with demands normalized by the capacity and small/non-small decided
-relative to delta inside the served subset.
+relative to delta inside the served subset.  Like ``delta_itp``, it takes
+delta in [0, 1/2) only.
 """
 
 from __future__ import annotations
@@ -265,6 +266,8 @@ def itp_bound(
     variant: str,
 ) -> float:
     delta = Fraction(delta)
+    if not 0 <= delta < HALF:
+        raise ValueError(f"delta must lie in [0, 1/2), got {delta}")
     subset = set(subset)
     scale = 1.0 / (1.0 - float(delta))
     total = tour_cost

@@ -31,7 +31,7 @@ from ucvrp.instance import Instance
 from ucvrp.tsp import SubsetTooLarge, approx_tsp, tour_costs
 
 LP_TOL = 1e-9
-DEFAULT_SIZE_CAP = 5_000_000
+SIZE_CAP = 5_000_000  # most tours a catalog may hold
 
 
 class CatalogTooLarge(ValueError):
@@ -99,7 +99,6 @@ def enumerate_tours(
     inst: Instance,
     variant: str,
     delta: Optional[Fraction] = None,
-    size_cap: int = DEFAULT_SIZE_CAP,
 ) -> TourCatalog:
     """All demand-feasible customer sets of the relevant ground set, each
     priced by its optimal tour cost, in deterministic order."""
@@ -121,7 +120,7 @@ def enumerate_tours(
     if not ground:
         return TourCatalog(variant, delta, (), cover)
 
-    masks = feasible_masks([inst.demand(v) for v in ground], inst.capacity, size_cap)
+    masks = feasible_masks([inst.demand(v) for v in ground], inst.capacity)
     sets = [frozenset(ground[i] for i in range(s) if (mask >> i) & 1) for mask in masks]
     try:
         costs = list(tour_costs(inst, ground, masks).values())
@@ -135,21 +134,21 @@ def enumerate_tours(
     return TourCatalog(variant, delta, tuple(entries), cover, exact)
 
 
-def feasible_masks(
-    demands: Sequence[int], capacity: int, size_cap: int = DEFAULT_SIZE_CAP
-) -> list[int]:
+def feasible_masks(demands: Sequence[int], capacity: int) -> list[int]:
     """Masks of the non-empty position sets of ``demands`` with load at
     most ``capacity``, in increasing order.  The depth-first search adds
     only positions below a set's lowest member, ascending, so its
-    preorder is increasing and it never visits an overloaded set."""
+    preorder is increasing and it never visits an overloaded set.  More
+    than ``SIZE_CAP`` sets raise ``CatalogTooLarge``."""
     out: list[int] = []
+    cap = SIZE_CAP
 
     def extend(mask: int, load: int, below: int) -> None:
         for i in range(below):
             if load + demands[i] <= capacity:
                 out.append(mask | 1 << i)
-                if len(out) > size_cap:
-                    raise CatalogTooLarge(f"catalog would hold more than {size_cap} tours")
+                if len(out) > cap:
+                    raise CatalogTooLarge(f"catalog would hold more than {cap} tours")
                 extend(mask | 1 << i, load + demands[i], i)
 
     extend(0, 0, len(demands))
@@ -221,46 +220,3 @@ def round_tours(
                 cost += t.cost
     uncovered = frozenset(catalog.cover_set - covered)
     return RoundingOutcome(tuple(selected), uncovered, cost)
-
-
-def rounding_monte_carlo(
-    catalog: TourCatalog,
-    lpsol: LpSolution,
-    gamma: float,
-    seeds: Sequence[int],
-) -> tuple[np.ndarray, dict[int, float]]:
-    """Vectorized replay of ``round_tours`` over many seeds.
-
-    Returns (selected cost per seed, per-customer uncovered frequency).
-    Bit-identical to calling ``round_tours`` seed by seed.
-    """
-    tours = catalog.tours
-    digests = np.array([t.digest for t in tours], dtype=np.uint64)
-    probs = np.minimum(1.0, gamma * np.asarray(lpsol.values))
-    costs = np.array([t.cost for t in tours])
-    seeds_arr = np.array([s & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)
-
-    def mix(z: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            z = z + np.uint64(0x9E3779B97F4A7C15)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-            return z ^ (z >> np.uint64(31))
-
-    draws = mix(mix(seeds_arr)[:, None] ^ digests[None, :]) / 2.0 ** 64
-    picked = (draws < probs[None, :]) & (probs[None, :] > 0) & (gamma > 0)
-    # Accumulate left to right per seed so the totals match the scalar
-    # path bit for bit (a matmul would reassociate the additions).
-    cost_list = costs.tolist()
-    sel_cost = np.empty(len(seeds_arr))
-    for i in range(len(seeds_arr)):
-        acc = 0.0
-        for j in np.flatnonzero(picked[i]):
-            acc += cost_list[j]
-        sel_cost[i] = acc
-    uncovered_freq: dict[int, float] = {}
-    for v in sorted(catalog.cover_set):
-        member = np.array([v in t.customers for t in tours])
-        cov = picked[:, member].any(axis=1)
-        uncovered_freq[v] = float(1.0 - cov.mean())
-    return sel_cost, uncovered_freq

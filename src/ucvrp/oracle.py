@@ -1,17 +1,17 @@
 """Exact ground truth: optimal unsplittable CVRP by subset dynamic
-programming, and empirical ratio measurement against it."""
+programming over the demand-feasible customer sets, for instances of at
+most ``ORACLE_CAP`` customers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 from ucvrp.instance import Instance
 from ucvrp.lp_round import feasible_masks
 from ucvrp.solution import Solution
-from ucvrp.tsp import Tour, tour_costs
+from ucvrp.tsp import exact_tsp, tour_costs
 
-DEFAULT_ORACLE_CAP = 14
+ORACLE_CAP = 14  # most customers the 2^n-state DP takes on
 
 
 class InstanceTooLarge(ValueError):
@@ -25,14 +25,12 @@ class OracleResult:
     group_costs: tuple[float, ...]
 
     def to_solution(self, inst: Instance) -> Solution:
-        from ucvrp.tsp import exact_tsp
-
         tours = tuple(exact_tsp(inst, g) for g in self.partition)
         assignment = {v: i for i, g in enumerate(self.partition) for v in g}
         return Solution(tours, assignment)
 
 
-def exact_cvrp(inst: Instance, cap: int = DEFAULT_ORACLE_CAP) -> OracleResult:
+def exact_cvrp(inst: Instance) -> OracleResult:
     """Optimal partition of the customers into demand-feasible groups,
     each priced by its optimal tour.
 
@@ -43,8 +41,8 @@ def exact_cvrp(inst: Instance, cap: int = DEFAULT_ORACLE_CAP) -> OracleResult:
     the demand-feasible sets are priced, so feasibility is a dict lookup.
     """
     n = inst.n
-    if n > cap:
-        raise InstanceTooLarge(f"{n} customers exceeds oracle cap {cap}")
+    if n > ORACLE_CAP:
+        raise InstanceTooLarge(f"{n} customers exceeds oracle cap {ORACLE_CAP}")
     ground = list(inst.customers)
     masks = feasible_masks([inst.demand(v) for v in ground], inst.capacity)
     tour_cost = tour_costs(inst, ground, masks)
@@ -79,32 +77,3 @@ def exact_cvrp(inst: Instance, cap: int = DEFAULT_ORACLE_CAP) -> OracleResult:
         group_costs.append(tour_cost[t])
         mask ^= t
     return OracleResult(best[full], tuple(partition), tuple(group_costs))
-
-
-@dataclass(frozen=True)
-class RatioStats:
-    opt: float
-    ratios: tuple[float, ...]
-
-    @property
-    def mean(self) -> float:
-        return sum(self.ratios) / len(self.ratios)
-
-    @property
-    def min(self) -> float:
-        return min(self.ratios)
-
-    @property
-    def max(self) -> float:
-        return max(self.ratios)
-
-
-def empirical_ratio(
-    inst: Instance,
-    run: Callable[[Instance, int], Solution],
-    seeds: Sequence[int],
-) -> RatioStats:
-    """cost/OPT statistics of ``run(inst, seed)`` over the seed list."""
-    opt = exact_cvrp(inst).opt_cost
-    ratios = tuple(run(inst, seed).cost / opt for seed in seeds)
-    return RatioStats(opt, ratios)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from ucvrp.instance import Instance
@@ -22,9 +22,6 @@ class Solution:
     @property
     def cost(self) -> float:
         return float(sum(t.cost for t in self.tours))
-
-    def tour_of(self, v: int) -> Tour:
-        return self.tours[self.assignment[v]]
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,13 @@ shortcutting of closed walks.
 One Held-Karp subset dynamic program prices any downward-closed family
 of customer sets, such as every subset for an exact tour or only the
 demand-feasible sets of a tour catalog; the largest set it prices is
-capped at 18 customers (override via the UCVRP_HELDKARP_CAP environment
-variable).  The approximate solver doubles a minimum spanning tree and
+capped at ``HELDKARP_CAP`` = 18 customers.  The approximate solver doubles a minimum spanning tree and
 shortcuts the resulting Euler walk, guaranteeing cost at most twice the
 optimum.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from operator import add
 from typing import Iterable, Sequence
@@ -23,6 +21,7 @@ from ucvrp.instance import Instance
 
 COST_TOL = 1e-9
 INF = float("inf")
+HELDKARP_CAP = 18  # customers in the largest set the subset DP prices
 
 
 class SubsetTooLarge(ValueError):
@@ -33,14 +32,6 @@ class KeepNotVisited(ValueError):
     def __init__(self, v: int):
         self.customer = v
         super().__init__(f"vertex {v} requested but not visited by the walk")
-
-
-def heldkarp_cap() -> int:
-    raw = os.environ.get("UCVRP_HELDKARP_CAP", "18")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"UCVRP_HELDKARP_CAP must be an integer, got {raw!r}") from None
 
 
 @dataclass(frozen=True)
@@ -73,9 +64,8 @@ def exact_tsp(inst: Instance, subset: Iterable[int]) -> Tour:
     subset = sorted(set(subset))
     if not subset:
         return empty_tour()
-    cap = heldkarp_cap()
-    if len(subset) > cap:
-        raise SubsetTooLarge(f"{len(subset)} customers exceeds cap {cap}")
+    if len(subset) > HELDKARP_CAP:
+        raise SubsetTooLarge(f"{len(subset)} customers exceeds cap {HELDKARP_CAP}")
     if len(subset) == 1:
         v = subset[0]
         return Tour((0, v, 0), 2.0 * inst.depot_cost(v), "exact")
@@ -175,10 +165,9 @@ def tour_costs(
     """Optimal tour cost of every set in ``masks``, where ``mask`` stands
     for {ground[i] : bit i of mask set}.  ``masks`` must be downward
     closed and increasing, like the demand-feasible sets of a catalog."""
-    cap = heldkarp_cap()
     largest = max(map(int.bit_count, masks), default=0)
-    if largest > cap:
-        raise SubsetTooLarge(f"{largest} customers exceeds cap {cap}")
+    if largest > HELDKARP_CAP:
+        raise SubsetTooLarge(f"{largest} customers exceeds cap {HELDKARP_CAP}")
     into = _costs_into(inst, ground)
     paths = _held_karp(into, masks)
     return {mask: min(map(add, row, into[0])) for mask, row in paths.items()}

@@ -1,0 +1,91 @@
+"""Reference implementations the tests compare the package against.
+
+Each is slow or exhaustive on purpose: an exact normalized demand, a
+vectorized replay of the randomized rounding, an exhaustive pair/solo
+cover, and a sign-change count on a fine grid.
+"""
+
+from fractions import Fraction
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
+
+from ucvrp.instance import Instance
+from ucvrp.lp_round import LpSolution, TourCatalog
+
+SIGN_SCAN_POINTS = 10_000
+
+
+def norm_demand(inst: Instance, v: int) -> Fraction:
+    """Demand of customer v scaled to a unit-capacity vehicle."""
+    return Fraction(inst.demand(v), inst.capacity)
+
+
+def rounding_monte_carlo(
+    catalog: TourCatalog,
+    lpsol: LpSolution,
+    gamma: float,
+    seeds: Sequence[int],
+) -> tuple[np.ndarray, dict[int, float]]:
+    """Vectorized replay of ``round_tours`` over many seeds.
+
+    Returns (selected cost per seed, per-customer uncovered frequency).
+    Bit-identical to calling ``round_tours`` seed by seed.
+    """
+    tours = catalog.tours
+    digests = np.array([t.digest for t in tours], dtype=np.uint64)
+    probs = np.minimum(1.0, gamma * np.asarray(lpsol.values))
+    costs = np.array([t.cost for t in tours])
+    seeds_arr = np.array([s & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)
+
+    def mix(z: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore"):
+            z = z + np.uint64(0x9E3779B97F4A7C15)
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+            return z ^ (z >> np.uint64(31))
+
+    draws = mix(mix(seeds_arr)[:, None] ^ digests[None, :]) / 2.0 ** 64
+    picked = (draws < probs[None, :]) & (probs[None, :] > 0) & (gamma > 0)
+    # Accumulate left to right per seed so the totals match the scalar
+    # path bit for bit (a matmul would reassociate the additions).
+    cost_list = costs.tolist()
+    sel_cost = np.empty(len(seeds_arr))
+    for i in range(len(seeds_arr)):
+        acc = 0.0
+        for j in np.flatnonzero(picked[i]):
+            acc += cost_list[j]
+        sel_cost[i] = acc
+    uncovered_freq: dict[int, float] = {}
+    for v in sorted(catalog.cover_set):
+        member = np.array([v in t.customers for t in tours])
+        cov = picked[:, member].any(axis=1)
+        uncovered_freq[v] = float(1.0 - cov.mean())
+    return sel_cost, uncovered_freq
+
+
+def best_cover_bruteforce(inst: Instance, big: Iterable[int]) -> float:
+    """Exhaustive pair/solo cover enumeration; cross-checks the matching
+    solver on small groups."""
+    big = sorted(big)
+    if len(big) > 12:
+        raise ValueError("brute-force cover capped at 12 customers")
+
+    def rec(remaining: tuple[int, ...]) -> float:
+        if not remaining:
+            return 0.0
+        u, rest = remaining[0], remaining[1:]
+        best = 2.0 * inst.depot_cost(u) + rec(rest)
+        for j, v in enumerate(rest):
+            if inst.demand(u) + inst.demand(v) <= inst.capacity:
+                cand = inst.depot_cost(u) + inst.cost(u, v) + inst.depot_cost(v) + rec(rest[:j] + rest[j + 1:])
+                best = min(best, cand)
+        return best
+
+    return rec(tuple(big))
+
+
+def count_sign_changes(g: Callable[[float], float], lo: float, hi: float) -> int:
+    xs = np.linspace(lo, hi, SIGN_SCAN_POINTS)
+    vals = np.array([g(x) for x in xs])
+    return int(np.sum(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))

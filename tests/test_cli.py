@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ucvrp import algorithms, big_matching, cli, lp_round
 from ucvrp.cli import main
-from ucvrp.instance import load_json
+from ucvrp.instance import gen_instance, load_json, radial_lower_bound
 from ucvrp.oracle import exact_cvrp
 from ucvrp.solution import FeasibilityReport
 
@@ -186,6 +188,96 @@ class TestLibraryErrors:
         code, out = run(capsys, "solve", str(path), "--alg", "alg1")
         assert code == 2
         assert json.loads(out)["error"] == "JSONDecodeError"
+
+    @pytest.mark.parametrize("edit", [
+        lambda data: {**data, "demands": [1.5, 2]},
+        lambda data: {**data, "capacity": 2.9},
+        lambda data: {**data, "metric": None},
+        lambda data: [data],
+    ], ids=["fractional-demand", "fractional-capacity", "null-metric", "list"])
+    def test_malformed_instance(self, tmp_path, capsys, edit):
+        path = tmp_path / "bad.json"
+        data = gen_instance("euclidean", 2, 3, seed=0).to_json_dict()
+        path.write_text(json.dumps(edit(data)))
+        code, out = run(capsys, "solve", str(path), "--alg", "alg1")
+        assert code == 2
+        assert json.loads(out)["error"] == "InstanceError"
+
+
+SOLVERS = ("itp", "ditp", "ditp+", "subalg1", "subalg2", "subalg3", "subalg4",
+           "alg1", "alg2")
+WRONG_TYPES = (None, True, "3", 2.5, [], {}, [[1]])
+
+
+@st.composite
+def instance_files(draw):
+    """(JSON of a ``gen`` instance with n <= 7 or of a corrupted variant,
+    the exit code ``solve`` owes it)."""
+    inst = gen_instance(
+        draw(st.sampled_from(["euclidean", "random_metric"])),
+        draw(st.integers(1, 7)),
+        draw(st.integers(1, 6)),
+        draw(st.sampled_from(["uniform", "heavy"])),
+        seed=draw(st.integers(0, 2**31)),
+    )
+    data = inst.to_json_dict()
+    metric = data["metric"]
+    body = "coords" if "coords" in metric else "matrix"
+    corruption = draw(st.sampled_from(
+        ["none", "wrong type", "missing key", "fractional demand", "asymmetric"]))
+    if corruption == "none":
+        return data, 0
+    if corruption == "wrong type":
+        value = draw(st.sampled_from(WRONG_TYPES))
+        where = draw(st.sampled_from(
+            ["name", "capacity", "demands", "metric", "demand", "type", "body", "row"]))
+        if where in data:
+            data[where] = value
+        elif where == "demand":
+            data["demands"][draw(st.integers(0, inst.n - 1))] = value
+        elif where == "row":
+            metric[body][draw(st.integers(0, inst.n))] = value
+        else:
+            metric[body if where == "body" else "type"] = value
+        # Any name is printed as its str().
+        return data, 0 if where == "name" else 2
+    if corruption == "missing key":
+        key = draw(st.sampled_from(["name", "capacity", "demands", "metric", "type", body]))
+        del (data if key in data else metric)[key]
+    elif corruption == "fractional demand":
+        data["demands"][draw(st.integers(0, inst.n - 1))] += draw(
+            st.sampled_from([0.5, 0.25, 1e-6]))
+    else:
+        x = draw(st.integers(0, inst.n))
+        y = (x + draw(st.integers(1, inst.n))) % (inst.n + 1)
+        matrix = inst.metric.tolist()
+        matrix[x][y] += draw(st.sampled_from([0.5, 1e-3]))
+        data["metric"] = {"type": "explicit", "matrix": matrix}
+    return data, 2
+
+
+class TestTwoOutcomes:
+    """``solve`` either answers with a feasible solution that costs at least
+    the radial bound, or exits 2 with a JSON error; nothing escapes main."""
+
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn=instance_files(), alg=st.sampled_from(SOLVERS))
+    def test_solve(self, tmp_path, capsys, drawn, alg):
+        data, expected = drawn
+        path = tmp_path / "drawn.json"
+        path.write_text(json.dumps(data))
+        argv = ["solve", str(path), "--alg", alg]
+        if alg in cli._NEEDS_DELTA:
+            argv += ["--delta", "1/5"]
+        code, out = run(capsys, *argv)
+        payload = json.loads(out)
+        assert code == expected, payload
+        if code == 0:
+            assert payload["feasible"] is True
+            assert payload["cost"] >= radial_lower_bound(load_json(str(path))) - 1e-9
+        else:
+            assert set(payload) == {"error", "message"}
 
 
 class TestExact:

@@ -9,7 +9,6 @@ from ucvrp.constants import (
     appendix_a2,
     bisect_enclosure,
     constants_report,
-    count_sign_changes,
     default_gammas,
     f_epsilon,
     ratio_alg1,
@@ -19,6 +18,8 @@ from ucvrp.constants import (
     solve_y1,
     solve_y1_eps,
 )
+
+from reference import count_sign_changes
 
 
 class TestRootSolvers:

@@ -5,9 +5,8 @@ import hashlib
 import json
 from fractions import Fraction
 
-from ucvrp.algorithms import alg1, alg2, default_tour, lp_itp_pipeline
 from ucvrp.big_matching import serve_big_by_matching, subalg1, subalg1_bound
-from ucvrp.instance import Instance, classify, f_integral, gen_instance, radial_lower_bound
+from ucvrp.instance import classify, f_integral, gen_instance, radial_lower_bound
 from ucvrp.itp import itp_bound
 from ucvrp.lp_round import enumerate_tours
 from ucvrp.tsp import approx_tsp, exact_tsp
@@ -56,22 +55,3 @@ def test_demand_rules_pinned():
         rows.append(row)
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == PINNED_DIGEST
-
-
-def test_solvers_never_build_a_normalized_demand(monkeypatch):
-    def refuse(self, v):
-        raise AssertionError("norm_demand called")
-
-    monkeypatch.setattr(Instance, "norm_demand", refuse)
-    inst = gen_instance("euclidean", 9, 4, "heavy", seed=3)
-    tour = default_tour(inst)
-    alg1(inst, seed=1, tour=tour)
-    alg2(inst, Fraction(1, 5), seed=1, tour=tour)
-    lp_itp_pipeline(inst, "lp2", 0.5, Fraction(1, 3), 1, tour, delta_lp=Fraction(1, 5))
-    classify(inst, Fraction(1, 5))
-    f_integral(inst, Fraction(1, 5), Fraction(1, 2), 1)
-    for variant in ("lemma1", "lemma3", "lemma4"):
-        itp_bound(inst, inst.customers, tour.cost, Fraction(1, 5), variant)
-    plan, _ = serve_big_by_matching(inst)
-    subalg1_bound(inst, tour.cost, plan.cost)
-

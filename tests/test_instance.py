@@ -20,13 +20,13 @@ from ucvrp.instance import (
     gen_instance,
     line3,
     load_json,
-    load_tsplib,
     radial_lower_bound,
     save_json,
     validate_instance,
 )
 
 from conftest import instance_mix
+from reference import norm_demand
 
 
 def line_instance(positions, capacity, demands, name="line"):
@@ -99,9 +99,6 @@ class TestValidation:
 
 
 class TestBasics:
-    def test_norm_demand_exact_fraction(self, inst_line3):
-        assert inst_line3.norm_demand(1) == Fraction(1, 2)
-
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(1, 10**6),
@@ -167,7 +164,7 @@ class TestDemandProfile:
                     assert mean <= float(r) * mass + 1e-12
                     members = [
                         v for v in inst.customers
-                        if l < inst.norm_demand(v) <= r and inst.depot_cost(v) > 0
+                        if l < norm_demand(inst, v) <= r and inst.depot_cost(v) > 0
                     ]
                     if members:
                         assert mean > float(l) * mass - 1e-12
@@ -237,39 +234,38 @@ class TestSerialization:
                 "metric": {"type": "geo"},
             })
 
-    def test_tsplib_euc2d(self, tmp_path):
-        text = "\n".join([
-            "NAME : tiny",
-            "TYPE : CVRP",
-            "DIMENSION : 4",
-            "CAPACITY : 2",
-            "EDGE_WEIGHT_TYPE : EUC_2D",
-            "NODE_COORD_SECTION",
-            "1 0 0",
-            "2 1 0",
-            "3 2 0",
-            "4 3 0",
-            "DEMAND_SECTION",
-            "1 0",
-            "2 1",
-            "3 1",
-            "4 1",
-            "DEPOT_SECTION",
-            "1",
-            "-1",
-            "EOF",
-        ])
-        path = tmp_path / "tiny.vrp"
-        path.write_text(text)
-        inst = load_tsplib(str(path))
-        validate_instance(inst)
-        assert inst.n == 3
-        assert inst.capacity == 2
-        assert inst.demands == (1, 1, 1)
-        assert inst.cost(0, 3) == pytest.approx(3.0)
+    def test_euclidean_metric_is_bit_identical(self):
+        inst = gen_instance("euclidean", 9, 3, seed=4)
+        back = from_json_dict(json.loads(inst.to_json()))
+        assert np.array_equal(back.metric, inst.metric)
 
-    def test_tsplib_rejects_unknown_weight_type(self, tmp_path):
-        path = tmp_path / "geo.vrp"
-        path.write_text("DIMENSION : 2\nCAPACITY : 1\nEDGE_WEIGHT_TYPE : GEO\nEOF\n")
+    def test_integral_float_demand_accepted(self, inst_line3):
+        data = inst_line3.to_json_dict()
+        data["capacity"], data["demands"] = 2.0, [1.0, 1, 1]
+        assert from_json_dict(data).to_json() == inst_line3.to_json()
+
+    @pytest.mark.parametrize("field, value", [
+        ("demands", [1.5, 1, 1]),
+        ("demands", [True, 1, 1]),
+        ("demands", ["1", 1, 1]),
+        ("demands", None),
+        ("capacity", 2.9),
+        ("capacity", "2"),
+        ("metric", None),
+        ("metric", {"type": "explicit", "matrix": [[0, 1], [1]]}),
+        ("metric", {"type": "explicit", "matrix": [[0, None], [1, 0]]}),
+        ("metric", {"type": "euc2d", "coords": [[0, 0], [1]]}),
+        ("metric", {"type": "euc2d", "coords": [0, 1]}),
+        ("metric", {"type": "euc2d"}),
+        ("metric", {"type": "euc2d", "coords": []}),
+    ])
+    def test_rejects_malformed_fields(self, inst_line3, field, value):
+        data = inst_line3.to_json_dict()
+        data[field] = value
         with pytest.raises(InstanceError):
-            load_tsplib(str(path))
+            validate_instance(from_json_dict(data))
+
+    @pytest.mark.parametrize("data", [[1, 2], None, {"name": "x", "capacity": 2}])
+    def test_rejects_non_instances(self, data):
+        with pytest.raises(InstanceError):
+            from_json_dict(data)

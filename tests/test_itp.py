@@ -22,6 +22,7 @@ from ucvrp.solution import check_feasible
 from ucvrp.tsp import KeepNotVisited, Tour, approx_tsp, exact_tsp
 
 from conftest import instance_mix
+from reference import norm_demand
 from test_instance import line_instance
 
 DELTAS = [Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(49, 100)]
@@ -108,6 +109,14 @@ class TestBounds:
         with pytest.raises(ValueError):
             itp_bound(inst_line3, [1], 0.0, Fraction(0), "lemma2")
 
+    @pytest.mark.parametrize("delta", [Fraction(-1, 5), Fraction(1, 2), Fraction(1), Fraction(2)])
+    @pytest.mark.parametrize("variant", ["lemma1", "lemma3", "lemma4"])
+    def test_delta_outside_domain(self, inst_line3, delta, variant):
+        # The domain of delta_itp.  Unchecked, delta = 1 divided by zero and
+        # delta = 2 bounded the cost-6 tour of LINE3 by 0.0.
+        with pytest.raises(ValueError, match="delta must lie in"):
+            itp_bound(inst_line3, inst_line3.customers, 6.0, delta, variant)
+
 
 class TestPartitionInvariants:
     def test_feasible_and_bounded(self):
@@ -143,16 +152,16 @@ class TestPartitionInvariants:
             span = 1 - delta
             sol, _ = delta_itp(inst, set(inst.customers), tour, delta)
             order = [
-                v for v in tour.vertices[1:-1] if inst.norm_demand(v) <= span
+                v for v in tour.vertices[1:-1] if norm_demand(inst, v) <= span
             ]
             oversize = [
-                v for v in tour.vertices[1:-1] if inst.norm_demand(v) > span
+                v for v in tour.vertices[1:-1] if norm_demand(inst, v) > span
             ]
             if not order:
                 continue
             prefix = [Fraction(0)]
             for v in order:
-                prefix.append(prefix[-1] + inst.norm_demand(v))
+                prefix.append(prefix[-1] + norm_demand(inst, v))
             for _ in range(20):
                 eta = Fraction(rng.randrange(10**6), 10**6) * span
                 _, segs, disp = _evaluate_offset(prefix, span, eta, 1)
@@ -219,12 +228,12 @@ def test_partition_properties(case):
     assert plus.cost <= itp_bound(inst, customers, tour.cost, delta, "lemma4") + 1e-9
 
     span = 1 - delta
-    order = [v for v in tour.vertices[1:-1] if inst.norm_demand(v) <= span]
-    oversize = [v for v in tour.vertices[1:-1] if inst.norm_demand(v) > span]
+    order = [v for v in tour.vertices[1:-1] if norm_demand(inst, v) <= span]
+    oversize = [v for v in tour.vertices[1:-1] if norm_demand(inst, v) > span]
     if order:
         prefix = [Fraction(0)]
         for v in order:
-            prefix.append(prefix[-1] + inst.norm_demand(v))
+            prefix.append(prefix[-1] + norm_demand(inst, v))
         _, segs, disp = _evaluate_offset(prefix, span, u * span, 1)
         cand = _segment_solution(inst, order, segs, disp, oversize)
         assert sol.cost <= cand.cost + 1e-9

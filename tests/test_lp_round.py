@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ucvrp import lp_round
 from ucvrp.instance import gen_instance
 from ucvrp.lp_round import (
     CatalogTooLarge,
@@ -15,12 +16,12 @@ from ucvrp.lp_round import (
     TourCatalog,
     enumerate_tours,
     round_tours,
-    rounding_monte_carlo,
     solve_covering_lp,
 )
 from ucvrp.oracle import exact_cvrp
 from ucvrp.tsp import exact_tsp
 
+from reference import rounding_monte_carlo
 from test_instance import line_instance
 
 
@@ -68,10 +69,11 @@ class TestCatalog:
         with pytest.raises(CatalogTooLarge, match="ground set of 25 customers.*limit of 24"):
             enumerate_tours(inst, "lp1")
 
-    def test_size_cap_rejected(self):
+    def test_size_cap_rejected(self, monkeypatch):
+        monkeypatch.setattr(lp_round, "SIZE_CAP", 5)
         inst = gen_instance("euclidean", 6, 3, seed=0)
         with pytest.raises(CatalogTooLarge, match="more than 5 tours"):
-            enumerate_tours(inst, "lp1", size_cap=5)
+            enumerate_tours(inst, "lp1")
 
     def test_wide_ground_set_exact_priced(self):
         # 20 customers, but no demand-feasible set holds more than 3 of them.

@@ -3,7 +3,7 @@ import pytest
 from ucvrp.algorithms import alg1, default_tour
 from ucvrp.big_matching import subalg1
 from ucvrp.instance import gen_instance, radial_lower_bound
-from ucvrp.oracle import InstanceTooLarge, RatioStats, empirical_ratio, exact_cvrp
+from ucvrp.oracle import InstanceTooLarge, exact_cvrp
 from ucvrp.solution import check_feasible
 from ucvrp.tsp import exact_tsp
 
@@ -54,20 +54,3 @@ class TestExactSolver:
         inst = gen_instance("euclidean", 15, 3, seed=0)
         with pytest.raises(InstanceTooLarge):
             exact_cvrp(inst)
-
-
-class TestEmpiricalRatio:
-    def test_stats(self):
-        inst = gen_instance("euclidean", 7, 3, seed=8)
-        stats = empirical_ratio(
-            inst, lambda i, s: alg1(i, seed=s)[0], seeds=range(5)
-        )
-        assert stats.min >= 1.0 - 1e-9
-        assert stats.min <= stats.mean <= stats.max
-        assert len(stats.ratios) == 5
-
-    def test_ratio_stats_dataclass(self):
-        s = RatioStats(2.0, (1.0, 1.5, 2.0))
-        assert s.mean == pytest.approx(1.5)
-        assert s.min == 1.0
-        assert s.max == 2.0

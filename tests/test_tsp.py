@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ucvrp import tsp
 from ucvrp.instance import Instance, gen_instance
 from ucvrp.tsp import (
     KeepNotVisited,
@@ -69,7 +70,7 @@ class TestExactTsp:
         assert a.cost == pytest.approx(b.cost, abs=1e-9)
 
     def test_cap_enforced(self, inst_line3, monkeypatch):
-        monkeypatch.setenv("UCVRP_HELDKARP_CAP", "2")
+        monkeypatch.setattr(tsp, "HELDKARP_CAP", 2)
         with pytest.raises(SubsetTooLarge):
             exact_tsp(inst_line3, [1, 2, 3])
 
@@ -144,15 +145,9 @@ class TestAllSubsets:
             )
 
     def test_cap(self, inst_line3, monkeypatch):
-        monkeypatch.setenv("UCVRP_HELDKARP_CAP", "2")
+        monkeypatch.setattr(tsp, "HELDKARP_CAP", 2)
         with pytest.raises(SubsetTooLarge):
             tour_costs_all_subsets(inst_line3, [1, 2, 3])
-
-
-def test_cap_must_be_an_integer(inst_line3, monkeypatch):
-    monkeypatch.setenv("UCVRP_HELDKARP_CAP", "eighteen")
-    with pytest.raises(ValueError, match="UCVRP_HELDKARP_CAP.*'eighteen'"):
-        exact_tsp(inst_line3, [1, 2, 3])
 
 
 def test_tour_customers_property():
