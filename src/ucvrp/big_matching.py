@@ -43,6 +43,14 @@ def _pair_cost(inst: Instance, u: int, v: int) -> float:
     return inst.depot_cost(u) + inst.cost(u, v) + inst.depot_cost(v)
 
 
+class _SavingsGraph(nx.Graph):
+    """A graph whose ``g[u]`` is the adjacency dict itself, not a fresh
+    read-only view: the matching's slack test reads ``g[v][w]`` per edge."""
+
+    def __getitem__(self, u):
+        return self._adj[u]
+
+
 def _plan_to_solution(inst: Instance, plan: MatchingPlan) -> Solution:
     tours: list[Tour] = []
     assignment: dict[int, int] = {}
@@ -66,7 +74,7 @@ def serve_big_by_matching(inst: Instance) -> tuple[MatchingPlan, Solution]:
     if not big:
         plan = MatchingPlan(frozenset(), frozenset(), 0.0)
         return plan, Solution((), {})
-    g = nx.Graph()
+    g = _SavingsGraph()
     g.add_nodes_from(big)
     for i, u in enumerate(big):
         for v in big[i + 1:]:
@@ -74,6 +82,9 @@ def serve_big_by_matching(inst: Instance) -> tuple[MatchingPlan, Solution]:
                 saving = inst.depot_cost(u) + inst.depot_cost(v) - inst.cost(u, v)
                 g.add_edge(u, v, weight=saving)
     mate = nx.max_weight_matching(g, maxcardinality=False)
+    # networkx's matching leaves a reference cycle that holds the graph
+    # until a full collection; emptying it now frees the edges at once.
+    g.clear()
     pairs = frozenset(tuple(sorted(e)) for e in mate)
     matched = {v for e in pairs for v in e}
     solos = frozenset(v for v in big if v not in matched)

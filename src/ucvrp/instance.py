@@ -158,11 +158,14 @@ def validate_instance(inst: Instance) -> Instance:
         raise AsymmetricCost(x, y)
     # Exhaustive triangle check, x by x in O(n^2) memory, reporting the first
     # violation in (x, y, z) order; slack[y, z] = c(x,y) - c(x,z) - c(z,y).
+    # One contiguous transpose and one buffer serve every x.
+    mt = np.ascontiguousarray(m.T)
+    slack = np.empty_like(mt)
     for x in range(n + 1):
-        slack = m[x][:, None] - m[x][None, :] - m.T
-        bad = np.argwhere(slack > METRIC_TOL)
-        if len(bad):
-            y, z = (int(i) for i in bad[0])
+        np.subtract(m[x][:, None], m[x][None, :], out=slack)
+        slack -= mt
+        if slack.max() > METRIC_TOL:
+            y, z = (int(i) for i in np.argwhere(slack > METRIC_TOL)[0])
             raise TriangleViolation(x, y, z, float(m[x, y] - m[x, z] - m[z, y]))
     for v in inst.customers:
         d = inst.demand(v)

@@ -4,9 +4,9 @@ shortcutting of closed walks.
 One Held-Karp subset dynamic program prices any downward-closed family
 of customer sets, such as every subset for an exact tour or only the
 demand-feasible sets of a tour catalog; the largest set it prices is
-capped at ``HELDKARP_CAP`` = 18 customers.  The approximate solver doubles a minimum spanning tree and
-shortcuts the resulting Euler walk, guaranteeing cost at most twice the
-optimum.
+capped at ``HELDKARP_CAP`` = 18 customers.  The approximate solver
+doubles a minimum spanning tree and shortcuts the resulting Euler walk,
+guaranteeing cost at most twice the optimum.
 """
 
 from __future__ import annotations
@@ -26,6 +26,12 @@ HELDKARP_CAP = 18  # customers in the largest set the subset DP prices
 
 class SubsetTooLarge(ValueError):
     pass
+
+
+class NotACustomer(ValueError):
+    def __init__(self, v: int, n: int):
+        self.vertex = v
+        super().__init__(f"vertex {v} is not a customer: customers are 1..{n}")
 
 
 class KeepNotVisited(ValueError):
@@ -61,7 +67,7 @@ def exact_tsp(inst: Instance, subset: Iterable[int]) -> Tour:
     (comparing the tour against its reversal as well) so results are
     reproducible across runs.
     """
-    subset = sorted(set(subset))
+    subset = _customers(inst, subset)
     if not subset:
         return empty_tour()
     if len(subset) > HELDKARP_CAP:
@@ -103,35 +109,50 @@ def exact_tsp(inst: Instance, subset: Iterable[int]) -> Tour:
 
 def approx_tsp(inst: Instance, subset: Iterable[int]) -> Tour:
     """MST-doubling tour: cost at most twice the optimal tour cost."""
-    subset = sorted(set(subset))
+    subset = _customers(inst, subset)
     if not subset:
         return empty_tour("two_approx")
-    m = inst.metric
-    nodes = [0] + subset
-    # Prim with deterministic tie-break by vertex index.
-    in_tree = {0}
-    children: dict[int, list[int]] = {v: [] for v in nodes}
-    best_edge = {v: (float(m[0, v]), 0) for v in subset}
-    while len(in_tree) < len(nodes):
-        v = min(
-            (u for u in subset if u not in in_tree),
-            key=lambda u: (best_edge[u][0], u),
-        )
-        w = best_edge[v][1]
-        children[w].append(v)
-        in_tree.add(v)
-        for u in subset:
-            if u not in in_tree and float(m[v, u]) < best_edge[u][0]:
-                best_edge[u] = (float(m[v, u]), v)
+    nodes = [0, *subset]
+    sub = inst.metric[np.ix_(nodes, nodes)]
+    # Prim from the depot over positions in ``nodes``, which is sorted, so
+    # argmin's first-index rule breaks ties by vertex index.  best[i] is the
+    # cheapest edge from the tree to i, parent[i] its tree end; an edge
+    # replaces it only when strictly cheaper.
+    best = sub[0].copy()
+    parent = np.zeros(len(nodes), dtype=np.intp)
+    done = np.zeros(len(nodes), dtype=bool)
+    done[0] = True
+    children: list[list[int]] = [[] for _ in nodes]
+    for _ in subset:
+        i = int(np.argmin(np.where(done, INF, best)))
+        if done[i]:  # only infinite edges are left: take the lowest index
+            i = int(np.argmin(done))
+        children[parent[i]].append(i)
+        done[i] = True
+        row = sub[i]
+        closer = row < best
+        best[closer] = row[closer]
+        parent[closer] = i
     # Preorder walk of the tree == shortcut of the doubled Euler tour.
     order = []
     stack = [0]
     while stack:
-        v = stack.pop()
-        order.append(v)
-        stack.extend(sorted(children[v], reverse=True))
+        i = stack.pop()
+        order.append(nodes[i])
+        stack.extend(sorted(children[i], reverse=True))
     seq = tuple(order) + (0,)
     return Tour(seq, inst.route_cost(seq), "two_approx")
+
+
+def _customers(inst: Instance, subset: Iterable[int]) -> list[int]:
+    """``subset`` as a sorted list of distinct customers; raises
+    ``NotACustomer`` for the depot or a vertex beyond n."""
+    subset = sorted(set(subset))
+    if subset and subset[0] < 1:
+        raise NotACustomer(subset[0], inst.n)
+    if subset and subset[-1] > inst.n:
+        raise NotACustomer(subset[-1], inst.n)
+    return subset
 
 
 def shortcut(inst: Instance, walk: Sequence[int], keep: Iterable[int]) -> Tour:

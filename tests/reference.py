@@ -2,7 +2,8 @@
 
 Each is slow or exhaustive on purpose: an exact normalized demand, a
 vectorized replay of the randomized rounding, an exhaustive pair/solo
-cover, and a sign-change count on a fine grid.
+cover, a pure-Python MST-doubling tour, and a sign-change count on a fine
+grid.
 """
 
 from fractions import Fraction
@@ -12,6 +13,7 @@ import numpy as np
 
 from ucvrp.instance import Instance
 from ucvrp.lp_round import LpSolution, TourCatalog
+from ucvrp.tsp import Tour, empty_tour
 
 SIGN_SCAN_POINTS = 10_000
 
@@ -83,6 +85,38 @@ def best_cover_bruteforce(inst: Instance, big: Iterable[int]) -> float:
         return best
 
     return rec(tuple(big))
+
+
+def mst_doubling_tour(inst: Instance, subset: Iterable[int]) -> Tour:
+    """Prim over dicts with the (weight, vertex) tie-break, then the
+    preorder walk; ``approx_tsp`` must return the same tour."""
+    subset = sorted(set(subset))
+    if not subset:
+        return empty_tour("two_approx")
+    m = inst.metric
+    nodes = [0] + subset
+    in_tree = {0}
+    children: dict[int, list[int]] = {v: [] for v in nodes}
+    best_edge = {v: (float(m[0, v]), 0) for v in subset}
+    while len(in_tree) < len(nodes):
+        v = min(
+            (u for u in subset if u not in in_tree),
+            key=lambda u: (best_edge[u][0], u),
+        )
+        w = best_edge[v][1]
+        children[w].append(v)
+        in_tree.add(v)
+        for u in subset:
+            if u not in in_tree and float(m[v, u]) < best_edge[u][0]:
+                best_edge[u] = (float(m[v, u]), v)
+    order = []
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(sorted(children[v], reverse=True))
+    seq = tuple(order) + (0,)
+    return Tour(seq, inst.route_cost(seq), "two_approx")
 
 
 def count_sign_changes(g: Callable[[float], float], lo: float, hi: float) -> int:

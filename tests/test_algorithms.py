@@ -6,11 +6,13 @@ import pytest
 
 import ucvrp.algorithms as algorithms
 from ucvrp.algorithms import alg1, alg2, default_tour, lp_itp_pipeline
+from ucvrp.big_matching import serve_big_by_matching
 from ucvrp.constants import default_gammas
 from ucvrp.instance import gen_instance
 from ucvrp.lp_round import enumerate_tours, solve_covering_lp
 from ucvrp.oracle import exact_cvrp
 from ucvrp.solution import check_feasible
+from ucvrp.tsp import approx_tsp
 
 from conftest import instance_mix
 
@@ -170,3 +172,26 @@ def test_solve_outputs_pinned():
         record(*alg1(fallback, seed=seed))
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == PINNED_DIGEST
+
+
+# sha256 of the rows built below: the MST tour, the big-customer matching
+# and alg1 (refused catalog, gamma = 0) at the sizes of the large path.
+LARGE_PINNED_DIGEST = "0fc7237f3dffff76e75f74ca5c8c24407ece37af1a3b5e503c916dfed2e63355"
+
+
+def test_large_path_outputs_pinned():
+    rows = []
+    for kind in ("euclidean", "random_metric"):
+        for n in (150, 163, 200):
+            for seed in (0, 1):
+                inst = gen_instance(kind, n, 10, seed=seed)
+                tour = approx_tsp(inst, inst.customers)
+                plan, _ = serve_big_by_matching(inst)
+                sol, rep = alg1(inst, seed=seed, tour=tour)
+                rows.append([
+                    repr(tour.cost), tour.vertices,
+                    repr(plan.cost), sorted(plan.pairs), sorted(plan.solos),
+                    repr(sol.cost), [t.vertices for t in sol.tours], rep.to_json(),
+                ])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == LARGE_PINNED_DIGEST

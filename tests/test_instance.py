@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucvrp.instance import (
+    METRIC_TOL,
     AsymmetricCost,
     DemandOutOfRange,
     Instance,
@@ -86,6 +87,36 @@ class TestValidation:
             validate_instance(Instance("bad", 2, (1,) * 6, m))
         assert exc.value.triple == first
 
+    def test_violation_at_first_row(self):
+        m = planted(gen_instance("euclidean", 150, 10, seed=3).metric, (0, 70))
+        assert_reports_first_violation(m, (0, 70))
+
+    def test_violation_at_last_row(self):
+        # A violation at (x, y, z) is one at (y, x, z) as well, so it is
+        # first seen at x = n only when the two differ by the tolerance that
+        # the symmetry check allows.  On a line, c(n,0) = c(n,1) + c(1,0);
+        # skewing row n by 0.9 tol breaks that at (n, 0, 1) alone.
+        m = line_metric(150)
+        m[150, 0] += 0.9 * METRIC_TOL
+        m[150, 1] -= 0.9 * METRIC_TOL
+        assert_reports_first_violation(m, (150, 0, 1))
+
+    def test_violation_in_last_cell_of_row(self):
+        # On a line only n - 1 lies between n - 2 and n, so the one
+        # violation of row n - 2 is its cell (y, z) = (n, n - 1).
+        m = line_metric(150)
+        m[148, 150] = m[150, 148] = 2.0 + 2 * METRIC_TOL
+        assert_reports_first_violation(m, (148, 150, 149))
+
+    @pytest.mark.parametrize("pairs", [
+        [(90, 120), (31, 140)],  # different rows
+        [(40, 130), (40, 60)],  # one row, different y
+    ])
+    def test_two_violations_report_the_first(self, pairs):
+        m = planted(gen_instance("euclidean", 150, 10, seed=4).metric, *pairs)
+        first = min(pairs)
+        assert_reports_first_violation(m, first)
+
     def test_triangle_check_memory_is_quadratic(self):
         # An (n+1)^3 float64 slack tensor alone takes ~27 MB at n = 150.
         inst = gen_instance("euclidean", 150, 10, seed=1)
@@ -96,6 +127,42 @@ class TestValidation:
         finally:
             tracemalloc.stop()
         assert peak < 4e6
+
+
+def line_metric(n):
+    """Customers at 1..n on a line with the depot at 0: c(x,y) = |x - y|."""
+    pts = np.arange(n + 1, dtype=float)
+    return np.abs(np.subtract.outer(pts, pts))
+
+
+def planted(metric, *pairs):
+    """``metric`` with c(x,y) = c(y,x) raised by 1 for each pair (x, y), so
+    the detour through almost any z is shorter."""
+    m = np.array(metric)
+    for x, y in pairs:
+        m[x, y] += 1.0
+        m[y, x] += 1.0
+    return m
+
+
+def brute_force_first_violation(m):
+    for x in range(len(m)):
+        for y in range(len(m)):
+            bad = np.flatnonzero(m[x, y] - m[x] - m[:, y] > METRIC_TOL)
+            if len(bad):
+                return x, y, int(bad[0])
+    return None
+
+
+def assert_reports_first_violation(m, prefix):
+    """validate_instance reports the brute-force first violating triple,
+    which starts with ``prefix``."""
+    first = brute_force_first_violation(m)
+    assert first[:len(prefix)] == prefix
+    inst = Instance("planted", 10, (1,) * (len(m) - 1), m)
+    with pytest.raises(TriangleViolation) as exc:
+        validate_instance(inst)
+    assert exc.value.triple == first
 
 
 class TestBasics:

@@ -9,6 +9,7 @@ from ucvrp import tsp
 from ucvrp.instance import Instance, gen_instance
 from ucvrp.tsp import (
     KeepNotVisited,
+    NotACustomer,
     SubsetTooLarge,
     Tour,
     approx_tsp,
@@ -19,6 +20,7 @@ from ucvrp.tsp import (
 )
 
 from conftest import instance_mix
+from reference import mst_doubling_tour
 
 
 def brute_force_tour_cost(inst, subset):
@@ -92,6 +94,62 @@ class TestApproxTsp:
         a = approx_tsp(inst, inst.customers)
         b = approx_tsp(inst, inst.customers)
         assert a.vertices == b.vertices
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference(self, data):
+        n = data.draw(st.integers(1, 60), label="n")
+        kind = data.draw(st.sampled_from(["euclidean", "random_metric", "grid"]))
+        if kind == "grid":
+            inst = grid_instance(
+                data.draw(st.lists(grid_points, min_size=n + 1, max_size=n + 1)),
+                data.draw(st.sampled_from([1, 2]), label="norm"),
+            )
+        else:
+            inst = gen_instance(kind, n, 3, seed=data.draw(st.integers(0, 10_000)))
+        subset = data.draw(st.one_of(
+            st.just(inst.customers), st.sets(st.integers(1, n))
+        ), label="subset")
+        assert approx_tsp(inst, subset) == mst_doubling_tour(inst, subset)
+
+    def test_full_grid_matches_reference(self):
+        # 64 lattice points: every distance recurs, so Prim meets ties at
+        # almost every step and must break them by vertex index.
+        inst = grid_instance([(x, y) for x in range(8) for y in range(8)], 2)
+        assert approx_tsp(inst, inst.customers) == mst_doubling_tour(
+            inst, inst.customers
+        )
+
+    def test_infinite_edges_match_reference(self):
+        # Not a valid instance, but approx_tsp takes any: when every edge
+        # left is infinite, Prim still adds the lowest remaining vertex.
+        m = gen_instance("euclidean", 6, 3, seed=1).metric.copy()
+        m[4:, :4] = m[:4, 4:] = np.inf
+        inst = Instance("split", 3, (1,) * 6, m)
+        assert approx_tsp(inst, inst.customers) == mst_doubling_tour(
+            inst, inst.customers
+        )
+
+
+grid_points = st.tuples(st.integers(0, 7), st.integers(0, 7))
+
+
+def grid_instance(points, norm):
+    """Lattice points under the L1 or L2 norm, the first one the depot."""
+    pts = np.array(points, dtype=float)
+    m = np.linalg.norm(pts[:, None, :] - pts[None, :, :], ord=norm, axis=2)
+    return Instance("grid", 1, (1,) * (len(pts) - 1), m)
+
+
+@pytest.mark.parametrize("solve", [exact_tsp, approx_tsp])
+@pytest.mark.parametrize("subset, vertex", [
+    ([0, 1, 2], 0), ([2, 1, 7], 7), ([-1, 3], -1),
+])
+def test_rejects_non_customers(inst_line3, solve, subset, vertex):
+    with pytest.raises(NotACustomer, match=f"vertex {vertex} ") as exc:
+        solve(inst_line3, subset)
+    assert exc.value.vertex == vertex
+    assert isinstance(exc.value, ValueError)
 
 
 class TestShortcut:
