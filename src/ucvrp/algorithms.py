@@ -2,7 +2,8 @@
 meta-algorithms that take the best of their branches.
 
 Each step of a solve exists once: the depot tour, the tour catalog with
-its covering LP, the LP branch (round the LP, then serve the leftover
+its covering LP, the LP branch (round the LP and serve each selected
+catalog entry by the tour it was priced by, then serve the leftover
 customers by the threshold partition) and the report, which checks
 feasibility once per public call.  ``lp_itp_pipeline`` runs one LP
 branch, ``alg1`` one and ``alg2`` two over a shared catalog.
@@ -63,17 +64,13 @@ class SolveReport:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _tour(inst: Instance, members) -> Tour:
-    """Exact tour when the subset DP can afford it, MST doubling otherwise."""
-    try:
-        return exact_tsp(inst, members)
-    except SubsetTooLarge:
-        return approx_tsp(inst, members)
-
-
 def default_tour(inst: Instance) -> Tour:
-    """The depot tour over every customer, by the rule of ``_tour``."""
-    return _tour(inst, inst.customers)
+    """The depot tour over every customer: exact when the subset DP can
+    afford it, MST doubling otherwise."""
+    try:
+        return exact_tsp(inst, inst.customers)
+    except SubsetTooLarge:
+        return approx_tsp(inst, inst.customers)
 
 
 def _catalog_lp(inst, lp_variant, delta_lp, catalog, lpsol):
@@ -94,27 +91,24 @@ def _round_then_partition(
     LP was used; with gamma = 0 the catalog is ignored and may be None."""
     lp_used = gamma != 0 and bool(catalog.cover_set)
     selected_entries = []
+    rounded_cost = 0.0
     if lp_used:
         outcome = round_tours(catalog, lpsol, gamma, seed)
         selected_entries = [catalog.tours[j] for j in outcome.selected]
+        rounded_cost = outcome.cost
     # Catalog tours hold cover-set customers only, so whatever they miss,
     # inside the cover set or outside it, goes to the partition stage.
     leftover = set(inst.customers).difference(
         *(entry.customers for entry in selected_entries)
     )
 
-    tours = []
     assignment = {}
-    rounded_cost = 0.0
-    for entry in selected_entries:
-        t = _tour(inst, sorted(entry.customers))
-        tours.append(t)
-        rounded_cost += t.cost
+    for i, entry in enumerate(selected_entries):
         for v in entry.customers:
             # First selected tour containing v wins; later tours keep
             # their vertices with slack capacity.
-            assignment.setdefault(v, len(tours) - 1)
-    rounded_sol = Solution(tuple(tours), assignment)
+            assignment.setdefault(v, i)
+    rounded_sol = Solution(tuple(e.tour for e in selected_entries), assignment)
 
     itp_sol = delta_itp_plus(inst, leftover, tour, threshold)
     return merge(rounded_sol, itp_sol), rounded_cost, itp_sol.cost, lp_used

@@ -18,9 +18,9 @@ from typing import Optional
 import networkx as nx
 
 from ucvrp.instance import Instance, radial_mass
-from ucvrp.itp import delta_itp
-from ucvrp.solution import Solution, merge
-from ucvrp.tsp import Tour, shortcut
+from ucvrp.itp import delta_itp_plus
+from ucvrp.solution import Solution, merge, trivial_solution
+from ucvrp.tsp import Tour
 
 BIG_THRESHOLD = Fraction(1, 3)
 
@@ -58,10 +58,8 @@ def _plan_to_solution(inst: Instance, plan: MatchingPlan) -> Solution:
         seq = (0, u, v, 0)
         tours.append(Tour(seq, inst.route_cost(seq), "external"))
         assignment[u] = assignment[v] = len(tours) - 1
-    for v in sorted(plan.solos):
-        tours.append(Tour((0, v, 0), 2.0 * inst.depot_cost(v), "external"))
-        assignment[v] = len(tours) - 1
-    return Solution(tuple(tours), assignment)
+    solos = trivial_solution(inst, sorted(plan.solos))
+    return merge(Solution(tuple(tours), assignment), solos)
 
 
 def serve_big_by_matching(inst: Instance) -> tuple[MatchingPlan, Solution]:
@@ -105,13 +103,7 @@ def subalg1(
         raise ValueError("tour must cover all customers")
     _, big_sol = serve_big_by_matching(inst) if matching is None else matching
     rest = [v for v in inst.customers if not inst.exceeds(v, BIG_THRESHOLD)]
-    if not rest:
-        return big_sol
-    sub_tour = shortcut(inst, tour.vertices, rest)
-    rest_sol, _ = delta_itp(inst, rest, sub_tour, BIG_THRESHOLD)
-    if not big_sol.tours:
-        return rest_sol
-    return merge(big_sol, rest_sol)
+    return merge(big_sol, delta_itp_plus(inst, rest, tour, BIG_THRESHOLD))
 
 
 def subalg1_bound(inst: Instance, tour_cost: float, matching_cost: float) -> float:

@@ -35,7 +35,10 @@ _LP_VARIANTS = {"subalg2": "lp1", "subalg3": "lp2", "subalg4": "lp2"}
 
 
 def _parse_fraction(text: str) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(f"invalid fraction {text!r}") from exc
 
 
 def cmd_gen(args) -> int:
@@ -125,7 +128,8 @@ def cmd_solve(args) -> int:
             "catalog": catalog.to_json_dict(),
             "solution": lpsol.to_json_dict(),
         }
-    print(json.dumps(out, sort_keys=True))
+    # A non-finite value, such as a NaN gamma that no rounding saw, is not JSON.
+    print(json.dumps(out, sort_keys=True, allow_nan=False))
     return EXIT_OK if not violations else EXIT_VIOLATION
 
 
@@ -134,8 +138,8 @@ def cmd_exact(args) -> int:
     res = oracle.exact_cvrp(inst)
     print(json.dumps({
         "opt_cost": res.opt_cost,
-        "partition": [sorted(g) for g in res.partition],
-        "group_costs": list(res.group_costs),
+        "partition": [sorted(t.customers) for t in res.tours],
+        "group_costs": [t.cost for t in res.tours],
     }, sort_keys=True))
     return EXIT_OK
 
@@ -222,6 +226,9 @@ def cmd_bench(args) -> int:
         algs = ["alg1"]
     else:
         print(f"unknown suite {args.suite!r}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.seeds < 1:
+        print(f"--seeds must be at least 1, got {args.seeds}", file=sys.stderr)
         return EXIT_USAGE
     for kind, n, k in specs:
         for seed in range(args.seeds):

@@ -150,8 +150,8 @@ def f_epsilon(eps: float) -> FWitness:
     needs).  The minimum sits on the theta = 1 - tau face, so the search
     runs there with a free-theta polish at the end.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
 
     def obj2(p: np.ndarray) -> float:
         tau, rho = p

@@ -91,10 +91,8 @@ def _segment_solution(
         for v in seq[1:-1]:
             assignment[v] = len(tours) - 1
     trivial = [order[i] for i, d in disposition.items() if d == "trivial-tour"]
-    for v in trivial + list(oversize):
-        tours.append(Tour((0, v, 0), 2.0 * inst.depot_cost(v), "external"))
-        assignment[v] = len(tours) - 1
-    return Solution(tuple(tours), assignment)
+    trivial_sol = trivial_solution(inst, trivial + list(oversize))
+    return merge(Solution(tuple(tours), assignment), trivial_sol)
 
 
 def _evaluate_offset(prefix, span, eta, unit):

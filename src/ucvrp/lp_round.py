@@ -7,11 +7,12 @@ Catalog variants:
   lp2(delta) — demand-feasible sets of non-small customers only
                (normalized demand > delta); only those must be covered.
 
-Only the demand-feasible sets are enumerated and priced, each with the
-optimal tour cost of its set, so the LP optimum is a valid lower bound
-on the optimal solution cost.  Should a feasible set exceed the
-Held-Karp cap, every entry is priced by MST doubling instead and the
-catalog is flagged ``exact_priced = False``.
+Only the demand-feasible sets are enumerated, each with the optimal
+tour of its set, so the LP optimum is a valid lower bound on the optimal
+solution cost.  Should a feasible set exceed the Held-Karp cap, every
+entry holds its MST-doubling tour instead and the catalog is flagged
+``exact_priced = False``.  An entry's cost is its tour's, so a selected
+entry is served by the tour the LP priced.
 Rounding selects each tour independently with probability
 min{1, gamma * x*_T}; draws are keyed by (seed, tour content) so the
 outcome does not depend on enumeration order.
@@ -20,6 +21,7 @@ outcome does not depend on enumeration order.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -28,7 +30,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from ucvrp.instance import Instance
-from ucvrp.tsp import SubsetTooLarge, approx_tsp, tour_costs
+from ucvrp.tsp import SubsetTooLarge, Tour, approx_tsp, optimal_tours
 
 LP_TOL = 1e-9
 SIZE_CAP = 5_000_000  # most tours a catalog may hold
@@ -45,8 +47,12 @@ class LpInfeasible(RuntimeError):
 @dataclass(frozen=True)
 class CatalogEntry:
     customers: frozenset[int]
-    cost: float
+    tour: Tour  # the tour the entry is priced and served by
     digest: int  # stable 64-bit hash of the customer set
+
+    @property
+    def cost(self) -> float:
+        return self.tour.cost
 
 
 @dataclass(frozen=True)
@@ -101,7 +107,7 @@ def enumerate_tours(
     delta: Optional[Fraction] = None,
 ) -> TourCatalog:
     """All demand-feasible customer sets of the relevant ground set, each
-    priced by its optimal tour cost, in deterministic order."""
+    with its optimal tour, in deterministic order."""
     if variant == "lp1":
         ground = list(inst.customers)
         cover = frozenset(inst.customers)
@@ -121,15 +127,13 @@ def enumerate_tours(
         return TourCatalog(variant, delta, (), cover)
 
     masks = feasible_masks([inst.demand(v) for v in ground], inst.capacity)
-    sets = [frozenset(ground[i] for i in range(s) if (mask >> i) & 1) for mask in masks]
     try:
-        costs = list(tour_costs(inst, ground, masks).values())
-        exact = True
+        tours, exact = optimal_tours(inst, ground, masks).values(), True
     except SubsetTooLarge:
-        # A feasible set is out of Held-Karp's reach; price greedily and flag it.
-        costs = [approx_tsp(inst, members).cost for members in sets]
-        exact = False
-    entries = [CatalogEntry(m, c, _digest(m)) for m, c in zip(sets, costs)]
+        # A feasible set is out of Held-Karp's reach; tour greedily and flag it.
+        sets = ([v for i, v in enumerate(ground) if (mask >> i) & 1] for mask in masks)
+        tours, exact = [approx_tsp(inst, members) for members in sets], False
+    entries = [CatalogEntry(t.customers, t, _digest(t.customers)) for t in tours]
     entries.sort(key=lambda e: (len(e.customers), sorted(e.customers)))
     return TourCatalog(variant, delta, tuple(entries), cover, exact)
 
@@ -206,8 +210,8 @@ def round_tours(
     seed: int,
 ) -> RoundingOutcome:
     """Independent per-tour selection with probability min{1, gamma x*}."""
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
+    if not 0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
     selected = []
     covered: set[int] = set()
     cost = 0.0

@@ -1,6 +1,7 @@
 """Exact ground truth: optimal unsplittable CVRP by subset dynamic
 programming over the demand-feasible customer sets, for instances of at
-most ``ORACLE_CAP`` customers."""
+most ``ORACLE_CAP`` customers.  Each group of the optimal partition is
+served by the tour it was priced by."""
 
 from __future__ import annotations
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 from ucvrp.instance import Instance
 from ucvrp.lp_round import feasible_masks
 from ucvrp.solution import Solution
-from ucvrp.tsp import exact_tsp, tour_costs
+from ucvrp.tsp import Tour, optimal_tours
 
 ORACLE_CAP = 14  # most customers the 2^n-state DP takes on
 
@@ -21,13 +22,11 @@ class InstanceTooLarge(ValueError):
 @dataclass(frozen=True)
 class OracleResult:
     opt_cost: float
-    partition: tuple[frozenset[int], ...]
-    group_costs: tuple[float, ...]
+    tours: tuple[Tour, ...]  # one optimal tour per group of the partition
 
-    def to_solution(self, inst: Instance) -> Solution:
-        tours = tuple(exact_tsp(inst, g) for g in self.partition)
-        assignment = {v: i for i, g in enumerate(self.partition) for v in g}
-        return Solution(tours, assignment)
+    def to_solution(self) -> Solution:
+        assignment = {v: i for i, t in enumerate(self.tours) for v in t.customers}
+        return Solution(self.tours, assignment)
 
 
 def exact_cvrp(inst: Instance) -> OracleResult:
@@ -45,7 +44,8 @@ def exact_cvrp(inst: Instance) -> OracleResult:
         raise InstanceTooLarge(f"{n} customers exceeds oracle cap {ORACLE_CAP}")
     ground = list(inst.customers)
     masks = feasible_masks([inst.demand(v) for v in ground], inst.capacity)
-    tour_cost = tour_costs(inst, ground, masks)
+    tours = optimal_tours(inst, ground, masks)
+    tour_cost = {mask: t.cost for mask, t in tours.items()}
 
     full = (1 << n) - 1
     INF = float("inf")
@@ -68,12 +68,9 @@ def exact_cvrp(inst: Instance) -> OracleResult:
                 break
             sub = (sub - 1) & rest
 
-    partition = []
-    group_costs = []
+    groups = []
     mask = full
     while mask:
-        t = choice[mask]
-        partition.append(frozenset(ground[i] for i in range(n) if (t >> i) & 1))
-        group_costs.append(tour_cost[t])
-        mask ^= t
-    return OracleResult(best[full], tuple(partition), tuple(group_costs))
+        groups.append(tours[choice[mask]])
+        mask ^= choice[mask]
+    return OracleResult(best[full], tuple(groups))

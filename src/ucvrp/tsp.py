@@ -1,10 +1,11 @@
 """Exact and 2-approximate TSP tours on customer subsets, plus
 shortcutting of closed walks.
 
-One Held-Karp subset dynamic program prices any downward-closed family
+One Held-Karp subset dynamic program tours any downward-closed family
 of customer sets, such as every subset for an exact tour or only the
-demand-feasible sets of a tour catalog; the largest set it prices is
-capped at ``HELDKARP_CAP`` = 18 customers.  The approximate solver
+demand-feasible sets of a tour catalog, and one reconstruction reads
+each optimal tour off its table; sets are capped at ``HELDKARP_CAP`` =
+18 customers.  The approximate solver
 doubles a minimum spanning tree and shortcuts the resulting Euler walk,
 guaranteeing cost at most twice the optimum.
 """
@@ -78,33 +79,7 @@ def exact_tsp(inst: Instance, subset: Iterable[int]) -> Tour:
 
     into = _costs_into(inst, subset)
     full = (1 << len(subset)) - 1
-    paths = _held_karp(into, range(1, full + 1))
-    best = min(map(add, paths[full], into[0]))
-
-    # Greedy front-to-back reconstruction, scanning candidates in ascending
-    # vertex order, yields the lexicographically smallest optimal sequence.
-    seq = [0]
-    mask, last, target = full, 0, best
-    while mask:
-        for j in range(1, len(subset) + 1):
-            bit = 1 << (j - 1)
-            if not mask & bit:
-                continue
-            rest = mask ^ bit
-            # Cheapest path j -> (all of rest) -> depot.  By symmetry of c
-            # this is the reversal of a depot-rooted path ending in rest.
-            finish = min(map(add, paths[rest], into[j])) if rest else into[0][j]
-            step = into[j][last]
-            if step + finish <= target + COST_TOL:
-                seq.append(subset[j - 1])
-                target -= step
-                last = j
-                mask = rest
-                break
-        else:
-            raise AssertionError("tour reconstruction failed")
-    seq.append(0)
-    return Tour(tuple(seq), best, "exact")
+    return _optimal_tour(into, _held_karp(into, range(1, full + 1)), subset, full)
 
 
 def approx_tsp(inst: Instance, subset: Iterable[int]) -> Tour:
@@ -180,25 +155,27 @@ def shortcut(inst: Instance, walk: Sequence[int], keep: Iterable[int]) -> Tour:
     return Tour(tuple(seq), inst.route_cost(seq), "external")
 
 
-def tour_costs(
+def optimal_tours(
     inst: Instance, ground: Sequence[int], masks: Sequence[int]
-) -> dict[int, float]:
-    """Optimal tour cost of every set in ``masks``, where ``mask`` stands
-    for {ground[i] : bit i of mask set}.  ``masks`` must be downward
-    closed and increasing, like the demand-feasible sets of a catalog."""
+) -> dict[int, Tour]:
+    """Optimal tour of every set in ``masks``, where ``mask`` stands for
+    {ground[i] : bit i of mask set}.  ``masks`` must be downward closed
+    and increasing, like the demand-feasible sets of a catalog.  With
+    ``ground`` sorted, each tour is ``exact_tsp``'s, except that a
+    singleton costs c(r,v) + c(v,r) where ``exact_tsp`` takes 2 c(r,v)."""
     largest = max(map(int.bit_count, masks), default=0)
     if largest > HELDKARP_CAP:
         raise SubsetTooLarge(f"{largest} customers exceeds cap {HELDKARP_CAP}")
     into = _costs_into(inst, ground)
     paths = _held_karp(into, masks)
-    return {mask: min(map(add, row, into[0])) for mask, row in paths.items()}
+    return {mask: _optimal_tour(into, paths, ground, mask) for mask in paths}
 
 
 def tour_costs_all_subsets(inst: Instance, ground: Sequence[int]) -> list[float]:
     """Optimal tour cost for every subset of ``ground``; entry ``mask``
     prices {ground[i] : bit i of mask set}."""
-    costs = tour_costs(inst, ground, range(1, 1 << len(ground)))
-    return [0.0, *costs.values()]
+    tours = optimal_tours(inst, ground, range(1, 1 << len(ground)))
+    return [0.0, *(t.cost for t in tours.values())]
 
 
 def _costs_into(inst: Instance, ground: Sequence[int]) -> list[list[float]]:
@@ -228,3 +205,33 @@ def _held_karp(into: list[list[float]], masks: Iterable[int]) -> dict[int, list[
             row[j] = min(map(add, paths[prev], into[j])) if prev else into[j][0]
         paths[mask] = row
     return paths
+
+
+def _optimal_tour(into, paths, ground: Sequence[int], mask: int) -> Tour:
+    """The optimal tour of ``mask`` from a ``_held_karp`` table holding its
+    subsets.  Greedy front-to-back reconstruction, scanning members in
+    ascending position, yields the lexicographically smallest sequence."""
+    best = min(map(add, paths[mask], into[0]))
+    seq = [0]
+    last, target = 0, best
+    while mask:
+        scan = mask
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            j = low.bit_length()
+            rest = mask ^ low
+            # Cheapest path j -> (all of rest) -> depot.  By symmetry of c
+            # this is the reversal of a depot-rooted path ending in rest.
+            finish = min(map(add, paths[rest], into[j])) if rest else into[0][j]
+            step = into[j][last]
+            if step + finish <= target + COST_TOL:
+                seq.append(ground[j - 1])
+                target -= step
+                last = j
+                mask = rest
+                break
+        else:
+            raise AssertionError("tour reconstruction failed")
+    seq.append(0)
+    return Tour(tuple(seq), best, "exact")

@@ -5,11 +5,12 @@ from fractions import Fraction
 import pytest
 
 import ucvrp.algorithms as algorithms
+from ucvrp import oracle, tsp
 from ucvrp.algorithms import alg1, alg2, default_tour, lp_itp_pipeline
 from ucvrp.big_matching import serve_big_by_matching
 from ucvrp.constants import default_gammas
 from ucvrp.instance import gen_instance
-from ucvrp.lp_round import enumerate_tours, solve_covering_lp
+from ucvrp.lp_round import enumerate_tours, round_tours, solve_covering_lp
 from ucvrp.oracle import exact_cvrp
 from ucvrp.solution import check_feasible
 from ucvrp.tsp import approx_tsp
@@ -135,6 +136,33 @@ def test_checks_feasibility_once(solve, monkeypatch):
     _, rep = solve(gen_instance("euclidean", 8, 3, seed=5))
     assert rep.feasible
     assert len(calls) == 1
+
+
+def test_warm_solves_make_no_exact_tours(monkeypatch):
+    # Each catalog entry and each oracle group holds the tour it was priced
+    # by, so a solve given its tour, catalogs and LPs re-solves no tour.
+    inst = gen_instance("euclidean", 9, 3, seed=5)
+    tour = default_tour(inst)
+    cat1 = enumerate_tours(inst, "lp1")
+    cat2 = enumerate_tours(inst, "lp2", FIFTH)
+    lp1, lp2 = solve_covering_lp(cat1), solve_covering_lp(cat2)
+    result = exact_cvrp(inst)
+    calls = []
+    for module in (tsp, algorithms, oracle):
+        real = getattr(module, "exact_tsp", None)
+        if real is not None:
+            def counting(*args, _real=real, **kwargs):
+                calls.append(args)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "exact_tsp", counting)
+    for seed in range(4):
+        alg1(inst, seed=seed, tour=tour, catalog=cat1, lpsol=lp1)
+        alg2(inst, FIFTH, seed=seed, tour=tour, catalog=cat2, lpsol=lp2)
+    result.to_solution()
+    assert calls == []
+    gamma = default_gammas().gamma_star
+    assert any(round_tours(cat1, lp1, gamma, seed).selected for seed in range(4))
 
 
 # sha256 of the rows built below.  A solution or report that changes but

@@ -182,6 +182,29 @@ class TestLibraryErrors:
         assert payload["error"] == "CatalogTooLarge"
         assert "30 customers" in payload["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{inst}", "--alg", "ditp", "--delta", "1/0"],
+        ["solve", "{inst}", "--alg", "subalg2", "--gamma", "nan"],
+        ["solve", "{inst}", "--alg", "alg1", "--gamma", "inf"],
+        ["bench", "--seeds", "0", "--format", "csv"],
+        ["constants", "--eps-fixed", "nan"],
+    ], ids=["zero-denominator", "nan-gamma", "inf-gamma", "no-seeds", "nan-eps"])
+    def test_bad_values_are_usage_errors(self, instance_file, capsys, argv):
+        code, out = run(capsys, *(a.format(inst=instance_file) for a in argv))
+        assert code == 2
+        assert "NaN" not in out
+
+    def test_nan_gamma_without_lp_is_usage_error(self, tmp_path, capsys):
+        # No customer of this instance exceeds 1/5 of the capacity, so the
+        # restricted catalog is empty and no rounding sees the gamma.
+        path = tmp_path / "small.json"
+        run(capsys, "gen", "-n", "3", "-k", "10", "--demand-law", "heavy",
+            "--seed", "8", "--out", str(path))
+        code, out = run(capsys, "solve", str(path), "--alg", "subalg3",
+                        "--delta", "1/5", "--gamma", "nan")
+        assert code == 2
+        assert "NaN" not in out
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

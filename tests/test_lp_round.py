@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucvrp import lp_round
+from ucvrp import lp_round, tsp
+from ucvrp.algorithms import alg1, default_tour, lp_itp_pipeline
 from ucvrp.instance import gen_instance
 from ucvrp.lp_round import (
     CatalogTooLarge,
@@ -19,7 +20,7 @@ from ucvrp.lp_round import (
     solve_covering_lp,
 )
 from ucvrp.oracle import exact_cvrp
-from ucvrp.tsp import exact_tsp
+from ucvrp.tsp import approx_tsp, exact_tsp
 
 from reference import rounding_monte_carlo
 from test_instance import line_instance
@@ -81,7 +82,29 @@ class TestCatalog:
         cat = enumerate_tours(inst, "lp1")
         assert cat.exact_priced
         for entry in cat.tours:
-            assert entry.cost == exact_tsp(inst, entry.customers).cost
+            assert entry.tour == exact_tsp(inst, entry.customers)
+
+    def test_mst_priced_catalog_serves_its_tours(self, monkeypatch):
+        # Four customers of demand 1 make 3-customer sets feasible, which a
+        # cap of 2 puts out of Held-Karp's reach.
+        monkeypatch.setattr(tsp, "HELDKARP_CAP", 2)
+        inst = gen_instance("euclidean", 6, 3, seed=1)
+        cat = enumerate_tours(inst, "lp1")
+        assert not cat.exact_priced
+        for entry in cat.tours:
+            assert entry.tour == approx_tsp(inst, entry.customers)
+        lp = solve_covering_lp(cat)
+        tour = default_tour(inst)
+        catalog_tours = {entry.tour for entry in cat.tours}
+        for seed in range(5):
+            _, report = alg1(inst, seed=seed, tour=tour, catalog=cat, lpsol=lp)
+            assert report.feasible and report.lp_solved
+            # A huge gamma selects every tour with x* > 0, which covers
+            # everyone, so the LP branch serves catalog tours alone.
+            sol, _ = lp_itp_pipeline(
+                inst, "lp1", 1e9, Fraction(1, 3), seed, tour, catalog=cat, lpsol=lp
+            )
+            assert set(sol.tours) <= catalog_tours
 
     @given(
         n=st.integers(1, 9),
@@ -106,7 +129,7 @@ class TestCatalog:
         assert [sorted(t.customers) for t in cat.tours] == expected
         assert cat.exact_priced
         for entry in cat.tours:
-            assert entry.cost == exact_tsp(inst, entry.customers).cost
+            assert entry.tour == exact_tsp(inst, entry.customers)
 
     def test_deterministic_order(self, inst_line3):
         a = enumerate_tours(inst_line3, "lp1")
@@ -202,8 +225,10 @@ class TestRounding:
         assert out.uncovered == frozenset()
 
     def test_negative_gamma_rejected(self):
-        with pytest.raises(ValueError):
-            round_tours(self.cat, self.lp, -0.1, seed=0)
+        # A non-finite gamma is rejected too: inf * 0 would select x* = 0.
+        for gamma in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                round_tours(self.cat, self.lp, gamma, seed=0)
 
     def test_monte_carlo_matches_scalar(self):
         seeds = list(range(100))

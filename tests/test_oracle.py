@@ -14,12 +14,12 @@ class TestExactSolver:
     def test_line3(self, inst_line3):
         res = exact_cvrp(inst_line3)
         assert res.opt_cost == pytest.approx(8.0, abs=1e-12)
-        assert set(res.partition) == {frozenset({1}), frozenset({2, 3})}
-        assert sum(res.group_costs) == pytest.approx(res.opt_cost)
+        assert {t.customers for t in res.tours} == {frozenset({1}), frozenset({2, 3})}
+        assert sum(t.cost for t in res.tours) == pytest.approx(res.opt_cost)
 
     def test_to_solution(self, inst_line3):
         res = exact_cvrp(inst_line3)
-        sol = res.to_solution(inst_line3)
+        sol = res.to_solution()
         assert check_feasible(inst_line3, sol).ok
         assert sol.cost == pytest.approx(res.opt_cost)
 
@@ -27,12 +27,12 @@ class TestExactSolver:
         for inst in instance_mix(15, max_n=9, max_k=4, seed_base=500):
             res = exact_cvrp(inst)
             union = set()
-            for g in res.partition:
+            for g in (t.customers for t in res.tours):
                 assert not (union & g)
                 union |= g
                 assert sum(inst.demand(v) for v in g) <= inst.capacity
             assert union == set(inst.customers)
-            sol = res.to_solution(inst)
+            sol = res.to_solution()
             assert check_feasible(inst, sol).ok
             assert sol.cost == pytest.approx(res.opt_cost, abs=1e-9)
 
