@@ -34,6 +34,7 @@ from ucvrp.lp_round import (
     CatalogTooLarge,
     LpSolution,
     TourCatalog,
+    check_gamma,
     enumerate_tours,
     round_tours,
     solve_covering_lp,
@@ -78,6 +79,8 @@ def _catalog_lp(inst, lp_variant, delta_lp, catalog, lpsol):
     passed in.  A catalog that covers nobody gets no LP."""
     if catalog is None:
         catalog = enumerate_tours(inst, lp_variant, delta_lp)
+    elif catalog.variant != lp_variant or (lp_variant == "lp2" and catalog.delta != delta_lp):
+        raise ValueError(f"{catalog.variant}({catalog.delta}) catalog for {lp_variant}({delta_lp})")
     if lpsol is None and catalog.cover_set:
         lpsol = solve_covering_lp(catalog)
     return catalog, lpsol
@@ -147,6 +150,7 @@ def lp_itp_pipeline(
     """
     if tour.customers != set(inst.customers):
         raise ValueError("tour must cover all customers")
+    check_gamma(gamma)
     delta_itp_threshold = Fraction(delta_itp_threshold)
     notes = ()
     if lp_variant == "lp2" and delta_lp is not None and Fraction(delta_lp) >= THIRD:
@@ -178,10 +182,9 @@ def alg1(
     lpsol: Optional[LpSolution] = None,
 ) -> tuple[Solution, SolveReport]:
     """Better of the matching branch and the full-catalog LP branch."""
+    gamma = check_gamma(default_gammas().gamma_star if gamma is None else gamma)
     if tour is None:
         tour = default_tour(inst)
-    if gamma is None:
-        gamma = default_gammas().gamma_star
     sol_a = subalg1(inst, tour)
     branch_gamma, notes = gamma, ()
     if gamma != 0:
@@ -216,13 +219,10 @@ def alg2(
     delta = Fraction(delta)
     if not 0 < delta < THIRD:
         raise ValueError(f"delta must lie in (0, 1/3), got {delta}")
+    gamma1 = check_gamma(default_gammas().gamma1 if gamma1 is None else gamma1)
+    gamma2 = check_gamma(default_gammas().gamma2 if gamma2 is None else gamma2)
     if tour is None:
         tour = default_tour(inst)
-    g = default_gammas()
-    if gamma1 is None:
-        gamma1 = g.gamma1
-    if gamma2 is None:
-        gamma2 = g.gamma2
     if gamma1 != 0 or gamma2 != 0:
         catalog, lpsol = _catalog_lp(inst, "lp2", delta, catalog, lpsol)
 

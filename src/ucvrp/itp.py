@@ -6,12 +6,12 @@ order, cuts the line at offset eta + m*(1 - delta), and turns each
 resulting segment into one tour.  A customer straddling a cut is either
 absorbed whole into an adjacent segment (when the resulting load still
 fits the vehicle) or served by a trivial tour.  The offset is
-derandomized: the cost is piecewise constant in eta, so evaluating every
-breakpoint residue and the midpoints between them and keeping the
-cheapest outcome is at least as good as the uniform-offset expectation.
-For delta = p/q every position is a multiple of 1/(2kq), so the line is
-scaled by 2kq once and each offset is one sweep over exact integers;
-only the ``PartitionTrace`` holds ``Fraction``s.
+derandomized: the cost changes only where a cut meets a customer's
+boundary or midpoint, so pricing their residues modulo the cut spacing
+finds the cheapest offset over all of [0, 1 - delta).  For delta = p/q
+all of them are multiples of 1/(2kq): the line is scaled by 2kq once and
+each offset is one sweep over exact integers; only the ``PartitionTrace``
+holds ``Fraction``s.
 
 ``delta_itp_plus`` first serves every customer with normalized demand
 above 1/2 by a trivial tour and runs ``delta_itp`` on the remainder over
@@ -60,7 +60,7 @@ class PartitionTrace:
     breakpoints: tuple[Fraction, ...]
     dispositions: dict[int, str]  # in-segment | absorbed-left | absorbed-right | trivial-tour
     segments: tuple[tuple[int, ...], ...]
-    candidate_costs: tuple[tuple[Fraction, float], ...] = ()
+    candidate_costs: tuple[tuple[Fraction, float], ...]
 
     def to_json_dict(self) -> dict:
         return {
@@ -171,8 +171,8 @@ def delta_itp(
         if inst.demand(v) < 1:
             raise ValueError(f"customer {v} has demand {inst.demand(v)} below 1")
 
-    # Scaled by unit = 2kq for delta = p/q, widths, the cut spacing,
-    # residues and the midpoints between them are all exact integers.
+    # Scaled by unit = 2kq for delta = p/q, widths, the cut spacing and
+    # every customer boundary and midpoint are exact integers.
     q = delta.denominator
     unit = 2 * inst.capacity * q
     span = 2 * inst.capacity * (q - delta.numerator)
@@ -184,17 +184,11 @@ def delta_itp(
     oversize = [v for v in full_order if inst.exceeds(v, 1 - delta)]
     order = [v for v in full_order if not inst.exceeds(v, 1 - delta)]
 
-    if not order:
-        sol = trivial_solution(inst, oversize)
-        trace = PartitionTrace(
-            Fraction(0), (), {v: "trivial-tour" for v in oversize}, ()
-        )
-        return sol, trace
-
+    # Each residue prices the piece it starts: a cut at a midpoint sends the
+    # straddler left, and a customer starting at a cut lies whole to its right.
     prefix = list(accumulate((2 * q * inst.demand(v) for v in order), initial=0))
-    residues = sorted({x % span for x in prefix})
-    candidates = {0, *residues, (residues[-1] + span) // 2}
-    candidates.update((a + b) // 2 for a, b in pairwise(residues))
+    mids = ((a + b) // 2 for a, b in pairwise(prefix))
+    candidates = {x % span for x in chain(prefix, mids)}
 
     # A segment is a run of consecutive positions.  Its tour cost, and the
     # candidate's total, add the same floats in the same order as

@@ -32,7 +32,6 @@ from scipy.optimize import linprog
 from ucvrp.instance import Instance
 from ucvrp.tsp import SubsetTooLarge, Tour, approx_tsp, optimal_tours
 
-LP_TOL = 1e-9
 SIZE_CAP = 5_000_000  # most tours a catalog may hold
 
 
@@ -203,6 +202,13 @@ def _uniform_draw(seed: int, digest: int) -> float:
     return _mix64(_mix64(seed & 0xFFFFFFFFFFFFFFFF) ^ digest) / 2.0 ** 64
 
 
+def check_gamma(gamma: float) -> float:
+    """``gamma``, if it is a finite, non-negative selection intensity."""
+    if not 0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
+    return gamma
+
+
 def round_tours(
     catalog: TourCatalog,
     lpsol: LpSolution,
@@ -210,8 +216,9 @@ def round_tours(
     seed: int,
 ) -> RoundingOutcome:
     """Independent per-tour selection with probability min{1, gamma x*}."""
-    if not 0 <= gamma < math.inf:
-        raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
+    check_gamma(gamma)
+    if len(lpsol.values) != len(catalog.tours):
+        raise ValueError(f"{len(lpsol.values)} LP values for {len(catalog.tours)} tours")
     selected = []
     covered: set[int] = set()
     cost = 0.0

@@ -8,8 +8,6 @@ from typing import Mapping, Sequence
 from ucvrp.instance import Instance
 from ucvrp.tsp import Tour
 
-COST_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Solution:

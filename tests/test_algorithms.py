@@ -120,6 +120,36 @@ class TestAlg2:
             assert opt - 1e-9 <= sol.cost <= 3.2 * opt + 1e-9
 
 
+# No customer of SMALL exceeds 1/5 of the capacity, so its lp2 cover set
+# is empty, and alg1 refuses the 25-customer catalog: no rounding sees gamma.
+SMALL = gen_instance("euclidean", 3, 10, "heavy", seed=8)
+
+
+@pytest.mark.parametrize("gamma", [-1.0, float("nan"), float("inf")])
+@pytest.mark.parametrize("solve", [
+    lambda g: alg1(gen_instance("euclidean", 25, 3, seed=2), gamma=g),
+    lambda g: lp_itp_pipeline(
+        SMALL, "lp2", g, THIRD, 0, default_tour(SMALL), delta_lp=FIFTH
+    ),
+    lambda g: alg2(SMALL, FIFTH, gamma1=g),
+    lambda g: alg2(SMALL, FIFTH, gamma2=g),
+], ids=["alg1-fallback", "pipeline-lp2-empty", "alg2-gamma1", "alg2-gamma2"])
+def test_gamma_checked_before_any_branch(solve, gamma):
+    with pytest.raises(ValueError, match="gamma must be finite and non-negative"):
+        solve(gamma)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda inst, cat, lp: alg1(inst, catalog=cat, lpsol=lp),
+    lambda inst, cat, lp: alg2(inst, Fraction(1, 10), catalog=cat, lpsol=lp),
+], ids=["alg1-given-lp2", "alg2-given-other-delta"])
+def test_rejects_catalog_of_another_branch(solve):
+    inst = gen_instance("euclidean", 7, 3, seed=13)
+    cat = enumerate_tours(inst, "lp2", FIFTH)
+    with pytest.raises(ValueError, match=r"lp2\(1/5\) catalog for"):
+        solve(inst, cat, solve_covering_lp(cat))
+
+
 @pytest.mark.parametrize("solve", [
     lambda inst: alg1(inst, seed=3),
     lambda inst: alg2(inst, FIFTH, seed=3),
@@ -167,7 +197,7 @@ def test_warm_solves_make_no_exact_tours(monkeypatch):
 
 # sha256 of the rows built below.  A solution or report that changes but
 # stays feasible passes every other test; change this only with the outputs.
-PINNED_DIGEST = "f11e7910a3f298fea9c80653951dd5d0fc69b4e6115edffeb2495af877b473ec"
+PINNED_DIGEST = "2bc2611fd1c222f82acaef21df10ec82f063c675236387813eb6f8f163a7ffaa"
 
 
 def test_solve_outputs_pinned():
@@ -199,7 +229,7 @@ def test_solve_outputs_pinned():
     for seed in (0, 1):
         record(*alg1(fallback, seed=seed))
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
-    assert digest == PINNED_DIGEST
+    assert digest == PINNED_DIGEST, digest
 
 
 # sha256 of the rows built below: the MST tour, the big-customer matching

@@ -205,6 +205,28 @@ class TestLibraryErrors:
         assert code == 2
         assert "NaN" not in out
 
+    @pytest.mark.parametrize("gen, solve", [
+        (["-n", "25", "-k", "3", "--seed", "2"], ["--alg", "alg1"]),
+        (["-n", "3", "-k", "10", "--demand-law", "heavy", "--seed", "8"],
+         ["--alg", "subalg3", "--delta", "1/5"]),
+    ], ids=["alg1-refused-catalog", "subalg3-empty-cover"])
+    def test_negative_gamma_without_rounding_is_usage_error(
+        self, tmp_path, capsys, gen, solve
+    ):
+        path = tmp_path / "i.json"
+        run(capsys, "gen", *gen, "--out", str(path))
+        code, out = run(capsys, "solve", str(path), *solve, "--gamma", "-1")
+        assert code == 2
+        assert "gamma must be finite and non-negative" in json.loads(out)["message"]
+
+    @pytest.mark.parametrize("alg", ["subalg2", "subalg4"])
+    def test_lp_dump_with_delta(self, instance_file, capsys, alg):
+        # subalg2's lp1 catalog carries the --delta it was built with.
+        code, out = run(capsys, "solve", str(instance_file), "--alg", alg,
+                        "--delta", "1/5", "--dump-lp")
+        assert code == 0
+        assert json.loads(out)["lp"]["catalog"]["delta"] == "1/5"
+
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

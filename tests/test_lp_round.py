@@ -230,6 +230,12 @@ class TestRounding:
             with pytest.raises(ValueError):
                 round_tours(self.cat, self.lp, gamma, seed=0)
 
+    def test_lp_of_another_catalog_rejected(self):
+        # zip would pair the values with the first tours and drop the rest.
+        short = LpSolution(self.lp.values[:-1], self.lp.objective)
+        with pytest.raises(ValueError, match="LP values for"):
+            round_tours(self.cat, short, 1.0, seed=0)
+
     def test_monte_carlo_matches_scalar(self):
         seeds = list(range(100))
         for gamma in (0.5, 1.0, 2.0):
