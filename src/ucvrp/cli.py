@@ -96,6 +96,10 @@ def cmd_solve(args) -> int:
     if args.alg in _NEEDS_DELTA and args.delta is None:
         print(f"--delta required for {args.alg}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+    if args.alg == "alg2" and args.gamma is not None:
+        print("--gamma does not apply to alg2, which takes two intensities, "
+              "gamma1 and gamma2", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     inst = validate_instance(load_json(args.instance))
     catalog = lpsol = None
     if args.dump_lp and args.alg in _LP_VARIANTS:

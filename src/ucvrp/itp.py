@@ -181,8 +181,9 @@ def delta_itp(
     # contain a cut regardless of the offset; trivial tours for them are
     # within the "lemma3" budget (their demand exceeds 1/2) and leave every
     # remaining demand at most the spacing.
-    oversize = [v for v in full_order if inst.exceeds(v, 1 - delta)]
-    order = [v for v in full_order if not inst.exceeds(v, 1 - delta)]
+    wide = 1 - delta
+    oversize = [v for v in full_order if inst.exceeds(v, wide)]
+    order = [v for v in full_order if not inst.exceeds(v, wide)]
 
     # Each residue prices the piece it starts: a cut at a midpoint sends the
     # straddler left, and a customer starting at a cut lies whole to its right.

@@ -2,18 +2,19 @@
 
 Each is slow or exhaustive on purpose: an exact normalized demand, a
 vectorized replay of the randomized rounding, an exhaustive pair/solo
-cover, a pure-Python MST-doubling tour, and a sign-change count on a fine
-grid.
+cover, a pure-Python MST-doubling tour, a pure-Python Held-Karp DP, and
+a sign-change count on a fine grid.
 """
 
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ucvrp.instance import Instance
 from ucvrp.lp_round import LpSolution, TourCatalog
-from ucvrp.tsp import Tour, empty_tour
+from ucvrp.tsp import COST_TOL, INF, Tour, empty_tour
 
 SIGN_SCAN_POINTS = 10_000
 
@@ -117,6 +118,54 @@ def mst_doubling_tour(inst: Instance, subset: Iterable[int]) -> Tour:
         stack.extend(sorted(children[v], reverse=True))
     seq = tuple(order) + (0,)
     return Tour(seq, inst.route_cost(seq), "two_approx")
+
+
+def held_karp_tours(
+    inst: Instance, ground: Sequence[int], masks: Iterable[int]
+) -> dict[int, Tour]:
+    """The optimal tour of every set of a downward-closed, increasing
+    family of masks of ``ground``, by the scalar Held-Karp DP over Python
+    lists and the same greedy reconstruction; ``tsp.optimal_tours`` must
+    return the same vertices and bit-identical costs."""
+    idx = [0, *ground]
+    into = inst.metric[np.ix_(idx, idx)].T.tolist()  # into[j][i] = c(x_i, x_j)
+    paths: dict[int, list[float]] = {}
+    for mask in masks:
+        row = [INF] * len(into)
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length()
+            prev = mask ^ low
+            row[j] = min(map(add, paths[prev], into[j])) if prev else into[j][0]
+        paths[mask] = row
+    return {mask: _held_karp_tour(into, paths, ground, mask) for mask in paths}
+
+
+def _held_karp_tour(into, paths, ground: Sequence[int], mask: int) -> Tour:
+    best = min(map(add, paths[mask], into[0]))
+    seq = [0]
+    last, target = 0, best
+    while mask:
+        scan = mask
+        while scan:
+            low = scan & -scan
+            scan ^= low
+            j = low.bit_length()
+            rest = mask ^ low
+            finish = min(map(add, paths[rest], into[j])) if rest else into[0][j]
+            step = into[j][last]
+            if step + finish <= target + COST_TOL:
+                seq.append(ground[j - 1])
+                target -= step
+                last = j
+                mask = rest
+                break
+        else:
+            raise AssertionError("tour reconstruction failed")
+    seq.append(0)
+    return Tour(tuple(seq), best, "exact")
 
 
 def count_sign_changes(g: Callable[[float], float], lo: float, hi: float) -> int:

@@ -113,6 +113,13 @@ class TestSolve:
         assert exc.value.code == 2
         assert "--delta required" in capsys.readouterr().err
 
+    def test_gamma_with_alg2_is_usage_error(self, instance_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(instance_file), "--alg", "alg2", "--delta", "1/5",
+                  "--gamma", "-1"])
+        assert exc.value.code == 2
+        assert "two intensities" in capsys.readouterr().err
+
     def test_lp_dump_builds_catalog_and_lp_once(self, instance_file, capsys, monkeypatch):
         calls = []
         for name in ("enumerate_tours", "solve_covering_lp"):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ucvrp import tsp
 from ucvrp.instance import Instance, gen_instance
+from ucvrp.lp_round import feasible_masks
 from ucvrp.tsp import (
     KeepNotVisited,
     NotACustomer,
@@ -15,12 +16,13 @@ from ucvrp.tsp import (
     approx_tsp,
     empty_tour,
     exact_tsp,
+    optimal_tours,
     shortcut,
     tour_costs_all_subsets,
 )
 
 from conftest import instance_mix
-from reference import mst_doubling_tour
+from reference import held_karp_tours, mst_doubling_tour
 
 
 def brute_force_tour_cost(inst, subset):
@@ -75,6 +77,61 @@ class TestExactTsp:
         monkeypatch.setattr(tsp, "HELDKARP_CAP", 2)
         with pytest.raises(SubsetTooLarge):
             exact_tsp(inst_line3, [1, 2, 3])
+
+
+@st.composite
+def tour_instances(draw, max_n=10):
+    """Random float metrics, and tie-heavy ones (all distances equal, or
+    each 1 or 2) where the lexicographic tie-break decides the tour."""
+    n = draw(st.integers(2, max_n), label="n")
+    capacity = draw(st.integers(1, 6), label="capacity")
+    demands = draw(st.lists(st.integers(1, capacity), min_size=n, max_size=n))
+    kind = draw(st.sampled_from(["euclidean", "random_metric", "equal", "one_two"]))
+    if kind in ("euclidean", "random_metric"):
+        m = gen_instance(kind, n, 3, seed=draw(st.integers(0, 10_000))).metric
+    else:
+        lengths = st.just(1.0) if kind == "equal" else st.sampled_from([1.0, 2.0])
+        upper = draw(st.lists(lengths, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+        m = np.zeros((n + 1, n + 1))
+        m[np.triu_indices(n + 1, 1)] = upper
+        m = m + m.T
+    return Instance(kind, capacity, tuple(demands), m)
+
+
+def assert_same_tours(got, want):
+    assert [t.vertices for t in got] == [t.vertices for t in want]
+    assert [t.cost.hex() for t in got] == [t.cost.hex() for t in want]
+    assert {t.quality_tag for t in got} <= {"exact"}
+
+
+class TestHeldKarpKernel:
+    @given(inst=tour_instances(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_exact_tsp_matches_scalar_kernel(self, inst, data):
+        subset = sorted(data.draw(st.sets(st.sampled_from(list(inst.customers)), min_size=2)))
+        full = (1 << len(subset)) - 1
+        want = held_karp_tours(inst, subset, range(1, full + 1))[full]
+        assert_same_tours([exact_tsp(inst, subset)], [want])
+
+    @given(inst=tour_instances(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_optimal_tours_match_scalar_kernel(self, inst, data):
+        ground = sorted(data.draw(st.sets(st.sampled_from(list(inst.customers)), min_size=1)))
+        masks = feasible_masks([inst.demand(v) for v in ground], inst.capacity)
+        got = optimal_tours(inst, ground, masks)
+        want = held_karp_tours(inst, ground, masks)
+        assert list(got) == list(want) == masks
+        assert_same_tours(got.values(), want.values())
+
+    @pytest.mark.parametrize("masks", [[2, 1, 3], [1, 2, 3, 3]])
+    def test_rejects_unordered_family(self, inst_line3, masks):
+        with pytest.raises(ValueError, match="increasing"):
+            optimal_tours(inst_line3, [1, 2, 3], masks)
+
+    @pytest.mark.parametrize("masks", [[1, 3], [2, 3], [1, 2, 4, 7], [1, 2, 3, 4, 5, 7]])
+    def test_rejects_family_not_downward_closed(self, inst_line3, masks):
+        with pytest.raises(ValueError, match="downward closed"):
+            optimal_tours(inst_line3, [1, 2, 3], masks)
 
 
 class TestApproxTsp:
