@@ -32,6 +32,11 @@ EXIT_USAGE = 2
 # Solvers that take --delta, and the catalog each LP pipeline rounds.
 _NEEDS_DELTA = ("ditp", "ditp+", "subalg3", "subalg4", "alg2")
 _LP_VARIANTS = {"subalg2": "lp1", "subalg3": "lp2", "subalg4": "lp2"}
+# Solvers that refuse --gamma, and why.
+_NO_GAMMA = {
+    **dict.fromkeys(("itp", "ditp", "ditp+", "subalg1"), "rounds no LP"),
+    "alg2": "takes two intensities, gamma1 and gamma2",
+}
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -96,9 +101,9 @@ def cmd_solve(args) -> int:
     if args.alg in _NEEDS_DELTA and args.delta is None:
         print(f"--delta required for {args.alg}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    if args.alg == "alg2" and args.gamma is not None:
-        print("--gamma does not apply to alg2, which takes two intensities, "
-              "gamma1 and gamma2", file=sys.stderr)
+    if args.alg in _NO_GAMMA and args.gamma is not None:
+        print(f"--gamma does not apply to {args.alg}, which {_NO_GAMMA[args.alg]}",
+              file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     inst = validate_instance(load_json(args.instance))
     catalog = lpsol = None

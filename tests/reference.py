@@ -2,8 +2,9 @@
 
 Each is slow or exhaustive on purpose: an exact normalized demand, a
 vectorized replay of the randomized rounding, an exhaustive pair/solo
-cover, a pure-Python MST-doubling tour, a pure-Python Held-Karp DP, and
-a sign-change count on a fine grid.
+cover, networkx's blossom matching of the big customers, a pure-Python
+MST-doubling tour, a pure-Python Held-Karp DP, and a sign-change count
+on a fine grid.
 """
 
 from fractions import Fraction
@@ -12,6 +13,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from ucvrp.big_matching import BIG_THRESHOLD
 from ucvrp.instance import Instance
 from ucvrp.lp_round import LpSolution, TourCatalog
 from ucvrp.tsp import COST_TOL, INF, Tour, empty_tour
@@ -86,6 +88,24 @@ def best_cover_bruteforce(inst: Instance, big: Iterable[int]) -> float:
         return best
 
     return rec(tuple(big))
+
+
+def networkx_matching_pairs(inst: Instance) -> frozenset[tuple[int, int]]:
+    """The big customers' pairs by networkx's ``max_weight_matching`` on
+    the savings graph, as a frozenset built from networkx's result set.
+    ``serve_big_by_matching`` must return equal pairs, and summing the pair
+    costs in iteration order of either set must give the same float."""
+    import networkx as nx
+
+    big = [v for v in inst.customers if inst.exceeds(v, BIG_THRESHOLD)]
+    g = nx.Graph()
+    g.add_nodes_from(big)
+    for i, u in enumerate(big):
+        for v in big[i + 1:]:
+            if inst.demand(u) + inst.demand(v) <= inst.capacity:
+                saving = inst.depot_cost(u) + inst.depot_cost(v) - inst.cost(u, v)
+                g.add_edge(u, v, weight=saving)
+    return frozenset(tuple(sorted(e)) for e in nx.max_weight_matching(g))
 
 
 def mst_doubling_tour(inst: Instance, subset: Iterable[int]) -> Tour:

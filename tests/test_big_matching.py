@@ -1,7 +1,15 @@
 import gc
+import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucvrp.big_matching import (
     BIG_THRESHOLD,
@@ -9,14 +17,16 @@ from ucvrp.big_matching import (
     subalg1,
     subalg1_bound,
 )
-from ucvrp.instance import gen_instance
+from ucvrp.instance import Instance, gen_instance
 from ucvrp.oracle import exact_cvrp
 from ucvrp.solution import check_feasible
 from ucvrp.tsp import exact_tsp
 
 from conftest import instance_mix
-from reference import best_cover_bruteforce, norm_demand
+from reference import best_cover_bruteforce, networkx_matching_pairs, norm_demand
 from test_instance import line_instance
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestLine3Canonical:
@@ -64,26 +74,129 @@ class TestMatchingOptimality:
             best_cover_bruteforce(inst_line3, range(1, 14))
 
 
-def test_matching_frees_its_graph():
-    # networkx's matching leaves a reference cycle behind; with the cyclic
-    # collector off, whatever it holds stays allocated after the call.
-    # ~65 KB stays with the graph emptied, the result included, and
-    # ~440 KB when the cycle still holds the savings graph.
-    inst = gen_instance("euclidean", 200, 10, seed=1)
-    serve_big_by_matching(inst)  # first-call imports and caches
+def _held_after(call):
+    """(result, bytes still allocated, objects the cyclic collector
+    reclaims) of ``call()`` run with the collector off; measured after a
+    full collection, which also empties the interpreter's free lists."""
+    gc.collect()
     gc.disable()
     try:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            result = serve_big_by_matching(inst)
+            result = call()
+            reclaimed = gc.collect()
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
     finally:
         gc.enable()
+    return result, held, reclaimed
+
+
+def test_matching_frees_its_graph():
+    # The matcher keeps its state in lists of ints and tuples, so it leaves
+    # no reference cycle: with the cyclic collector off, what the call
+    # leaves allocated is the result alone.  A pickled copy rebuilds the
+    # result from fresh objects and measures its size (~47 KB here, for
+    # 30 pairs and 84 solos; the call holds ~40 KB).  The margin covers
+    # the two builds' different instance dicts and allocation sizes.
+    inst = gen_instance("euclidean", 200, 10, seed=1)
+    serve_big_by_matching(inst)  # first-call imports and caches
+    result, held, reclaimed = _held_after(lambda: serve_big_by_matching(inst))
+    blob = pickle.dumps(result)
+    _, result_bytes, _ = _held_after(lambda: pickle.loads(blob))
     assert result[0].pairs
-    assert held < 200_000
+    assert reclaimed == 0
+    assert held < result_bytes + 8_000
+
+
+def _tie_metric(entries, n: int, values) -> np.ndarray:
+    m = np.zeros((n + 1, n + 1))
+    m[np.triu_indices(n + 1, 1)] = [values[i] for i in entries]
+    return m + m.T
+
+
+@st.composite
+def matching_instances(draw):
+    """Random-metric, Euclidean and tie-heavy instances.  Drawn demands
+    give graphs with no big customer, one, only isolated ones, and dense
+    savings graphs; entries from {1, 2} or {2, 3, 4} are metric."""
+    kind = draw(st.sampled_from(["random_metric", "euclidean", "ties12", "ties234"]))
+    n = draw(st.integers(1, 24))
+    k = draw(st.integers(1, 12))
+    demands = tuple(draw(st.lists(st.integers(1, k), min_size=n, max_size=n)))
+    if kind in ("random_metric", "euclidean"):
+        metric = gen_instance(kind, n, k, seed=draw(st.integers(0, 2**31 - 1))).metric
+    else:
+        values = (1.0, 2.0) if kind == "ties12" else (2.0, 3.0, 4.0)
+        pairs = n * (n + 1) // 2
+        entries = draw(st.lists(st.integers(0, len(values) - 1),
+                                min_size=pairs, max_size=pairs))
+        metric = _tie_metric(entries, n, values)
+    return Instance(kind, k, demands, metric)
+
+
+def _assert_matches_networkx(inst: Instance) -> None:
+    plan, _ = serve_big_by_matching(inst)
+    pairs = networkx_matching_pairs(inst)
+    assert plan.pairs == pairs
+    # The cost as the networkx-backed matcher summed it: pairs in the
+    # iteration order of its frozenset, then the solos.
+    big = [v for v in inst.customers if inst.exceeds(v, BIG_THRESHOLD)]
+    matched = {v for e in pairs for v in e}
+    solos = frozenset(v for v in big if v not in matched)
+    cost = float(sum(inst.depot_cost(u) + inst.cost(u, v) + inst.depot_cost(v)
+                     for u, v in pairs) + sum(2.0 * inst.depot_cost(v) for v in solos))
+    assert float.hex(plan.cost) == float.hex(cost)
+    assert plan.solos == solos
+
+
+class TestAgreesWithNetworkx:
+    @settings(max_examples=300, deadline=None)
+    @given(inst=matching_instances())
+    def test_same_pairs_and_cost(self, inst):
+        _assert_matches_networkx(inst)
+
+    @pytest.mark.parametrize("capacity, demands", [
+        (10, (1, 2, 3)),  # no big customer: an empty graph
+        (10, (4, 1, 2)),  # one big customer
+        (10, (6, 7, 8, 9)),  # only isolated big customers
+        (10, (6, 4, 9, 5, 6)),  # isolated customers between matched ones
+    ], ids=["no-vertex", "single-vertex", "only-isolated", "mixed"])
+    def test_degenerate_graphs(self, capacity, demands):
+        n = len(demands)
+        for entries in ([0] * (n * (n + 1) // 2), [i % 3 for i in range(n * (n + 1) // 2)]):
+            inst = Instance("deg", capacity, demands, _tie_metric(entries, n, (2.0, 3.0, 4.0)))
+            _assert_matches_networkx(inst)
+
+    @pytest.mark.parametrize("kind", ["euclidean", "random_metric"])
+    def test_large_instances(self, kind):
+        for seed in range(3):
+            _assert_matches_networkx(gen_instance(kind, 180, 10, seed=seed))
+
+    def test_tie_heavy_sweep(self):
+        # Mid-sized tie-heavy graphs nest and expand blossoms often enough
+        # that a tie broken the other way shows in the pairs.
+        for seed in range(800):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(20, 61))
+            k = int(rng.integers(2, 13))
+            values = (1.0, 2.0) if seed % 2 else (2.0, 3.0, 4.0)
+            entries = rng.integers(0, len(values), size=n * (n + 1) // 2)
+            demands = tuple(int(d) for d in rng.integers(1, k + 1, size=n))
+            _assert_matches_networkx(
+                Instance("ties", k, demands, _tie_metric(entries, n, values)))
+
+
+def test_solver_import_leaves_networkx_out():
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ucvrp.algorithms; print('networkx' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=120)
+    assert probe.stdout.strip() == "False"
 
 
 class TestMatchingBranch:

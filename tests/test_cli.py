@@ -120,6 +120,20 @@ class TestSolve:
         assert exc.value.code == 2
         assert "two intensities" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["--alg", "itp"],
+        ["--alg", "ditp", "--delta", "1/5"],
+        ["--alg", "ditp+", "--delta", "1/5"],
+        ["--alg", "subalg1"],
+    ], ids=["itp", "ditp", "ditp+", "subalg1"])
+    def test_gamma_without_rounding_is_usage_error(self, instance_file, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(instance_file), *argv, "--gamma", "-1"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"--gamma does not apply to {argv[1]}" in captured.err
+        assert captured.out == ""
+
     def test_lp_dump_builds_catalog_and_lp_once(self, instance_file, capsys, monkeypatch):
         calls = []
         for name in ("enumerate_tours", "solve_covering_lp"):
