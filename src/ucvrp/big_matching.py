@@ -249,7 +249,6 @@ class _Matcher:
         """Turn the children of top-level blossom b into top-level
         blossoms; at the end of a stage, zero-dual children go too."""
         n = self.n
-        label, labeledge, bestedge = self.label, self.labeledge, self.bestedge
         inblossom, parent, childs = self.inblossom, self.parent, self.childs
         todo = [b]
         while todo:
@@ -265,7 +264,7 @@ class _Matcher:
                         inblossom[v] = s
             if x != b:
                 self._forget(x)
-        if not endstage and label[b] == _T:
+        if not endstage and self.label[b] == _T:
             self._relabel_expanded_t(b)
         self._forget(b)
 
@@ -311,17 +310,11 @@ class _Matcher:
             j += jstep
             if label[bv] == _S:
                 continue
-            if bv >= n:
-                reached = [x for x in self.leaves(bv) if label[x]]
-                if not reached:
-                    continue
+            reached = [x for x in (self.leaves(bv) if bv >= n else (bv,)) if label[x]]
+            if reached:
                 v = reached[0]
-            elif not label[bv]:
-                continue
-            else:
-                v = bv
-            label[v] = label[mate[self.base[bv]]] = _FREE
-            self.assign_label(v, _T, labeledge[v][0])
+                label[v] = label[mate[self.base[bv]]] = _FREE
+                self.assign_label(v, _T, labeledge[v][0])
 
     def _forget(self, b: int) -> None:
         self.label[b] = _FREE
