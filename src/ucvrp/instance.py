@@ -125,16 +125,6 @@ class Instance:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-@dataclass(frozen=True)
-class DemandClass:
-    """Partition of the customers by normalized demand against a threshold
-    delta: small (<= delta), big (in (delta, 1/2]), large (> 1/2)."""
-
-    small: frozenset[int]
-    big: frozenset[int]
-    large: frozenset[int]
-
-
 def validate_instance(inst: Instance) -> Instance:
     """Check all instance invariants; return the instance unchanged.
 
@@ -185,16 +175,6 @@ def radial_mass(inst: Instance, customers: Iterable[int]) -> float:
 def radial_lower_bound(inst: Instance) -> float:
     """sum_v 2 (d_v/k) c(r,v); never exceeds the optimal solution cost."""
     return radial_mass(inst, inst.customers)
-
-
-def classify(inst: Instance, delta: Fraction) -> DemandClass:
-    """Split customers into small / big / large relative to ``delta``."""
-    delta = Fraction(delta)
-    if not 0 <= delta <= HALF:
-        raise ValueError(f"delta must lie in [0, 1/2], got {delta}")
-    small = frozenset(v for v in inst.customers if not inst.exceeds(v, delta))
-    large = frozenset(v for v in inst.customers if inst.exceeds(v, HALF))
-    return DemandClass(small, frozenset(inst.customers) - small - large, large)
 
 
 def f_integral(inst: Instance, l: Fraction, r: Fraction, t: int) -> float:

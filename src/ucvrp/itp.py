@@ -9,13 +9,18 @@ fits the vehicle) or served by a trivial tour.  The offset is
 derandomized: the cost changes only where a cut meets a customer's
 boundary or midpoint, so pricing their residues modulo the cut spacing
 finds the cheapest offset over all of [0, 1 - delta).  For delta = p/q
-all of them are multiples of 1/(2kq): the line is scaled by 2kq once and
-each offset is one sweep over exact integers; only the ``PartitionTrace``
-holds ``Fraction``s.
+all of them are multiples of 1/(2kq), so the line is scaled by 2kq once
+and every demand test is an integer comparison.  An offset is priced by
+its cuts, not by its customers: a binary search on the prefix sums
+finds the one customer each cut can straddle, a segment is a run of
+consecutive customers whose load is a prefix difference, and each run's
+tour cost is summed once per call.  Only ``delta_itp`` builds the
+``PartitionTrace`` witness, whose offsets and cuts are ``Fraction``s.
 
 ``delta_itp_plus`` first serves every customer with normalized demand
-above 1/2 by a trivial tour and runs ``delta_itp`` on the remainder over
-the shortcut of the tour it is given, which never costs more.
+above 1/2 by a trivial tour and partitions the remainder as ``delta_itp``
+does, over the shortcut of the tour it is given, which never costs more;
+it builds no trace.
 
 ``itp_bound`` evaluates the closed-form cost guarantees the two
 procedures are tested against:
@@ -36,10 +41,14 @@ delta in [0, 1/2) only.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, chain, pairwise
-from typing import Iterable, Sequence
+from typing import Callable, Iterable
+
+import numpy as np
 
 from ucvrp.instance import HALF, Instance, radial_mass
 from ucvrp.solution import Solution, merge, trivial_solution
@@ -72,79 +81,149 @@ class PartitionTrace:
         }
 
 
-def _segment_solution(
-    inst: Instance,
-    order: Sequence[int],
-    segments: Sequence[Sequence[int]],
-    disposition: dict[int, str],
-    oversize: Sequence[int],
-) -> Solution:
-    """One tour per non-empty segment (positions in ``order``), then a
-    trivial tour per trivial-tour position and per ``oversize`` customer."""
-    tours: list[Tour] = []
-    assignment: dict[int, int] = {}
-    for seg in segments:
-        if not seg:
-            continue
-        seq = (0, *(order[i] for i in sorted(seg)), 0)
-        tours.append(Tour(seq, inst.route_cost(seq), "external"))
-        for v in seq[1:-1]:
-            assignment[v] = len(tours) - 1
-    trivial = [order[i] for i, d in disposition.items() if d == "trivial-tour"]
-    trivial_sol = trivial_solution(inst, trivial + list(oversize))
-    return merge(Solution(tuple(tours), assignment), trivial_sol)
+def _trace(order, oversize, unit, offset, cuts, first, last, sides, candidate_costs):
+    """The ``PartitionTrace`` of the winner ``_partition`` found: its offset
+    and cuts, each segment's first and last position in ``order`` (first >
+    last when empty) and each straddler's (cut, position, disposition)."""
+    # An absorbed straddler sits at an end of its segment's run.  A segment
+    # lists its in-segment positions, then the straddlers it absorbed in
+    # cut order: the one from its left cut comes first.
+    straddled = {j for _, j, _ in sides}
+    absorbed: list[list[int]] = [[] for _ in first]
+    for c, j, side in sides:
+        if side != "trivial-tour":
+            absorbed[c + (side == "absorbed-right")].append(j)
+    runs = [[i for i in range(a, b + 1) if i not in straddled] + extra
+            for a, b, extra in zip(first, last, absorbed)]
+    dispositions = {v: "in-segment" for i, v in enumerate(order) if i not in straddled}
+    dispositions.update((order[j], side) for _, j, side in sides)
+    dispositions.update(dict.fromkeys(oversize, "trivial-tour"))
+    return PartitionTrace(
+        offset=Fraction(offset, unit),
+        breakpoints=tuple(Fraction(t, unit) for t in cuts),
+        dispositions=dispositions,
+        segments=tuple(tuple(order[i] for i in run) for run in runs if run),
+        candidate_costs=tuple((Fraction(e, unit), c) for e, c in candidate_costs),
+    )
 
 
-def _evaluate_offset(prefix, span, eta, unit):
-    """Partition the line for one offset.  Position i occupies
-    (prefix[i], prefix[i + 1]], cuts lie at eta + m*span and a vehicle
-    holds ``unit``; ints and Fractions both work.
+def _partition(
+    inst: Instance, subset: Iterable[int], tour: Tour, delta: Fraction
+) -> tuple[Solution, Callable[[], PartitionTrace]]:
+    """The cheapest offset's solution, and a thunk that builds its trace."""
+    delta = Fraction(delta)
+    p, q = delta.numerator, delta.denominator
+    if not 0 <= 2 * p < q:
+        raise ValueError(f"delta must lie in [0, 1/2), got {delta}")
+    subset = set(subset)
+    if tour.customers != subset:
+        raise ValueError("tour must visit exactly the requested subset")
+    k, demands = inst.capacity, inst.demands
+    for v in subset:
+        if demands[v - 1] > k:
+            raise DemandExceedsCapacity(v)
+        if demands[v - 1] < 1:
+            raise ValueError(f"customer {v} has demand {demands[v - 1]} below 1")
 
-    Returns (cut positions, each segment's positions, disposition of each
-    position).  A segment lists its in-segment positions first, then the
-    straddlers it absorbed in cut order; dispositions follow the same
-    order over all segments.
-    """
+    # Scaled by unit = 2kq for delta = p/q, widths, the cut spacing and
+    # every customer boundary and midpoint are exact integers.
+    unit = 2 * k * q
+    span = 2 * k * (q - p)
+    # Customers with d_v/k > 1 - delta (d_v q > (q - p) k), wider than the
+    # cut spacing, would contain a cut regardless of the offset; trivial
+    # tours for them are within the "lemma3" budget (their demand exceeds
+    # 1/2) and leave every remaining width at most the spacing, so each
+    # cut lies strictly inside at most one customer and no customer
+    # contains two cuts.
+    wide = (q - p) * k
+    full_order = tour.vertices[1:-1]
+    oversize = [v for v in full_order if demands[v - 1] * q > wide]
+    order = [v for v in full_order if demands[v - 1] * q <= wide]
+    n = len(order)
+
+    # Each residue prices the piece it starts: a cut at a midpoint sends the
+    # straddler left, and a customer starting at a cut lies whole to its right.
+    prefix = list(accumulate((2 * q * demands[v - 1] for v in order), initial=0))
     total = prefix[-1]
-    cuts = []
-    pos = eta or span
-    while pos < total:
-        cuts.append(pos)
-        pos += span
+    mids = ((a + b) // 2 for a, b in pairwise(prefix))
+    candidates = {x % span for x in chain(prefix, mids)}
 
-    # Segment c runs from cuts[c - 1] to cuts[c].  Every width is at most
-    # the spacing and above zero, so one walk over positions and cuts
-    # finds each customer's segment, or the one cut strictly inside it.
-    segments: list[list[int]] = [[] for _ in range(len(cuts) + 1)]
-    loads = [0] * len(segments)
-    straddlers = []
-    c = 0
-    for i in range(len(prefix) - 1):
-        lo, hi = prefix[i], prefix[i + 1]
-        while c < len(cuts) and cuts[c] <= lo:
-            c += 1
-        if c < len(cuts) and cuts[c] < hi:
-            straddlers.append((c, i))
-        else:
-            segments[c].append(i)
-            loads[c] += hi - lo
+    # A segment is a run of consecutive positions [a, b].  Its tour cost,
+    # and the candidate's total, add the same floats in the same order as
+    # route_cost over the segment's tour and Solution.cost over the tours
+    # (bit for bit where sum() adds floats left to right, up to 3.11).
+    m, at = inst.metric, np.array(order, dtype=np.intp)
+    out = m[0, at].tolist()
+    back = m[at, 0].tolist()
+    step = m[at[:-1], at[1:]].tolist()
+    oversize_costs = [2.0 * inst.depot_cost(v) for v in oversize]
+    seg_cost: dict[tuple[int, int], float] = {}
 
-    disposition = dict.fromkeys(chain.from_iterable(segments), "in-segment")
-    for c, i in straddlers:
-        lo, hi = prefix[i], prefix[i + 1]
-        fits_left = loads[c] + hi - lo <= unit
-        fits_right = loads[c + 1] + hi - lo <= unit
-        if fits_left and (not fits_right or cuts[c] - lo >= hi - cuts[c]):
-            side = c
-        elif fits_right:
-            side = c + 1
-        else:
-            disposition[i] = "trivial-tour"
-            continue
-        segments[side].append(i)
-        loads[side] += hi - lo
-        disposition[i] = "absorbed-left" if side == c else "absorbed-right"
-    return cuts, segments, disposition
+    best = None
+    candidate_costs: list[tuple[int, float]] = []
+    for eta in sorted(candidates):
+        # Position i occupies (prefix[i], prefix[i + 1]].  The cut at t lies
+        # strictly inside position j = bisect_right(prefix, t) - 1 unless j
+        # starts at t; segment c runs from first[c] to last[c].
+        cuts = range(eta or span, total, span)
+        first, last, straddlers = [0], [], []
+        j = 0
+        for c, t in enumerate(cuts):
+            j = bisect_right(prefix, t, j) - 1
+            last.append(j - 1)
+            if prefix[j] == t:
+                first.append(j)
+            else:
+                first.append(j + 1)
+                straddlers.append((c, j))
+        last.append(n - 1)
+
+        # Absorb each straddler whole into the side holding more of it
+        # (left on a tie) when it fits there, else into the other side,
+        # else give it a trivial tour, in cut order.  Absorbing keeps each
+        # segment one run, so the load it would reach is a prefix difference.
+        sides = []
+        trivial = []
+        for c, j in straddlers:
+            lo, hi = prefix[j], prefix[j + 1]
+            t = cuts[c]
+            fits_left = hi - prefix[first[c]] <= unit
+            fits_right = prefix[last[c + 1] + 1] - lo <= unit
+            if fits_left and (not fits_right or t - lo >= hi - t):
+                last[c] = j
+                sides.append((c, j, "absorbed-left"))
+            elif fits_right:
+                first[c + 1] = j
+                sides.append((c, j, "absorbed-right"))
+            else:
+                trivial.append(j)
+                sides.append((c, j, "trivial-tour"))
+        costs = []
+        for a, b in zip(first, last):
+            if a <= b:
+                cost = seg_cost.get((a, b))
+                if cost is None:
+                    cost = seg_cost[a, b] = sum(step[a:b], out[a]) + back[b]
+                costs.append(cost)
+        costs += [2.0 * out[j] for j in trivial]
+        cost = sum(costs + oversize_costs)
+        candidate_costs.append((eta, cost))
+        if best is None or cost < best[0] - 1e-12:
+            best = (cost, eta, cuts, first, last, sides)
+
+    # The winner's tours: one per non-empty segment, costed by the segment
+    # memo, then a trivial tour per trivial-tour straddler and per
+    # oversize customer.
+    _, eta, cuts, first, last, sides = best
+    tours: list[Tour] = []
+    for a, b in zip(first, last):
+        if a <= b:
+            tours.append(Tour((0, *order[a:b + 1], 0), seg_cost[a, b], "external"))
+    solo = [order[j] for _, j, side in sides if side == "trivial-tour"] + oversize
+    tours += [Tour((0, v, 0), 2.0 * inst.depot_cost(v), "external") for v in solo]
+    assignment = {v: i for i, t in enumerate(tours) for v in t.vertices[1:-1]}
+    trace = partial(_trace, order, oversize, unit, eta, cuts, first, last, sides, candidate_costs)
+    return Solution(tuple(tours), assignment), trace
 
 
 def delta_itp(
@@ -159,72 +238,8 @@ def delta_itp(
     ``itp_bound(..., "lemma3")``; with delta = 0 this is the classic
     partition with the "lemma1" guarantee.
     """
-    delta = Fraction(delta)
-    if not 0 <= delta < HALF:
-        raise ValueError(f"delta must lie in [0, 1/2), got {delta}")
-    subset = set(subset)
-    if tour.customers != subset:
-        raise ValueError("tour must visit exactly the requested subset")
-    for v in subset:
-        if inst.demand(v) > inst.capacity:
-            raise DemandExceedsCapacity(v)
-        if inst.demand(v) < 1:
-            raise ValueError(f"customer {v} has demand {inst.demand(v)} below 1")
-
-    # Scaled by unit = 2kq for delta = p/q, widths, the cut spacing and
-    # every customer boundary and midpoint are exact integers.
-    q = delta.denominator
-    unit = 2 * inst.capacity * q
-    span = 2 * inst.capacity * (q - delta.numerator)
-    full_order = tour.vertices[1:-1]
-    # Customers with d_v/k > 1 - delta, wider than the cut spacing, would
-    # contain a cut regardless of the offset; trivial tours for them are
-    # within the "lemma3" budget (their demand exceeds 1/2) and leave every
-    # remaining demand at most the spacing.
-    wide = 1 - delta
-    oversize = [v for v in full_order if inst.exceeds(v, wide)]
-    order = [v for v in full_order if not inst.exceeds(v, wide)]
-
-    # Each residue prices the piece it starts: a cut at a midpoint sends the
-    # straddler left, and a customer starting at a cut lies whole to its right.
-    prefix = list(accumulate((2 * q * inst.demand(v) for v in order), initial=0))
-    mids = ((a + b) // 2 for a, b in pairwise(prefix))
-    candidates = {x % span for x in chain(prefix, mids)}
-
-    # A segment is a run of consecutive positions.  Its tour cost, and the
-    # candidate's total, add the same floats in the same order as
-    # route_cost and Solution.cost over _segment_solution's tours.
-    out = [inst.cost(0, v) for v in order]
-    back = [inst.cost(v, 0) for v in order]
-    step = [inst.cost(a, b) for a, b in pairwise(order)]
-    oversize_costs = [2.0 * inst.depot_cost(v) for v in oversize]
-
-    best = None
-    candidate_costs: list[tuple[int, float]] = []
-    for eta in sorted(candidates):
-        cuts, segments, disposition = _evaluate_offset(prefix, span, eta, unit)
-        costs = []
-        for seg in segments:
-            if seg:
-                a, b = min(seg), max(seg)
-                costs.append(sum(step[a:b], out[a]) + back[b])
-        costs += [2.0 * out[i] for i, d in disposition.items() if d == "trivial-tour"]
-        cost = sum(costs + oversize_costs)
-        candidate_costs.append((eta, cost))
-        if best is None or cost < best[1] - 1e-12:
-            best = (eta, cost, cuts, segments, disposition)
-
-    eta, _, cuts, segments, disposition = best
-    dispositions = {order[i]: d for i, d in disposition.items()}
-    dispositions.update(dict.fromkeys(oversize, "trivial-tour"))
-    trace = PartitionTrace(
-        offset=Fraction(eta, unit),
-        breakpoints=tuple(Fraction(c, unit) for c in cuts),
-        dispositions=dispositions,
-        segments=tuple(tuple(order[i] for i in s) for s in segments if s),
-        candidate_costs=tuple((Fraction(e, unit), c) for e, c in candidate_costs),
-    )
-    return _segment_solution(inst, order, segments, disposition, oversize), trace
+    sol, trace = _partition(inst, subset, tour, delta)
+    return sol, trace()
 
 
 def delta_itp_plus(
@@ -234,20 +249,21 @@ def delta_itp_plus(
     delta: Fraction,
 ) -> Solution:
     """Trivial tours for every customer with normalized demand above 1/2,
-    ``delta_itp`` over the shortcut of ``tour`` for the rest.  ``tour``
-    must visit every non-large customer of ``subset``; it may visit more.
-    A customer whose demand exceeds the capacity raises
-    ``DemandExceedsCapacity``, as in ``delta_itp``."""
+    the threshold partition over the shortcut of ``tour`` for the rest.
+    ``tour`` must visit every non-large customer of ``subset``; it may
+    visit more.  A customer whose demand exceeds the capacity raises
+    ``DemandExceedsCapacity``, as in ``delta_itp``.  No trace is built."""
     subset = set(subset)
-    large = sorted(v for v in subset if inst.exceeds(v, HALF))
+    k = inst.capacity
+    large = sorted(v for v in subset if 2 * inst.demand(v) > k)
     for v in large:
-        if inst.demand(v) > inst.capacity:
+        if inst.demand(v) > k:
             raise DemandExceedsCapacity(v)
     rest = subset.difference(large)
     sol = trivial_solution(inst, large)
     if rest:
         sub_tour = shortcut(inst, tour.vertices, rest)
-        sol = merge(sol, delta_itp(inst, rest, sub_tour, delta)[0])
+        sol = merge(sol, _partition(inst, rest, sub_tour, delta)[0])
     return sol
 
 

@@ -1,21 +1,26 @@
 """Reference implementations the tests compare the package against.
 
-Each is slow or exhaustive on purpose: an exact normalized demand, a
-vectorized replay of the randomized rounding, an exhaustive pair/solo
-cover, networkx's blossom matching of the big customers, a pure-Python
-MST-doubling tour, a pure-Python Held-Karp DP, and a sign-change count
-on a fine grid.
+Each is slow or exhaustive on purpose: an exact normalized demand and
+the small / big / large split, a vectorized replay of the randomized
+rounding, an exhaustive pair/solo cover, networkx's blossom matching of
+the big customers, a pure-Python MST-doubling tour, a pure-Python
+Held-Karp DP, the threshold partition by a walk over every customer for
+each offset, and a sign-change count on a fine grid.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain, pairwise
 from operator import add
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ucvrp.big_matching import BIG_THRESHOLD
-from ucvrp.instance import Instance
+from ucvrp.instance import HALF, Instance
+from ucvrp.itp import PartitionTrace
 from ucvrp.lp_round import LpSolution, TourCatalog
+from ucvrp.solution import Solution, merge, trivial_solution
 from ucvrp.tsp import COST_TOL, INF, Tour, empty_tour
 
 SIGN_SCAN_POINTS = 10_000
@@ -24,6 +29,26 @@ SIGN_SCAN_POINTS = 10_000
 def norm_demand(inst: Instance, v: int) -> Fraction:
     """Demand of customer v scaled to a unit-capacity vehicle."""
     return Fraction(inst.demand(v), inst.capacity)
+
+
+@dataclass(frozen=True)
+class DemandClass:
+    """Partition of the customers by normalized demand against a threshold
+    delta: small (<= delta), big (in (delta, 1/2]), large (> 1/2)."""
+
+    small: frozenset[int]
+    big: frozenset[int]
+    large: frozenset[int]
+
+
+def classify(inst: Instance, delta: Fraction) -> DemandClass:
+    """Split customers into small / big / large relative to ``delta``."""
+    delta = Fraction(delta)
+    if not 0 <= delta <= HALF:
+        raise ValueError(f"delta must lie in [0, 1/2], got {delta}")
+    small = frozenset(v for v in inst.customers if not inst.exceeds(v, delta))
+    large = frozenset(v for v in inst.customers if inst.exceeds(v, HALF))
+    return DemandClass(small, frozenset(inst.customers) - small - large, large)
 
 
 def rounding_monte_carlo(
@@ -186,6 +211,131 @@ def _held_karp_tour(into, paths, ground: Sequence[int], mask: int) -> Tour:
             raise AssertionError("tour reconstruction failed")
     seq.append(0)
     return Tour(tuple(seq), best, "exact")
+
+
+def segment_solution(
+    inst: Instance,
+    order: Sequence[int],
+    segments: Sequence[Sequence[int]],
+    disposition: dict[int, str],
+    oversize: Sequence[int],
+) -> Solution:
+    """One tour per non-empty segment (positions in ``order``), then a
+    trivial tour per trivial-tour position and per ``oversize`` customer."""
+    tours: list[Tour] = []
+    assignment: dict[int, int] = {}
+    for seg in segments:
+        if not seg:
+            continue
+        seq = (0, *(order[i] for i in sorted(seg)), 0)
+        tours.append(Tour(seq, inst.route_cost(seq), "external"))
+        for v in seq[1:-1]:
+            assignment[v] = len(tours) - 1
+    trivial = [order[i] for i, d in disposition.items() if d == "trivial-tour"]
+    trivial_sol = trivial_solution(inst, trivial + list(oversize))
+    return merge(Solution(tuple(tours), assignment), trivial_sol)
+
+
+def evaluate_offset(prefix, span, eta, unit):
+    """Partition the line for one offset.  Position i occupies
+    (prefix[i], prefix[i + 1]], cuts lie at eta + m*span and a vehicle
+    holds ``unit``; ints and Fractions both work.
+
+    Returns (cut positions, each segment's positions, disposition of each
+    position).  A segment lists its in-segment positions first, then the
+    straddlers it absorbed in cut order; dispositions follow the same
+    order over all segments.
+    """
+    total = prefix[-1]
+    cuts = []
+    pos = eta or span
+    while pos < total:
+        cuts.append(pos)
+        pos += span
+
+    # Segment c runs from cuts[c - 1] to cuts[c].  Every width is at most
+    # the spacing and above zero, so one walk over positions and cuts
+    # finds each customer's segment, or the one cut strictly inside it.
+    segments: list[list[int]] = [[] for _ in range(len(cuts) + 1)]
+    loads = [0] * len(segments)
+    straddlers = []
+    c = 0
+    for i in range(len(prefix) - 1):
+        lo, hi = prefix[i], prefix[i + 1]
+        while c < len(cuts) and cuts[c] <= lo:
+            c += 1
+        if c < len(cuts) and cuts[c] < hi:
+            straddlers.append((c, i))
+        else:
+            segments[c].append(i)
+            loads[c] += hi - lo
+
+    disposition = dict.fromkeys(chain.from_iterable(segments), "in-segment")
+    for c, i in straddlers:
+        lo, hi = prefix[i], prefix[i + 1]
+        fits_left = loads[c] + hi - lo <= unit
+        fits_right = loads[c + 1] + hi - lo <= unit
+        if fits_left and (not fits_right or cuts[c] - lo >= hi - cuts[c]):
+            side = c
+        elif fits_right:
+            side = c + 1
+        else:
+            disposition[i] = "trivial-tour"
+            continue
+        segments[side].append(i)
+        loads[side] += hi - lo
+        disposition[i] = "absorbed-left" if side == c else "absorbed-right"
+    return cuts, segments, disposition
+
+
+def delta_itp_walk(
+    inst: Instance, tour: Tour, delta: Fraction
+) -> tuple[Solution, PartitionTrace]:
+    """``itp.delta_itp`` over the customers of ``tour`` by one
+    ``evaluate_offset`` walk over every customer per candidate offset,
+    each segment priced anew and each winning tour by
+    ``route_cost``.  The package must return equal tours and trace, its
+    costs equal by ``float.hex``."""
+    q = delta.denominator
+    unit = 2 * inst.capacity * q
+    span = 2 * inst.capacity * (q - delta.numerator)
+    wide = 1 - delta
+    oversize = [v for v in tour.vertices[1:-1] if inst.exceeds(v, wide)]
+    order = [v for v in tour.vertices[1:-1] if not inst.exceeds(v, wide)]
+    prefix = list(accumulate((2 * q * inst.demand(v) for v in order), initial=0))
+    mids = ((a + b) // 2 for a, b in pairwise(prefix))
+    candidates = {x % span for x in chain(prefix, mids)}
+    out = [inst.cost(0, v) for v in order]
+    back = [inst.cost(v, 0) for v in order]
+    step = [inst.cost(a, b) for a, b in pairwise(order)]
+    oversize_costs = [2.0 * inst.depot_cost(v) for v in oversize]
+
+    best = None
+    candidate_costs = []
+    for eta in sorted(candidates):
+        cuts, segments, disposition = evaluate_offset(prefix, span, eta, unit)
+        costs = []
+        for seg in segments:
+            if seg:
+                a, b = min(seg), max(seg)
+                costs.append(sum(step[a:b], out[a]) + back[b])
+        costs += [2.0 * out[i] for i, d in disposition.items() if d == "trivial-tour"]
+        cost = sum(costs + oversize_costs)
+        candidate_costs.append((eta, cost))
+        if best is None or cost < best[1] - 1e-12:
+            best = (eta, cost, cuts, segments, disposition)
+
+    eta, _, cuts, segments, disposition = best
+    dispositions = {order[i]: d for i, d in disposition.items()}
+    dispositions.update(dict.fromkeys(oversize, "trivial-tour"))
+    trace = PartitionTrace(
+        offset=Fraction(eta, unit),
+        breakpoints=tuple(Fraction(c, unit) for c in cuts),
+        dispositions=dispositions,
+        segments=tuple(tuple(order[i] for i in s) for s in segments if s),
+        candidate_costs=tuple((Fraction(e, unit), c) for e, c in candidate_costs),
+    )
+    return segment_solution(inst, order, segments, disposition, oversize), trace
 
 
 def count_sign_changes(g: Callable[[float], float], lo: float, hi: float) -> int:

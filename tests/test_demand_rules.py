@@ -6,12 +6,13 @@ import json
 from fractions import Fraction
 
 from ucvrp.big_matching import serve_big_by_matching, subalg1, subalg1_bound
-from ucvrp.instance import classify, f_integral, gen_instance, radial_lower_bound
+from ucvrp.instance import f_integral, gen_instance, radial_lower_bound
 from ucvrp.itp import itp_bound
 from ucvrp.lp_round import enumerate_tours
 from ucvrp.tsp import approx_tsp, exact_tsp
 
 from conftest import instance_mix
+from reference import classify
 
 GRID = [Fraction(0), Fraction(1, 10), Fraction(1, 5), Fraction(1, 3),
         Fraction(2, 5), Fraction(1, 2), Fraction(1)]

@@ -15,7 +15,6 @@ from ucvrp.instance import (
     InstanceError,
     TriangleViolation,
     ZeroRadialMass,
-    classify,
     f_integral,
     from_json_dict,
     gen_instance,
@@ -27,7 +26,7 @@ from ucvrp.instance import (
 )
 
 from conftest import instance_mix
-from reference import norm_demand
+from reference import classify, norm_demand
 
 
 def line_instance(positions, capacity, demands, name="line"):

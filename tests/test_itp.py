@@ -8,21 +8,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ucvrp import itp
 from ucvrp.big_matching import subalg1
-from ucvrp.instance import classify, gen_instance
-from ucvrp.itp import (
-    DemandExceedsCapacity,
-    _evaluate_offset,
-    _segment_solution,
-    delta_itp,
-    delta_itp_plus,
-    itp_bound,
-)
-from ucvrp.solution import check_feasible
-from ucvrp.tsp import KeepNotVisited, Tour, approx_tsp, exact_tsp
+from ucvrp.instance import gen_instance
+from ucvrp.itp import DemandExceedsCapacity, delta_itp, delta_itp_plus, itp_bound
+from ucvrp.solution import check_feasible, merge, trivial_solution
+from ucvrp.tsp import KeepNotVisited, Tour, approx_tsp, exact_tsp, shortcut
 
 from conftest import instance_mix
-from reference import norm_demand
+from reference import (
+    classify,
+    delta_itp_walk,
+    evaluate_offset,
+    norm_demand,
+    segment_solution,
+)
 from test_instance import line_instance
 
 DELTAS = [Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(49, 100)]
@@ -164,8 +164,8 @@ class TestPartitionInvariants:
                 prefix.append(prefix[-1] + norm_demand(inst, v))
             for _ in range(20):
                 eta = Fraction(rng.randrange(10**6), 10**6) * span
-                _, segs, disp = _evaluate_offset(prefix, span, eta, 1)
-                cand = _segment_solution(inst, order, segs, disp, oversize)
+                _, segs, disp = evaluate_offset(prefix, span, eta, 1)
+                cand = segment_solution(inst, order, segs, disp, oversize)
                 assert sol.cost <= cand.cost + 1e-9
 
     def test_delta_domain(self, inst_line3):
@@ -258,8 +258,8 @@ def test_partition_properties(case):
         prefix = [Fraction(0)]
         for v in order:
             prefix.append(prefix[-1] + norm_demand(inst, v))
-        _, segs, disp = _evaluate_offset(prefix, span, u * span, 1)
-        cand = _segment_solution(inst, order, segs, disp, oversize)
+        _, segs, disp = evaluate_offset(prefix, span, u * span, 1)
+        cand = segment_solution(inst, order, segs, disp, oversize)
         assert sol.cost <= cand.cost + 1e-9
 
     # Scaled by 4kq the line holds an integer inside every piece of the
@@ -270,9 +270,76 @@ def test_partition_properties(case):
         grid.append(grid[-1] + int(norm_demand(inst, v) * scale))
     costs = []
     for eta in range(int(span * scale)):
-        _, segs, disp = _evaluate_offset(grid, int(span * scale), eta, scale)
-        costs.append(_segment_solution(inst, order, segs, disp, oversize).cost)
+        _, segs, disp = evaluate_offset(grid, int(span * scale), eta, scale)
+        costs.append(segment_solution(inst, order, segs, disp, oversize).cost)
     assert sol.cost <= min(costs) + 1e-9
+
+
+@st.composite
+def tied_lines(draw):
+    """Customers at integer points of a line, in any tour order, with
+    demands of 1..k: many offsets cost the same, cuts fall on midpoints
+    with room on both sides, and loads fill a vehicle exactly."""
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 10))
+    positions = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    demands = draw(st.lists(st.integers(1, k), min_size=n, max_size=n))
+    inst = line_instance([float(x) for x in positions], capacity=k, demands=demands)
+    seq = (0, *draw(st.permutations(list(inst.customers))), 0)
+    tour = Tour(seq, inst.route_cost(seq), "external")
+    q = draw(st.integers(1, 8))
+    delta = Fraction(draw(st.integers(0, (q - 1) // 2)), q)
+    return inst, tour, delta, Fraction(0)
+
+
+def _priced(trace):
+    return [(str(e), c.hex()) for e, c in trace.candidate_costs]
+
+
+def _tours(sol):
+    return [(t.vertices, t.cost.hex()) for t in sol.tours], list(sol.assignment.items())
+
+
+@given(st.one_of(partition_cases(), tied_lines()))
+@example(_straddler_case())
+@settings(max_examples=200, deadline=None)
+def test_partition_matches_customer_walk(case):
+    # The cut-priced partition against the walk over every customer per
+    # offset: the same candidates priced to the same float, the same
+    # winner, segments, dispositions (in order) and tours.
+    inst, tour, delta, _ = case
+    sol, trace = delta_itp(inst, tour.customers, tour, delta)
+    ref_sol, ref_trace = delta_itp_walk(inst, tour, delta)
+    assert _priced(trace) == _priced(ref_trace)
+    assert trace.offset == ref_trace.offset
+    assert trace.breakpoints == ref_trace.breakpoints
+    assert trace.segments == ref_trace.segments
+    assert list(trace.dispositions.items()) == list(ref_trace.dispositions.items())
+    assert _tours(sol) == _tours(ref_sol)
+    assert json.dumps(trace.to_json_dict()) == json.dumps(ref_trace.to_json_dict())
+
+    large = sorted(v for v in tour.customers if 2 * inst.demand(v) > inst.capacity)
+    rest = tour.customers.difference(large)
+    ref_plus = trivial_solution(inst, large)
+    if rest:
+        ref_plus = merge(ref_plus, delta_itp_walk(inst, shortcut(inst, tour.vertices, rest), delta)[0])
+    assert _tours(delta_itp_plus(inst, tour.customers, tour, delta)) == _tours(ref_plus)
+
+
+def test_plus_builds_no_trace(monkeypatch):
+    # delta_itp_plus keeps only the solution, so it must not pay for the
+    # Fractions of a PartitionTrace.
+    def refuse(*args, **kwargs):
+        raise AssertionError("delta_itp_plus built a PartitionTrace")
+
+    monkeypatch.setattr(itp, "PartitionTrace", refuse)
+    for inst in instance_mix(6, max_n=12, max_k=6, seed_base=350):
+        tour = exact_tsp(inst, inst.customers)
+        for delta in DELTAS:
+            sol = delta_itp_plus(inst, set(inst.customers), tour, delta)
+            assert check_feasible(inst, sol).ok
+    with pytest.raises(AssertionError, match="built a PartitionTrace"):
+        delta_itp(inst, set(inst.customers), tour, Fraction(0))
 
 
 PINNED_DELTAS = (
