@@ -17,6 +17,10 @@ runs the matching branch plus two restricted-catalog branches, with
 default intensities gamma1 = ln(2 - 2 y1 - y2/2) and gamma2 = ln(2 - 2 y1)
 at the root y1 of (1/2) y + 6 (1 - y)(1 - e^{-y/2}) = ln(2 - 2 y),
 y2 = 4 (1 - y1)(1 - e^{-y1/2}); a refused catalog raises.
+
+``SOLVERS`` has one row per ``ucvrp solve`` name, the meta-algorithms and
+each of their branches: how to run it, with its report, whether it needs
+delta, why it refuses gamma and which catalog ``--dump-lp`` builds.
 """
 
 from __future__ import annotations
@@ -24,21 +28,15 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
-from ucvrp.big_matching import subalg1
+from ucvrp.big_matching import BIG_THRESHOLD, serve_big_by_matching, subalg1
 from ucvrp.constants import default_gammas
 from ucvrp.instance import Instance, radial_lower_bound
-from ucvrp.itp import delta_itp_plus
-from ucvrp.lp_round import (
-    CatalogTooLarge,
-    LpSolution,
-    TourCatalog,
-    check_gamma,
-    enumerate_tours,
-    round_tours,
-    solve_covering_lp,
-)
+from ucvrp.itp import delta_itp, delta_itp_plus
+from ucvrp.lp_round import (CatalogTooLarge, LpSolution, TourCatalog, check_gamma,
+                             enumerate_tours, round_tours, solve_covering_lp)
 from ucvrp.solution import Solution, check_feasible, merge
 from ucvrp.tsp import SubsetTooLarge, Tour, approx_tsp, exact_tsp
 
@@ -95,15 +93,14 @@ def _round_then_partition(
     lp_used = gamma != 0 and bool(catalog.cover_set)
     selected_entries = []
     rounded_cost = 0.0
+    leftover = set(inst.customers)
     if lp_used:
         outcome = round_tours(catalog, lpsol, gamma, seed)
         selected_entries = [catalog.tours[j] for j in outcome.selected]
         rounded_cost = outcome.cost
-    # Catalog tours hold cover-set customers only, so whatever they miss,
-    # inside the cover set or outside it, goes to the partition stage.
-    leftover = set(inst.customers).difference(
-        *(entry.customers for entry in selected_entries)
-    )
+        # Catalog tours hold cover-set customers only: the partition serves
+        # the customers outside the cover set and those rounding missed.
+        leftover = leftover.difference(catalog.cover_set) | outcome.uncovered
 
     assignment = {}
     for i, entry in enumerate(selected_entries):
@@ -240,3 +237,74 @@ def alg2(
         inst, sol, tour, algorithm="alg2", params=params, branch_costs=costs,
         seed=seed, lp_solved=lp_b or lp_c,
     )
+
+
+@dataclass(frozen=True)
+class Solver:
+    """``run(inst, tour, delta, gamma, seed, catalog, lpsol)`` returns the
+    solution, its report and the ``--trace`` payload or None; a gamma of
+    None is the default, and a catalog of None is built if needed."""
+
+    run: Callable[..., tuple[Solution, SolveReport, Optional[dict]]]
+    needs_delta: bool = False
+    no_gamma: Optional[str] = None  # why gamma is refused; None if it is taken
+    lp_variant: Optional[str] = None  # the catalog --dump-lp builds and passes in
+
+
+def _no_lp(name, inst, tour, sol, delta, seed, trace=None):
+    """A solver without LP or branches, run at partition threshold delta."""
+    params = {"delta_itp": str(delta)}
+    return sol, _report(inst, sol, tour, algorithm=name, params=params,
+                        branch_costs={}, seed=seed), trace
+
+
+def _run_ditp(name, fixed_delta, inst, tour, delta, gamma, seed, catalog, lpsol):
+    delta = delta if fixed_delta is None else fixed_delta
+    sol, trace = delta_itp(inst, set(inst.customers), tour, delta)
+    return _no_lp(name, inst, tour, sol, delta, seed, trace.to_json_dict())
+
+
+def _run_ditp_plus(inst, tour, delta, gamma, seed, catalog, lpsol):
+    sol = delta_itp_plus(inst, set(inst.customers), tour, delta)
+    return _no_lp("ditp+", inst, tour, sol, delta, seed)
+
+
+def _run_subalg1(inst, tour, delta, gamma, seed, catalog, lpsol):
+    plan, big_sol = serve_big_by_matching(inst)
+    sol = subalg1(inst, tour, matching=(plan, big_sol))
+    return _no_lp("subalg1", inst, tour, sol, BIG_THRESHOLD, seed, plan.to_json_dict())
+
+
+def _run_pipeline(variant, default_gamma, threshold, inst, tour, delta, gamma, seed,
+                  catalog, lpsol):
+    """One LP branch; a threshold of None partitions at delta."""
+    gamma = getattr(default_gammas(), default_gamma) if gamma is None else gamma
+    sol, report = lp_itp_pipeline(inst, variant, gamma, threshold or delta, seed, tour,
+                                  delta_lp=None if variant == "lp1" else delta,
+                                  catalog=catalog, lpsol=lpsol)
+    return sol, report, None
+
+
+def _run_alg1(inst, tour, delta, gamma, seed, catalog, lpsol):
+    return (*alg1(inst, seed=seed, gamma=gamma, tour=tour), None)
+
+
+def _run_alg2(inst, tour, delta, gamma, seed, catalog, lpsol):
+    return (*alg2(inst, delta, seed=seed, tour=tour), None)
+
+
+_NO_LP = "rounds no LP"
+SOLVERS = {
+    "itp": Solver(partial(_run_ditp, "itp", Fraction(0)), no_gamma=_NO_LP),
+    "ditp": Solver(partial(_run_ditp, "ditp", None), needs_delta=True, no_gamma=_NO_LP),
+    "ditp+": Solver(_run_ditp_plus, needs_delta=True, no_gamma=_NO_LP),
+    "subalg1": Solver(_run_subalg1, no_gamma=_NO_LP),
+    "subalg2": Solver(partial(_run_pipeline, "lp1", "gamma_star", THIRD), lp_variant="lp1"),
+    "subalg3": Solver(partial(_run_pipeline, "lp2", "gamma1", THIRD), needs_delta=True,
+                      lp_variant="lp2"),
+    "subalg4": Solver(partial(_run_pipeline, "lp2", "gamma2", None), needs_delta=True,
+                      lp_variant="lp2"),
+    "alg1": Solver(_run_alg1),
+    "alg2": Solver(_run_alg2, needs_delta=True,
+                   no_gamma="takes two intensities, gamma1 and gamma2"),
+}

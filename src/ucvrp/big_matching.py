@@ -32,7 +32,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import chain
+from operator import add
 from typing import Optional
 
 import numpy as np
@@ -580,8 +582,8 @@ def serve_big_by_matching(inst: Instance) -> tuple[MatchingPlan, Solution]:
     pairs = frozenset(tuple(sorted(e)) for e in found)
     matched = {v for e in pairs for v in e}
     solos = frozenset(v for v in big if v not in matched)
-    cost = sum(_pair_cost(inst, u, v) for u, v in pairs) + sum(
-        2.0 * inst.depot_cost(v) for v in solos
+    cost = reduce(add, (_pair_cost(inst, u, v) for u, v in pairs), 0) + reduce(
+        add, (2.0 * inst.depot_cost(v) for v in solos), 0
     )
     plan = MatchingPlan(pairs, solos, float(cost))
     return plan, _plan_to_solution(inst, plan)

@@ -13,30 +13,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from ucvrp import algorithms, big_matching, constants, itp, lp_round, oracle
-from ucvrp.instance import (
-    Instance,
-    f_integral,
-    gen_instance,
-    load_json,
-    radial_lower_bound,
-    save_json,
-    validate_instance,
-)
-from ucvrp.lp_round import LpInfeasible
+from ucvrp.instance import (Instance, f_integral, gen_instance, load_json,
+                            radial_lower_bound, save_json, validate_instance)
 from ucvrp.solution import check_feasible
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
-
-# Solvers that take --delta, and the catalog each LP pipeline rounds.
-_NEEDS_DELTA = ("ditp", "ditp+", "subalg3", "subalg4", "alg2")
-_LP_VARIANTS = {"subalg2": "lp1", "subalg3": "lp2", "subalg4": "lp2"}
-# Solvers that refuse --gamma, and why.
-_NO_GAMMA = {
-    **dict.fromkeys(("itp", "ditp", "ditp+", "subalg1"), "rounds no LP"),
-    "alg2": "takes two intensities, gamma1 and gamma2",
-}
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -54,89 +37,40 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _solve_one(inst: Instance, args, catalog=None, lpsol=None):
-    tour = algorithms.default_tour(inst)
-    delta = args.delta
-    trace_payload = report = None
-    g = constants.default_gammas()
-
-    if args.alg == "itp":
-        sol, trace = itp.delta_itp(inst, set(inst.customers), tour, Fraction(0))
-        trace_payload = trace.to_json_dict()
-    elif args.alg == "ditp":
-        sol, trace = itp.delta_itp(inst, set(inst.customers), tour, delta)
-        trace_payload = trace.to_json_dict()
-    elif args.alg == "ditp+":
-        sol = itp.delta_itp_plus(inst, set(inst.customers), tour, delta)
-    elif args.alg == "subalg1":
-        plan, big_sol = big_matching.serve_big_by_matching(inst)
-        sol = big_matching.subalg1(inst, tour, matching=(plan, big_sol))
-        trace_payload = plan.to_json_dict()
-    elif args.alg in _LP_VARIANTS:
-        variant = _LP_VARIANTS[args.alg]
-        # Each pipeline's default gamma and partition threshold.
-        default_gamma, threshold = {
-            "subalg2": (g.gamma_star, Fraction(1, 3)),
-            "subalg3": (g.gamma1, Fraction(1, 3)),
-            "subalg4": (g.gamma2, delta),
-        }[args.alg]
-        sol, report = algorithms.lp_itp_pipeline(
-            inst, variant, default_gamma if args.gamma is None else args.gamma,
-            threshold, args.seed, tour,
-            delta_lp=None if variant == "lp1" else delta,
-            catalog=catalog, lpsol=lpsol,
-        )
-    elif args.alg == "alg1":
-        sol, report = algorithms.alg1(
-            inst, seed=args.seed, gamma=args.gamma, tour=tour
-        )
-    elif args.alg == "alg2":
-        sol, report = algorithms.alg2(inst, delta, seed=args.seed, tour=tour)
-    else:
-        raise SystemExit(f"unknown algorithm {args.alg!r}")
-    return sol, report, tour, trace_payload
-
-
 def cmd_solve(args) -> int:
-    if args.alg in _NEEDS_DELTA and args.delta is None:
+    solver = algorithms.SOLVERS[args.alg]
+    if solver.needs_delta and args.delta is None:
         print(f"--delta required for {args.alg}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
-    if args.alg in _NO_GAMMA and args.gamma is not None:
-        print(f"--gamma does not apply to {args.alg}, which {_NO_GAMMA[args.alg]}",
+    if solver.no_gamma and args.gamma is not None:
+        print(f"--gamma does not apply to {args.alg}, which {solver.no_gamma}",
               file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     inst = validate_instance(load_json(args.instance))
     catalog = lpsol = None
-    if args.dump_lp and args.alg in _LP_VARIANTS:
+    if args.dump_lp and solver.lp_variant:
         # Built once: the pipeline solves with the objects that are dumped.
-        catalog = lp_round.enumerate_tours(inst, _LP_VARIANTS[args.alg], args.delta)
+        catalog = lp_round.enumerate_tours(inst, solver.lp_variant, args.delta)
         lpsol = lp_round.solve_covering_lp(catalog)
-    sol, report, tour, trace_payload = _solve_one(inst, args, catalog, lpsol)
-    # A report holds the bound and the check; a failed check reruns for its violations.
-    violations = []
-    if report is None or not report.feasible:
-        violations = list(check_feasible(inst, sol).violations)
+    tour = algorithms.default_tour(inst)
+    sol, report, trace = solver.run(inst, tour, args.delta, args.gamma, args.seed, catalog, lpsol)
+    # The report holds the bound and the check; a failed check reruns for its violations.
+    violations = [] if report.feasible else list(check_feasible(inst, sol).violations)
     out = {
         "algorithm": args.alg,
         "cost": sol.cost,
         "tours": [list(t.vertices) for t in sol.tours],
         "feasible": not violations,
         "violations": violations,
-        "alpha_tag": tour.quality_tag,
+        "alpha_tag": report.alpha_tag,
         "seed": args.seed,
+        "lower_bounds": report.lower_bounds,
+        "report": report.to_json_dict(),
     }
-    if report is None:
-        out["lower_bounds"] = {"radial": radial_lower_bound(inst)}
-    else:
-        out["lower_bounds"] = report.lower_bounds
-        out["report"] = report.to_json_dict()
-    if args.trace and trace_payload is not None:
-        out["trace"] = trace_payload
+    if args.trace and trace is not None:
+        out["trace"] = trace
     if catalog is not None:
-        out["lp"] = {
-            "catalog": catalog.to_json_dict(),
-            "solution": lpsol.to_json_dict(),
-        }
+        out["lp"] = {"catalog": catalog.to_json_dict(), "solution": lpsol.to_json_dict()}
     # A non-finite value, such as a NaN gamma that no rounding saw, is not JSON.
     print(json.dumps(out, sort_keys=True, allow_nan=False))
     return EXIT_OK if not violations else EXIT_VIOLATION
@@ -227,37 +161,28 @@ def cmd_check(args) -> int:
 
 def cmd_bench(args) -> int:
     rows = []
-    if args.suite == "small":
-        specs = [("euclidean", n, k) for n in (5, 7, 9) for k in (2, 3, 4)]
-        algs = ["subalg1", "alg1"]
-    elif args.suite == "ratio":
-        specs = [("euclidean", n, k) for n in (5, 6, 7, 8, 9) for k in (3, 4)]
-        algs = ["alg1"]
-    else:
-        print(f"unknown suite {args.suite!r}", file=sys.stderr)
-        return EXIT_USAGE
+    sizes, algs = {
+        "small": ([(n, k) for n in (5, 7, 9) for k in (2, 3, 4)], ["subalg1", "alg1"]),
+        "ratio": ([(n, k) for n in (5, 6, 7, 8, 9) for k in (3, 4)], ["alg1"]),
+    }[args.suite]
     if args.seeds < 1:
         print(f"--seeds must be at least 1, got {args.seeds}", file=sys.stderr)
         return EXIT_USAGE
-    for kind, n, k in specs:
+    for n, k in sizes:
         for seed in range(args.seeds):
-            inst = gen_instance(kind, n, k, seed=seed)
+            inst = gen_instance("euclidean", n, k, seed=seed)
             opt = oracle.exact_cvrp(inst).opt_cost
             for alg in algs:
                 t0 = time.perf_counter()
-                if alg == "alg1":
-                    sol, rep = algorithms.alg1(inst, seed=seed)
-                    params = rep.params
-                else:
-                    sol = big_matching.subalg1(inst, algorithms.default_tour(inst))
-                    params = {}
+                tour = algorithms.default_tour(inst)
+                sol, rep, _ = algorithms.SOLVERS[alg].run(inst, tour, None, None, seed, None, None)
                 wall = time.perf_counter() - t0
                 rows.append({
                     "instance": inst.name,
                     "n": n,
                     "k": k,
                     "algorithm": alg,
-                    "params": json.dumps(params, sort_keys=True),
+                    "params": json.dumps(rep.params, sort_keys=True),
                     "cost": sol.cost,
                     "opt": opt,
                     "ratio": sol.cost / opt,
@@ -291,10 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="run a solver on an instance file")
     s.add_argument("instance")
-    s.add_argument("--alg", required=True, choices=[
-        "itp", "ditp", "ditp+", "subalg1", "subalg2", "subalg3",
-        "subalg4", "alg1", "alg2",
-    ])
+    s.add_argument("--alg", required=True, choices=list(algorithms.SOLVERS))
     s.add_argument("--delta", type=_parse_fraction, default=None)
     s.add_argument("--gamma", type=float, default=None)
     s.add_argument("--seed", type=int, default=0)
@@ -332,7 +254,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, LpInfeasible,
+    except (ValueError, KeyError, OSError, lp_round.LpInfeasible,
             constants.NoSignChange, constants.DomainViolation) as exc:
         # The library's typed errors and unreadable or malformed input: a
         # usage error, not a violation.

@@ -21,6 +21,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -165,11 +167,10 @@ def validate_instance(inst: Instance) -> Instance:
 
 
 def radial_mass(inst: Instance, customers: Iterable[int]) -> float:
-    """sum_{v in customers} 2 (d_v/k) c(r,v), added in the given order."""
+    """sum_{v in customers} 2 (d_v/k) c(r,v), added left to right."""
     k = inst.capacity
-    return float(
-        sum(2.0 * (inst.demand(v) / k) * inst.depot_cost(v) for v in customers)
-    )
+    terms = (2.0 * (inst.demand(v) / k) * inst.depot_cost(v) for v in customers)
+    return float(reduce(add, terms, 0))
 
 
 def radial_lower_bound(inst: Instance) -> float:

@@ -19,8 +19,8 @@ tour cost is summed once per call.  Only ``delta_itp`` builds the
 
 ``delta_itp_plus`` first serves every customer with normalized demand
 above 1/2 by a trivial tour and partitions the remainder as ``delta_itp``
-does, over the shortcut of the tour it is given, which never costs more;
-it builds no trace.
+does, in the order of their first visits by the tour it is given (its
+shortcut, which never costs more, is never priced); it builds no trace.
 
 ``itp_bound`` evaluates the closed-form cost guarantees the two
 procedures are tested against:
@@ -44,15 +44,16 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import accumulate, chain, pairwise
-from typing import Callable, Iterable
+from operator import add
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from ucvrp.instance import HALF, Instance, radial_mass
 from ucvrp.solution import Solution, merge, trivial_solution
-from ucvrp.tsp import Tour, shortcut
+from ucvrp.tsp import KeepNotVisited, Tour
 
 
 class DemandExceedsCapacity(ValueError):
@@ -108,18 +109,15 @@ def _trace(order, oversize, unit, offset, cuts, first, last, sides, candidate_co
 
 
 def _partition(
-    inst: Instance, subset: Iterable[int], tour: Tour, delta: Fraction
+    inst: Instance, full_order: Sequence[int], delta: Fraction
 ) -> tuple[Solution, Callable[[], PartitionTrace]]:
-    """The cheapest offset's solution, and a thunk that builds its trace."""
+    """The cheapest offset's solution over ``full_order``, and its trace thunk."""
     delta = Fraction(delta)
     p, q = delta.numerator, delta.denominator
     if not 0 <= 2 * p < q:
         raise ValueError(f"delta must lie in [0, 1/2), got {delta}")
-    subset = set(subset)
-    if tour.customers != subset:
-        raise ValueError("tour must visit exactly the requested subset")
     k, demands = inst.capacity, inst.demands
-    for v in subset:
+    for v in full_order:
         if demands[v - 1] > k:
             raise DemandExceedsCapacity(v)
         if demands[v - 1] < 1:
@@ -136,7 +134,6 @@ def _partition(
     # cut lies strictly inside at most one customer and no customer
     # contains two cuts.
     wide = (q - p) * k
-    full_order = tour.vertices[1:-1]
     oversize = [v for v in full_order if demands[v - 1] * q > wide]
     order = [v for v in full_order if demands[v - 1] * q <= wide]
     n = len(order)
@@ -150,8 +147,9 @@ def _partition(
 
     # A segment is a run of consecutive positions [a, b].  Its tour cost,
     # and the candidate's total, add the same floats in the same order as
-    # route_cost over the segment's tour and Solution.cost over the tours
-    # (bit for bit where sum() adds floats left to right, up to 3.11).
+    # route_cost over the segment's tour and Solution.cost over the tours,
+    # bit for bit: both add left to right by reduce, as sum() does not on
+    # Python 3.12, which compensates when it adds floats.
     m, at = inst.metric, np.array(order, dtype=np.intp)
     out = m[0, at].tolist()
     back = m[at, 0].tolist()
@@ -203,10 +201,10 @@ def _partition(
             if a <= b:
                 cost = seg_cost.get((a, b))
                 if cost is None:
-                    cost = seg_cost[a, b] = sum(step[a:b], out[a]) + back[b]
+                    cost = seg_cost[a, b] = reduce(add, step[a:b], out[a]) + back[b]
                 costs.append(cost)
         costs += [2.0 * out[j] for j in trivial]
-        cost = sum(costs + oversize_costs)
+        cost = reduce(add, costs + oversize_costs, 0)
         candidate_costs.append((eta, cost))
         if best is None or cost < best[0] - 1e-12:
             best = (cost, eta, cuts, first, last, sides)
@@ -238,7 +236,9 @@ def delta_itp(
     ``itp_bound(..., "lemma3")``; with delta = 0 this is the classic
     partition with the "lemma1" guarantee.
     """
-    sol, trace = _partition(inst, subset, tour, delta)
+    if tour.customers != set(subset):
+        raise ValueError("tour must visit exactly the requested subset")
+    sol, trace = _partition(inst, tour.vertices[1:-1], delta)
     return sol, trace()
 
 
@@ -262,8 +262,11 @@ def delta_itp_plus(
     rest = subset.difference(large)
     sol = trivial_solution(inst, large)
     if rest:
-        sub_tour = shortcut(inst, tour.vertices, rest)
-        sol = merge(sol, _partition(inst, rest, sub_tour, delta)[0])
+        # The shortcut's visiting order: each kept customer at its first visit.
+        order = list(dict.fromkeys(v for v in tour.vertices if v in rest))
+        if len(order) < len(rest):
+            raise KeepNotVisited(min(rest.difference(order)))
+        sol = merge(sol, _partition(inst, order, delta)[0])
     return sol
 
 

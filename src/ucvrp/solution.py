@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Mapping, Sequence
 
 from ucvrp.instance import Instance
@@ -19,7 +21,7 @@ class Solution:
 
     @property
     def cost(self) -> float:
-        return float(sum(t.cost for t in self.tours))
+        return float(reduce(add, (t.cost for t in self.tours), 0))
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,14 @@ the small / big / large split, a vectorized replay of the randomized
 rounding, an exhaustive pair/solo cover, networkx's blossom matching of
 the big customers, a pure-Python MST-doubling tour, a pure-Python
 Held-Karp DP, the threshold partition by a walk over every customer for
-each offset, and a sign-change count on a fine grid.
+each offset, a sign-change count on a fine grid, and ``sum`` as Python
+3.12 adds floats.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, chain, pairwise
 from operator import add
 from typing import Callable, Iterable, Sequence
@@ -318,9 +321,9 @@ def delta_itp_walk(
         for seg in segments:
             if seg:
                 a, b = min(seg), max(seg)
-                costs.append(sum(step[a:b], out[a]) + back[b])
+                costs.append(reduce(add, step[a:b], out[a]) + back[b])
         costs += [2.0 * out[i] for i, d in disposition.items() if d == "trivial-tour"]
-        cost = sum(costs + oversize_costs)
+        cost = reduce(add, costs + oversize_costs, 0)
         candidate_costs.append((eta, cost))
         if best is None or cost < best[1] - 1e-12:
             best = (eta, cost, cuts, segments, disposition)
@@ -342,3 +345,41 @@ def count_sign_changes(g: Callable[[float], float], lo: float, hi: float) -> int
     xs = np.linspace(lo, hi, SIGN_SCAN_POINTS)
     vals = np.array([g(x) for x in xs])
     return int(np.sum(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0))
+
+
+def sum_312(iterable, /, start=0):
+    """``sum`` with Python 3.12's rule: exact ``float`` items are added with
+    Neumaier compensation, ``int`` items as floats, and anything else (a
+    numpy scalar, say) ends the float run, after which ``+`` adds the rest.
+    Earlier Pythons add every float with plain ``+``, left to right."""
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            if type(item) is not int:
+                result = result + item
+                break
+            result += item
+        else:
+            return result
+    if type(result) is float:
+        total, comp = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                if abs(total) >= abs(item):
+                    comp += (total - t) + item
+                else:
+                    comp += (item - t) + total
+                total = t
+                continue
+            if isinstance(item, int):
+                total += float(item)
+                continue
+            result = (total + comp if comp and math.isfinite(comp) else total) + item
+            break
+        else:
+            return total + comp if comp and math.isfinite(comp) else total
+    for item in items:
+        result = result + item
+    return result

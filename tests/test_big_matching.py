@@ -4,6 +4,8 @@ import pickle
 import subprocess
 import sys
 import tracemalloc
+from functools import reduce
+from operator import add
 from pathlib import Path
 
 import numpy as np
@@ -146,8 +148,9 @@ def _assert_matches_networkx(inst: Instance) -> None:
     big = [v for v in inst.customers if inst.exceeds(v, BIG_THRESHOLD)]
     matched = {v for e in pairs for v in e}
     solos = frozenset(v for v in big if v not in matched)
-    cost = float(sum(inst.depot_cost(u) + inst.cost(u, v) + inst.depot_cost(v)
-                     for u, v in pairs) + sum(2.0 * inst.depot_cost(v) for v in solos))
+    cost = float(reduce(add, (inst.depot_cost(u) + inst.cost(u, v) + inst.depot_cost(v)
+                              for u, v in pairs), 0)
+                 + reduce(add, (2.0 * inst.depot_cost(v) for v in solos), 0))
     assert float.hex(plan.cost) == float.hex(cost)
     assert plan.solos == solos
 

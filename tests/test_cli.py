@@ -177,6 +177,21 @@ class TestSolve:
         code, _ = run(capsys, "solve", str(instance_file), "--alg", "magic")
         assert code == 2
 
+    def test_alg_choices_are_the_solver_table(self, capsys):
+        code, out = run(capsys, "solve", "--help")
+        assert code == 0
+        assert "--alg {" + ",".join(algorithms.SOLVERS) + "}" in out
+
+    @pytest.mark.parametrize("alg", list(algorithms.SOLVERS))
+    def test_every_solver_prints_its_report(self, instance_file, capsys, alg):
+        argv = ["--delta", "1/5"] if algorithms.SOLVERS[alg].needs_delta else []
+        code, out = run(capsys, "solve", str(instance_file), "--alg", alg, *argv)
+        assert code == 0
+        payload = json.loads(out)
+        report = payload["report"]
+        for key in ("cost", "feasible", "alpha_tag", "lower_bounds", "seed"):
+            assert report[key] == payload[key], key
+
 
 class TestLibraryErrors:
     """Typed library errors and unreadable input end with exit code 2 and
@@ -334,7 +349,7 @@ class TestTwoOutcomes:
         path = tmp_path / "drawn.json"
         path.write_text(json.dumps(data))
         argv = ["solve", str(path), "--alg", alg]
-        if alg in cli._NEEDS_DELTA:
+        if algorithms.SOLVERS[alg].needs_delta:
             argv += ["--delta", "1/5"]
         code, out = run(capsys, *argv)
         payload = json.loads(out)
