@@ -218,10 +218,11 @@ def alg2(
         raise ValueError(f"delta must lie in (0, 1/3), got {delta}")
     gamma1 = check_gamma(default_gammas().gamma1 if gamma1 is None else gamma1)
     gamma2 = check_gamma(default_gammas().gamma2 if gamma2 is None else gamma2)
-    if tour is None:
-        tour = default_tour(inst)
+    # The catalog first: a refused one raises before the tour is built.
     if gamma1 != 0 or gamma2 != 0:
         catalog, lpsol = _catalog_lp(inst, "lp2", delta, catalog, lpsol)
+    if tour is None:
+        tour = default_tour(inst)
 
     sol_a = subalg1(inst, tour)
     sol_b, _, _, lp_b = _round_then_partition(

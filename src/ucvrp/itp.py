@@ -234,10 +234,13 @@ def delta_itp(
 
     The returned solution is feasible and its cost never exceeds
     ``itp_bound(..., "lemma3")``; with delta = 0 this is the classic
-    partition with the "lemma1" guarantee.
+    partition with the "lemma1" guarantee.  ``tour`` must visit each
+    customer of ``subset`` exactly once; ``delta_itp_plus`` shortcuts a
+    walk that repeats one.
     """
-    if tour.customers != set(subset):
-        raise ValueError("tour must visit exactly the requested subset")
+    subset = set(subset)
+    if tour.customers != subset or len(tour.vertices) - 2 != len(subset):
+        raise ValueError("tour must visit each customer of the subset exactly once")
     sol, trace = _partition(inst, tour.vertices[1:-1], delta)
     return sol, trace()
 

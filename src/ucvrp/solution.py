@@ -49,10 +49,11 @@ def check_feasible(inst: Instance, sol: Solution) -> FeasibilityReport:
     for v in sol.assignment:
         if v not in known:
             problems.append(f"UnknownCustomer({v})")
+    visits = [t.customers for t in sol.tours]
     for v, ti in sol.assignment.items():
-        if ti < 0 or ti >= len(sol.tours):
+        if ti < 0 or ti >= len(visits):
             problems.append(f"BadTourIndex({v},{ti})")
-        elif v not in sol.tours[ti].customers:
+        elif v not in visits[ti]:
             problems.append(f"ServedOffTour({v},{ti})")
     loads: dict[int, int] = {}
     for v, ti in sol.assignment.items():

@@ -7,10 +7,14 @@ demand-feasible sets of a tour catalog, and one reconstruction reads
 each optimal tour off its table; sets are capped at ``HELDKARP_CAP`` =
 18 customers.  The DP is numpy, by popcount layers, and forms the same
 sums and mins as the scalar recurrence, so its tours and costs match
-it bit for bit.  Its table takes 2^s (s+1) 8 bytes for all subsets of
-s customers, about 40 MB at the cap.  The approximate solver doubles a
-minimum spanning tree and shortcuts the resulting Euler walk,
-guaranteeing cost at most twice the optimum.
+it bit for bit.  Its table is column-major, one row per end vertex and
+one column per set, so each step reduces across rows over long
+contiguous arrays; for the prefix family 1..M of an exact tour a
+set's predecessor column is found by subtraction.  The table takes
+2^s (s+1) 8 bytes for all subsets of s customers, about 40 MB at the
+cap.  The approximate solver doubles a minimum spanning tree and
+shortcuts the resulting Euler walk, guaranteeing cost at most twice
+the optimum.
 """
 
 from __future__ import annotations
@@ -200,39 +204,47 @@ def _held_karp(sub: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """The Held-Karp subset DP over a downward-closed family of masks of
     the ground set of ``sub`` (bit i is vertex i + 1), in increasing order.
 
-    table[r, j] is the cheapest depot-rooted path that visits exactly the
-    members of masks[r] and ends at vertex j.  It is inf for the depot and
-    for non-members, so a min over a whole row only picks members.  The
-    rows are filled layer by layer in popcount, one member bit at a time:
-    each entry is the min over i of table[prev, i] + c(x_i, x_j), with
-    prev = masks[r] minus bit j, the same sums and mins as a scalar DP.
-    The table takes len(masks) * (s+1) * 8 bytes, about 40 MB for every
-    subset of 18 customers.
+    The table is column-major: table[j, r] is the cheapest depot-rooted
+    path that visits exactly the members of masks[r] and ends at vertex
+    j.  It is inf for the depot and for non-members, so a min down a
+    whole column only picks members.  Columns are filled layer by layer
+    in popcount, one member bit b at a time, as whole rows: gather the
+    predecessor columns (masks[r] minus bit b), add c(x_i, x_{b+1}) to
+    row i, and reduce across rows into row b + 1.  These are the scalar
+    DP's sums and mins, so the table matches it bit for bit.  When the
+    family is the prefix 1..M, as for an exact tour, mask m sits in
+    column m - 1 and its predecessor is found by subtracting 1 << b;
+    any other family looks predecessors up by binary search.  The table
+    takes len(masks) * (s+1) * 8 bytes, about 40 MB for every subset of
+    18 customers.
     """
     if (masks[1:] <= masks[:-1]).any():
         raise ValueError("Held-Karp masks must be increasing")
+    prefix = len(masks) > 0 and masks[0] == 1 and masks[-1] == len(masks)
     s = len(sub) - 1
-    into = sub.T  # into[j, i] = c(x_i, x_j)
-    table = np.full((len(masks), s + 1), INF)
+    table = np.full((s + 1, len(masks)), INF)
     bits = _bits(masks, s)
     layers = bits.sum(axis=1)
     for size in range(1, int(layers.max(initial=0)) + 1):
         layer = np.flatnonzero(layers == size)
         members = bits[layer]
         for b in range(s):
-            rows = layer[members[:, b]]
-            if not rows.size:
+            cols = layer[members[:, b]]
+            if not cols.size:
                 continue
             if size == 1:
-                table[rows, b + 1] = into[b + 1, 0]
+                table[b + 1, cols] = sub[0, b + 1]
                 continue
-            prev = masks[rows] ^ (1 << b)
-            prev_rows = masks.searchsorted(prev)
-            if (masks[prev_rows] != prev).any():
-                raise ValueError("Held-Karp masks must be downward closed")
-            paths = table[prev_rows]
-            paths += into[b + 1]
-            table[rows, b + 1] = paths.min(axis=1)
+            if prefix:
+                prev_cols = cols - (1 << b)
+            else:
+                prev = masks[cols] ^ (1 << b)
+                prev_cols = masks.searchsorted(prev)
+                if (masks[prev_cols] != prev).any():
+                    raise ValueError("Held-Karp masks must be downward closed")
+            paths = table.take(prev_cols, axis=1)
+            paths += sub[:, b + 1, None]
+            table[b + 1, cols] = np.minimum.reduce(paths, axis=0)
     return table
 
 
@@ -243,8 +255,7 @@ def _optimal_tours(sub, masks, table, ground: Sequence[int], wanted) -> list[Tou
     in ascending position, from which an optimal finish is left.  This
     yields the lexicographically smallest sequence."""
     s = len(sub) - 1
-    rows = masks.searchsorted(wanted)
-    best = (table[rows] + sub[:, 0]).min(axis=1)
+    best = np.minimum.reduce(table[:, masks.searchsorted(wanted)] + sub[:, :1], axis=0)
     size = _bits(wanted, s).sum(axis=1)
     seq = np.zeros((len(wanted), int(size.max(initial=0))), dtype=np.intp)
     cur = wanted.copy()
@@ -256,14 +267,14 @@ def _optimal_tours(sub, masks, table, ground: Sequence[int], wanted) -> list[Tou
         # Cheapest path j -> (all of left minus j) -> depot.  By symmetry
         # of c this is the reversal of the depot-rooted path table holds
         # for left, ending at j; with nothing else left it is c(x_j, x_0).
-        finish = table[masks.searchsorted(left)]
-        finish[(left & (left - 1)) == 0] = sub[:, 0]
+        finish = table[:, masks.searchsorted(left)]
+        finish[:, (left & (left - 1)) == 0] = sub[:, :1]
         at = last[live]
-        cost = sub[at] + finish
-        ok = _bits(left, s) & (cost[:, 1:] <= target[live, None] + COST_TOL)
-        if not ok.any(axis=1).all():
+        cost = sub[at].T + finish
+        ok = _bits(left, s).T & (cost[1:] <= target[live] + COST_TOL)
+        if not ok.any(axis=0).all():
             raise AssertionError("tour reconstruction failed")
-        j = ok.argmax(axis=1) + 1
+        j = ok.argmax(axis=0) + 1
         target[live] -= sub[at, j]
         last[live] = j
         cur[live] = left ^ (1 << (j - 1))

@@ -198,6 +198,19 @@ class TestPartitionInvariants:
         with pytest.raises(ValueError):
             delta_itp(inst_line3, {1, 2, 3}, tour, Fraction(0))
 
+    def test_rejects_repeated_customer(self):
+        # The walk visits customer 1 twice.  Partitioned as it stands, the
+        # second visit would be a trip (0, 1, 0) that serves nobody (cost
+        # 3.728); delta_itp_plus shortcuts the walk first.
+        inst = gen_instance("euclidean", 3, 3, "uniform", seed=1)
+        walk = (0, 1, 2, 1, 3, 0)
+        tour = Tour(walk, inst.route_cost(walk), "external")
+        with pytest.raises(ValueError, match="exactly once"):
+            delta_itp(inst, {1, 2, 3}, tour, Fraction(0))
+        sol = delta_itp_plus(inst, {1, 2, 3}, tour, Fraction(0))
+        assert check_feasible(inst, sol).ok
+        assert sol.cost == pytest.approx(3.116, abs=1e-3)
+
     def test_small_customers_share_segments(self):
         # All-small instance: with delta = 1/3 and unit demands against a
         # large capacity, one segment should hold many customers.

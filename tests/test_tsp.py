@@ -123,12 +123,28 @@ class TestHeldKarpKernel:
         assert list(got) == list(want) == masks
         assert_same_tours(got.values(), want.values())
 
+    # A prefix family 1..M finds each predecessor by subtraction, not by
+    # binary search; an M short of 2^s - 1 leaves the top layers partial.
+    @given(inst=tour_instances(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_prefix_family_matches_scalar_kernel(self, inst, data):
+        ground = sorted(data.draw(st.sets(st.sampled_from(list(inst.customers)), min_size=2)))
+        masks = range(1, data.draw(st.integers(1, (1 << len(ground)) - 2), label="M") + 1)
+        got = optimal_tours(inst, ground, masks)
+        want = held_karp_tours(inst, ground, masks)
+        assert list(got) == list(want) == list(masks)
+        assert_same_tours(got.values(), want.values())
+
     @pytest.mark.parametrize("masks", [[2, 1, 3], [1, 2, 3, 3]])
     def test_rejects_unordered_family(self, inst_line3, masks):
         with pytest.raises(ValueError, match="increasing"):
             optimal_tours(inst_line3, [1, 2, 3], masks)
 
-    @pytest.mark.parametrize("masks", [[1, 3], [2, 3], [1, 2, 4, 7], [1, 2, 3, 4, 5, 7]])
+    # [0, 1, 2, 3, 5] ends at its length, like a prefix family, but lacks
+    # 4; [1, 2, 4, 7] has no mask of popcount 2 to build 7 from.
+    @pytest.mark.parametrize(
+        "masks", [[1, 3], [2, 3], [1, 2, 4, 7], [1, 2, 3, 4, 5, 7], [0, 1, 2, 3, 5]]
+    )
     def test_rejects_family_not_downward_closed(self, inst_line3, masks):
         with pytest.raises(ValueError, match="downward closed"):
             optimal_tours(inst_line3, [1, 2, 3], masks)
