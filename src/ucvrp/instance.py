@@ -80,7 +80,9 @@ class Instance:
     coords: Optional[tuple[tuple[float, float], ...]] = None
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.metric, dtype=float)
+        # A private copy: freezing the caller's array would leave it able to
+        # re-enable writes and change a validated instance.
+        m = np.array(self.metric, dtype=float)
         m.setflags(write=False)
         object.__setattr__(self, "metric", m)
         object.__setattr__(self, "demands", tuple(int(d) for d in self.demands))
@@ -133,6 +135,13 @@ def validate_instance(inst: Instance) -> Instance:
     Raises the first violation found: matrix shape/symmetry/reflexivity,
     the triangle inequality over all triples (additive tolerance 1e-9),
     and 1 <= d_v <= k for every customer.
+
+    The triangle inequality is screened on the triples (x, y, z) with
+    y >= x only, against the tolerance less a margin that covers the
+    mirror triples (y, x, z); see ``_one_sided_triangle_ok``.  Only when
+    the screen flags a slack does the exhaustive scan run, and it alone
+    names the first violation, so the exception and its triple are those
+    of a scan over all triples.
     """
     n = inst.n
     m = inst.metric
@@ -144,26 +153,62 @@ def validate_instance(inst: Instance) -> Instance:
         raise InstanceError("metric entries must be finite and non-negative")
     if np.any(np.abs(np.diag(m)) > METRIC_TOL):
         raise InstanceError("metric diagonal must be zero")
-    asym = np.argwhere(np.abs(m - m.T) > METRIC_TOL)
+    skew = np.abs(m - m.T)
+    asym = np.argwhere(skew > METRIC_TOL)
     if len(asym):
         x, y = (int(i) for i in asym[0])
         raise AsymmetricCost(x, y)
-    # Exhaustive triangle check, x by x in O(n^2) memory, reporting the first
-    # violation in (x, y, z) order; slack[y, z] = c(x,y) - c(x,z) - c(z,y).
-    # One contiguous transpose and one buffer serve every x.
+    # One contiguous transpose and one (n+1) x (n+1) slack buffer serve the
+    # screen and the scan, so both run in O(n^2) memory.
     mt = np.ascontiguousarray(m.T)
     slack = np.empty_like(mt)
-    for x in range(n + 1):
-        np.subtract(m[x][:, None], m[x][None, :], out=slack)
-        slack -= mt
-        if slack.max() > METRIC_TOL:
-            y, z = (int(i) for i in np.argwhere(slack > METRIC_TOL)[0])
-            raise TriangleViolation(x, y, z, float(m[x, y] - m[x, z] - m[z, y]))
+    if not _one_sided_triangle_ok(m, mt, slack, skew.max()):
+        _raise_first_triangle_violation(m, mt, slack)
     for v in inst.customers:
         d = inst.demand(v)
         if not 1 <= d <= inst.capacity:
             raise DemandOutOfRange(v, d, inst.capacity)
     return inst
+
+
+def _one_sided_triangle_ok(m, mt, slack, skew: float) -> bool:
+    """True when no triple (x, y, z) violates the triangle inequality.
+
+    Computes the slack (c(x,y) - c(x,z)) - c(z,y) for y >= x only and
+    passes when every one is at most METRIC_TOL - margin.  A skipped slack
+    (x, y, z), y < x, mirrors the computed (y, x, z): in exact arithmetic
+    the two differ by at most 3 * skew, skew = max |m - m^T|, and each
+    float slack is within 1.5 eps (max|m| + tol) of its exact value, to
+    first order in eps, as every entry lies in [-tol, max|m|].  So
+
+        margin = 4 skew + 4 eps (max|m| + tol)
+
+    bounds the difference of the two float slacks, with room for the
+    rounding of the margin and of tol - margin.  False only says that the
+    exhaustive scan must decide.
+    """
+    eps = np.finfo(float).eps
+    margin = 4 * skew + 4 * eps * (max(m.max(), -m.min()) + METRIC_TOL)
+    bar = METRIC_TOL - margin
+    size = len(m)
+    for x in range(size):
+        rows = slack[: size - x]  # rows[i, z] is the slack of (x, x + i, z)
+        np.subtract(m[x, x:, None], m[x], out=rows)
+        rows -= mt[x:]
+        if rows.max() > bar:
+            return False
+    return True
+
+
+def _raise_first_triangle_violation(m, mt, slack) -> None:
+    """Exhaustive triangle check, x by x, raising the first violation in
+    (x, y, z) order; slack[y, z] = c(x,y) - c(x,z) - c(z,y)."""
+    for x in range(len(m)):
+        np.subtract(m[x][:, None], m[x][None, :], out=slack)
+        slack -= mt
+        if slack.max() > METRIC_TOL:
+            y, z = (int(i) for i in np.argwhere(slack > METRIC_TOL)[0])
+            raise TriangleViolation(x, y, z, float(m[x, y] - m[x, z] - m[z, y]))
 
 
 def radial_mass(inst: Instance, customers: Iterable[int]) -> float:

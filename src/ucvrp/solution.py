@@ -38,7 +38,10 @@ def check_feasible(inst: Instance, sol: Solution) -> FeasibilityReport:
 
     Checks, in order: every customer assigned exactly once; the assigned
     tour actually visits the customer; per-tour assigned demand at most
-    the capacity.  Violations are reported, not raised.
+    the capacity; then, tour by tour, every vertex is the depot or a
+    customer, the tour starts and ends at the depot, and only then its
+    stated cost equals its recomputed cost.  Violations are reported, not
+    raised.
     """
     problems: list[str] = []
     assigned = set(sol.assignment)
@@ -62,8 +65,16 @@ def check_feasible(inst: Instance, sol: Solution) -> FeasibilityReport:
     for ti, load in loads.items():
         if load > inst.capacity:
             problems.append(f"CapacityExceeded({ti}:{load}>{inst.capacity})")
+    vertices = frozenset(range(inst.n + 1))
     for ti, t in enumerate(sol.tours):
-        if abs(t.cost - t.recompute_cost(inst)) > 1e-6:
+        known = vertices.issuperset(t.vertices)
+        if not known:
+            problems.extend(
+                f"UnknownVertex({ti},{v})" for v in t.vertices if v not in vertices
+            )
+        if len(t.vertices) < 2 or t.vertices[0] != 0 or t.vertices[-1] != 0:
+            problems.append(f"NotRooted({ti})")
+        elif known and abs(t.cost - t.recompute_cost(inst)) > 1e-6:
             problems.append(f"CostMismatch({ti})")
     return FeasibilityReport(not problems, tuple(problems))
 

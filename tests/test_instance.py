@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ucvrp.instance
 from ucvrp.instance import (
     METRIC_TOL,
     AsymmetricCost,
@@ -116,6 +117,41 @@ class TestValidation:
         first = min(pairs)
         assert_reports_first_violation(m, first)
 
+    def test_violation_on_the_diagonal_row(self):
+        # Customers 1 and 2 share a point.  With c(1,2) = c(2,1) = -tol/2 and
+        # c(1,1) = tol/2, both within tolerance, (1, 1, 2) is the only
+        # violation: slack 1.5 tol on the row y = x, which has no mirror.
+        m = line_metric(4)
+        m[:, 2] = m[:, 1]
+        m[2, :] = m[1, :]
+        m[1, 2] = m[2, 1] = -0.5 * METRIC_TOL
+        m[1, 1] = 0.5 * METRIC_TOL
+        assert_reports_first_violation(m, (1, 1, 2))
+
+    @settings(max_examples=1000, deadline=None)
+    @given(st.data())
+    def test_screen_agrees_with_brute_force(self, data):
+        m = data.draw(near_metrics())
+        first = brute_force_first_violation(m)
+        inst = Instance("near", 10, (1,) * (len(m) - 1), m)
+        if first is None:
+            assert validate_instance(inst) is inst
+        else:
+            with pytest.raises(TriangleViolation) as exc:
+                validate_instance(inst)
+            assert exc.value.triple == first
+
+    @pytest.mark.parametrize("kind, n, seed", [
+        ("euclidean", 150, 1), ("euclidean", 150, 2), ("euclidean", 200, 3),
+        ("random_metric", 150, 1), ("random_metric", 163, 2),
+    ])
+    def test_generated_instances_pass_the_screen(self, monkeypatch, kind, n, seed):
+        def scan(*args):
+            raise AssertionError("the exhaustive triangle scan ran")
+
+        monkeypatch.setattr(ucvrp.instance, "_raise_first_triangle_violation", scan)
+        validate_instance(gen_instance(kind, n, 10, seed=seed))
+
     def test_triangle_check_memory_is_quadratic(self):
         # An (n+1)^3 float64 slack tensor alone takes ~27 MB at n = 150.
         inst = gen_instance("euclidean", 150, 10, seed=1)
@@ -141,6 +177,50 @@ def planted(metric, *pairs):
     for x, y in pairs:
         m[x, y] += 1.0
         m[y, x] += 1.0
+    return m
+
+
+@st.composite
+def near_metrics(draw):
+    """Matrices that pass every check but the triangle one, with slacks
+    near the tolerance: points on a coarse line (ties and exact zero
+    slacks) or in the plane, scaled by 1 to 1e6, then symmetric pairs
+    moved by +-tol (1 +- k ulp), entries of coincident points made
+    negative, diagonal entries set, and entries of a row skewed, all within
+    tol."""
+    size = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        pts = rng.integers(0, 4, size=(size, 1)).astype(float)
+    else:
+        pts = rng.random((size, 2))
+    m = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    m *= draw(st.sampled_from([1.0, 3.0, 1e3, 1e6]))
+    eps = np.finfo(float).eps
+    index = st.integers(0, size - 1)
+    within = st.floats(0.0, METRIC_TOL)
+    for _ in range(draw(st.integers(0, 4))):
+        x, y = draw(index), draw(index)
+        if x != y:
+            ulps = draw(st.integers(-3, 3))
+            sign = draw(st.sampled_from([-1.0, 1.0]))
+            moved = m[x, y] + sign * METRIC_TOL * (1 + ulps * eps)
+            m[x, y] = m[y, x] = max(moved, -METRIC_TOL)
+    for x in range(size):
+        for y in range(size):
+            if x != y and m[x, y] == 0 and draw(st.booleans()):
+                m[x, y] = m[y, x] = -draw(within)
+    for x in draw(st.lists(index, max_size=3)):
+        m[x, x] = draw(st.floats(-METRIC_TOL, METRIC_TOL))
+    for x in draw(st.lists(index, max_size=2)):
+        for y in draw(st.lists(index, min_size=1, max_size=3)):
+            if x == y:
+                continue
+            skew = draw(st.sampled_from([-1.0, -0.9, -0.5, 0.5, 0.9, 1.0])) * METRIC_TOL
+            skewed = max(m[y, x] + skew, -METRIC_TOL)
+            while abs(skewed - m[y, x]) > METRIC_TOL:
+                skewed = np.nextafter(skewed, m[y, x])
+            m[x, y] = skewed
     return m
 
 
@@ -182,6 +262,15 @@ class TestBasics:
     def test_radial_lower_bound_line3(self, inst_line3):
         # By hand: sum of 2 * (1/2) * c(r,v) over c(r,v) in {1, 2, 3}.
         assert radial_lower_bound(inst_line3) == pytest.approx(6.0, abs=1e-12)
+
+    def test_metric_is_a_private_copy(self):
+        a = line_metric(3)
+        inst = Instance("copy", 2, (1, 1, 1), a)
+        assert a.flags.writeable
+        assert not inst.metric.flags.writeable
+        a[0, 1] = a[1, 0] = 99.0
+        assert inst.metric[0, 1] == 1.0
+        validate_instance(inst)
 
     def test_route_cost(self, inst_line3):
         assert inst_line3.route_cost((0, 1, 2, 3, 0)) == pytest.approx(6.0)

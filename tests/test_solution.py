@@ -1,5 +1,6 @@
 import pytest
 
+from ucvrp.instance import gen_instance
 from ucvrp.solution import (
     Solution,
     check_feasible,
@@ -63,6 +64,23 @@ class TestCheckFeasible:
         sol2 = Solution((tour(inst_line3, 1),), {1: 5, 2: 0, 3: 0})
         rep2 = check_feasible(inst_line3, sol2)
         assert any(v.startswith("BadTourIndex") for v in rep2.violations)
+
+    def test_tours_must_be_rooted_and_known(self):
+        inst = gen_instance("euclidean", 3, 3, seed=1)
+
+        def walk(*vertices):
+            return Tour(vertices, inst.route_cost(vertices), "external")
+
+        unrooted = Solution((walk(1, 2, 1), walk(0, 3, 0), walk(0, 1, 0)), {2: 0, 3: 1, 1: 2})
+        assert check_feasible(inst, unrooted).violations == ("NotRooted(0)",)
+        # A negative vertex would be priced on the last row; vertex n + 1
+        # would raise IndexError from the cost recomputation.
+        served = (walk(0, 1, 0), walk(0, 2, 0))
+        extra = Solution(served + (walk(0, 3, 0), Tour((0, -1, 0), 0.0, "external")),
+                         {1: 0, 2: 1, 3: 2})
+        assert check_feasible(inst, extra).violations == ("UnknownVertex(3,-1)",)
+        beyond = Solution(served + (Tour((0, 3, 4, 0), 1.0, "external"),), {1: 0, 2: 1, 3: 2})
+        assert check_feasible(inst, beyond).violations == ("UnknownVertex(2,4)",)
 
 
 class TestMerge:
