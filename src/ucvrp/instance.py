@@ -136,12 +136,38 @@ def validate_instance(inst: Instance) -> Instance:
     the triangle inequality over all triples (additive tolerance 1e-9),
     and 1 <= d_v <= k for every customer.
 
-    The triangle inequality is screened on the triples (x, y, z) with
-    y >= x only, against the tolerance less a margin that covers the
-    mirror triples (y, x, z); see ``_one_sided_triangle_ok``.  Only when
-    the screen flags a slack does the exhaustive scan run, and it alone
-    names the first violation, so the exception and its triple are those
-    of a scan over all triples.
+    The triangle inequality needs no check when ``inst.coords`` is set,
+    the metric equals ``_euclidean`` of those points bit for bit, and
+    4 eps M < tol for M = max|m|, i.e. M < 2^50 tol ~ 1.1e6.  Then no
+    computed slack can exceed tol:
+
+    - Let u = eps/2 and D the exact distances between the points, which
+      are floats and so exact, with D(x,y) <= D(x,z) + D(z,y).  An entry
+      of ``_euclidean`` rounds a subtraction and a square per axis, the
+      sum of the two non-negative squares and the square root; the root
+      halves the four roundings under it, so m = D (1 + r) with
+      (1 - u)^3 <= 1 + r <= (1 + u)^3.
+    - Every check computes the slack fl(fl(a - b) - c), a = m(x,y),
+      b = m(x,z), c = m(z,y), all in [0, M].  In exact arithmetic
+      a - b - c <= D(x,y) ((1 + u)^3 - (1 - u)^3) <= 6u M (1 + O(u)),
+      using D(x,z) + D(z,y) >= D(x,y); collinear points come closest.
+    - s = fl(a - b) adds at most u |a - b| <= u M.  fl(s - c) is <= 0
+      when s - c <= 0, since rounding is monotone, and is otherwise at
+      most (s - c)(1 + u).
+
+    So every computed slack is at most 7u M (1 + O(u)) = 3.5 eps M
+    (1 + O(eps)), and c = 4 is the smallest integer c with c eps M above
+    it.  Underflow in the squares adds at most ~2^-536 to an entry, far
+    below the 0.5 eps M to spare whenever a slack, at most 2 M (1 + u)^2,
+    could reach tol at all.  4 eps is a power of two, so 4 eps M < tol is
+    decided exactly.  Recomputing and comparing the metric is O(n^2).
+
+    Otherwise the triangle inequality is screened on the triples
+    (x, y, z) with y >= x only, against the tolerance less a margin that
+    covers the mirror triples (y, x, z); see ``_one_sided_triangle_ok``.
+    Only when the screen flags a slack does the exhaustive scan run, and
+    it alone names the first violation, so the exception and its triple
+    are those of a scan over all triples.
     """
     n = inst.n
     m = inst.metric
@@ -158,17 +184,35 @@ def validate_instance(inst: Instance) -> Instance:
     if len(asym):
         x, y = (int(i) for i in asym[0])
         raise AsymmetricCost(x, y)
-    # One contiguous transpose and one (n+1) x (n+1) slack buffer serve the
-    # screen and the scan, so both run in O(n^2) memory.
-    mt = np.ascontiguousarray(m.T)
-    slack = np.empty_like(mt)
-    if not _one_sided_triangle_ok(m, mt, slack, skew.max()):
-        _raise_first_triangle_violation(m, mt, slack)
+    if not _coords_prove_triangle(inst):
+        # One contiguous transpose and one (n+1) x (n+1) slack buffer serve
+        # the screen and the scan, so both run in O(n^2) memory.
+        mt = np.ascontiguousarray(m.T)
+        slack = np.empty_like(mt)
+        if not _one_sided_triangle_ok(m, mt, slack, skew.max()):
+            _raise_first_triangle_violation(m, mt, slack)
     for v in inst.customers:
         d = inst.demand(v)
         if not 1 <= d <= inst.capacity:
             raise DemandOutOfRange(v, d, inst.capacity)
     return inst
+
+
+def _coords_prove_triangle(inst: Instance) -> bool:
+    """True when the metric is ``_euclidean(inst.coords)`` bit for bit and
+    4 eps max|m| < METRIC_TOL, so that, as ``validate_instance`` derives,
+    no computed triangle slack can exceed the tolerance.  Such a metric is
+    non-negative, so max|m| is ``m.max()``."""
+    if inst.coords is None:
+        return False
+    m = inst.metric
+    if 4 * np.finfo(float).eps * m.max() >= METRIC_TOL:
+        return False
+    try:
+        pts = np.array(inst.coords, dtype=float).reshape(-1, 2)
+    except (TypeError, ValueError):
+        return False  # not a list of points: they prove nothing
+    return np.array_equal(m, _euclidean(pts))
 
 
 def _one_sided_triangle_ok(m, mt, slack, skew: float) -> bool:
@@ -304,9 +348,16 @@ def gen_instance(
 
 
 def _euclidean(pts: np.ndarray) -> np.ndarray:
-    """Exact-float Euclidean distances between the rows of ``pts``."""
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt((diff ** 2).sum(axis=2))
+    """Exact-float Euclidean distances between the rows of ``pts``: per
+    pair, fl(sqrt(fl(fl(dx^2) + fl(dy^2)))), dx and dy rounded
+    differences, in two contiguous (n+1) x (n+1) arrays."""
+    x, y = pts[:, 0], pts[:, 1]
+    dx = x[:, None] - x
+    dy = y[:, None] - y
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return np.sqrt(dx, out=dx)
 
 
 def _integer(value, what: str) -> int:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import chain
+from numbers import Integral
 from operator import add
 from typing import Mapping, Sequence
 
@@ -36,47 +38,68 @@ class FeasibilityReport:
 def check_feasible(inst: Instance, sol: Solution) -> FeasibilityReport:
     """Verify the unsplittable feasibility conditions.
 
-    Checks, in order: every customer assigned exactly once; the assigned
-    tour actually visits the customer; per-tour assigned demand at most
-    the capacity; then, tour by tour, every vertex is the depot or a
-    customer, the tour starts and ends at the depot, and only then its
-    stated cost equals its recomputed cost.  Violations are reported, not
-    raised.
+    Checks, in order: every customer and tour index of the assignment is
+    an integer; every customer assigned exactly once; the assigned tour
+    actually visits the customer; per-tour assigned demand at most the
+    capacity; then, tour by tour, every vertex is the depot or a customer,
+    the tour starts and ends at the depot, and only then its stated cost
+    equals its recomputed cost.  Violations are reported, not raised.
     """
     problems: list[str] = []
-    assigned = set(sol.assignment)
+    assignment = sol.assignment
+    if not _indices(chain(assignment, assignment.values())):
+        # 3.0 equals 3 in a set but cannot index; such an entry serves no one.
+        for v, ti in assignment.items():
+            if not _indices((v,)):
+                problems.append(f"UnknownCustomer({v})")
+            elif not _indices((ti,)):
+                problems.append(f"BadTourIndex({v},{ti})")
+        assignment = {v: ti for v, ti in assignment.items() if _indices((v, ti))}
+    assigned = set(assignment)
     known = set(inst.customers)
     for v in inst.customers:
         if v not in assigned:
             problems.append(f"CustomerUnserved({v})")
-    for v in sol.assignment:
+    for v in assignment:
         if v not in known:
             problems.append(f"UnknownCustomer({v})")
     visits = [t.customers for t in sol.tours]
-    for v, ti in sol.assignment.items():
+    for v, ti in assignment.items():
         if ti < 0 or ti >= len(visits):
             problems.append(f"BadTourIndex({v},{ti})")
         elif v not in visits[ti]:
             problems.append(f"ServedOffTour({v},{ti})")
     loads: dict[int, int] = {}
-    for v, ti in sol.assignment.items():
+    for v, ti in assignment.items():
         if v in known:
             loads[ti] = loads.get(ti, 0) + inst.demand(v)
     for ti, load in loads.items():
         if load > inst.capacity:
             problems.append(f"CapacityExceeded({ti}:{load}>{inst.capacity})")
     vertices = frozenset(range(inst.n + 1))
+    integral = _indices(chain.from_iterable(t.vertices for t in sol.tours))
     for ti, t in enumerate(sol.tours):
-        known = vertices.issuperset(t.vertices)
+        known = vertices.issuperset(t.vertices) and (integral or _indices(t.vertices))
         if not known:
             problems.extend(
-                f"UnknownVertex({ti},{v})" for v in t.vertices if v not in vertices
+                f"UnknownVertex({ti},{v})" for v in t.vertices
+                if v not in vertices or not _indices((v,))
             )
         if len(t.vertices) < 2 or t.vertices[0] != 0 or t.vertices[-1] != 0:
             problems.append(f"NotRooted({ti})")
         elif known and abs(t.cost - t.recompute_cost(inst)) > 1e-6:
             problems.append(f"CostMismatch({ti})")
     return FeasibilityReport(not problems, tuple(problems))
+
+
+def _indices(values) -> bool:
+    """Whether every value is an int or a numpy integer, but not a bool.
+    It tests each distinct type once, after one C-level pass over
+    ``values``."""
+    types = set(map(type, values))
+    return types <= {int} or all(
+        issubclass(t, Integral) and t is not bool for t in types
+    )
 
 
 def merge(*sols: Solution) -> Solution:

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from ucvrp.instance import (
     InstanceError,
     TriangleViolation,
     ZeroRadialMass,
+    _euclidean,
     f_integral,
     from_json_dict,
     gen_instance,
@@ -150,18 +152,123 @@ class TestValidation:
             raise AssertionError("the exhaustive triangle scan ran")
 
         monkeypatch.setattr(ucvrp.instance, "_raise_first_triangle_violation", scan)
-        validate_instance(gen_instance(kind, n, 10, seed=seed))
+        inst = gen_instance(kind, n, 10, seed=seed)
+        validate_instance(inst)
+        # Without its coordinates a Euclidean metric goes through the screen.
+        validate_instance(replace(inst, coords=None))
 
     def test_triangle_check_memory_is_quadratic(self):
         # An (n+1)^3 float64 slack tensor alone takes ~27 MB at n = 150.
         inst = gen_instance("euclidean", 150, 10, seed=1)
-        tracemalloc.start()
-        try:
-            validate_instance(inst)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4e6
+        for case in (inst, replace(inst, coords=None)):
+            assert peak_bytes(validate_instance, case) < 4e6
+
+    @pytest.mark.parametrize("n, seed", [(150, 1), (150, 2), (175, 3), (200, 3)])
+    def test_coordinates_skip_the_screen(self, monkeypatch, n, seed):
+        refuse_triangle_checks(monkeypatch)
+        validate_instance(gen_instance("euclidean", n, 10, seed=seed))
+
+    def test_coordinate_proof_memory_is_quadratic(self, monkeypatch):
+        # The symmetry check's m - m^T and |m - m^T| and _euclidean's dx and
+        # dy are (n+1)^2 floats each; nothing of size (n+1)^3 is built.
+        refuse_triangle_checks(monkeypatch)
+        n = 200
+        inst = gen_instance("euclidean", n, 10, seed=1)
+        assert peak_bytes(validate_instance, inst) < 5 * (n + 1) ** 2 * 8
+
+    def test_coordinates_prove_up_to_the_limit(self, monkeypatch):
+        # The proof holds while 4 eps max|m| < tol, max|m| < ~1.1e6.  These
+        # collinear points round to a slack of 0.74 eps max|m|: proven at
+        # 2^15 (max|m| ~ 7.1e5), passed by the screen at 2^17 (~2.8e6),
+        # and a violation at 2^20 (~2.3e7).
+        pts = np.array([[0.0, 0.0], [2.0, 3.0], [12.0, 18.0]])
+        for j, first in [(17, None), (20, (0, 2, 1))]:
+            inst = coordinate_instance(pts * 2.0**j, _euclidean(pts * 2.0**j))
+            assert brute_force_first_violation(inst.metric) == first
+            if first is None:
+                validate_instance(inst)
+            else:
+                with pytest.raises(TriangleViolation) as exc:
+                    validate_instance(inst)
+                assert exc.value.triple == first
+        refuse_triangle_checks(monkeypatch)
+        validate_instance(coordinate_instance(pts * 2.0**15, _euclidean(pts * 2.0**15)))
+
+    def test_planted_metric_next_to_coordinates(self):
+        inst = gen_instance("euclidean", 150, 10, seed=3)
+        m = planted(inst.metric, (0, 70))
+        with pytest.raises(TriangleViolation) as exc:
+            validate_instance(replace(inst, metric=m))
+        assert exc.value.triple == brute_force_first_violation(m)
+
+    @pytest.mark.parametrize("coords", [((0.0, 0.0), (1.0,)) * 2, (("a", "b"),) * 4])
+    def test_coordinates_that_are_not_points_prove_nothing(self, coords):
+        m = planted(line_metric(3), (0, 3))
+        with pytest.raises(TriangleViolation) as exc:
+            validate_instance(Instance("odd", 10, (1, 1, 1), m, coords))
+        assert exc.value.triple == brute_force_first_violation(m)
+
+    @settings(max_examples=600, deadline=None)
+    @given(st.data())
+    def test_coordinate_proof_agrees_with_brute_force(self, data):
+        inst = coordinate_instance(*data.draw(coordinate_cases()))
+        first = brute_force_first_violation(inst.metric)
+        if first is None:
+            assert validate_instance(inst) is inst
+        else:
+            with pytest.raises(TriangleViolation) as exc:
+                validate_instance(inst)
+            assert exc.value.triple == first
+
+
+def refuse_triangle_checks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the triangle screen or scan ran")
+
+    monkeypatch.setattr(ucvrp.instance, "_one_sided_triangle_ok", refuse)
+    monkeypatch.setattr(ucvrp.instance, "_raise_first_triangle_violation", refuse)
+
+
+def peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def coordinate_instance(pts, metric):
+    coords = tuple((float(x), float(y)) for x, y in pts)
+    return Instance("coords", 10, (1,) * (len(pts) - 1), metric, coords)
+
+
+@st.composite
+def coordinate_cases(draw):
+    """Points and a metric next to them: points on an integer line (exact
+    collinear runs and coincident points), an integer grid or the unit
+    square, scaled by 2^j, 0 <= j <= 36, so from 1 to far past the
+    proof's limit of max|m| ~ 1.1e6; the metric is their ``_euclidean``,
+    or that with one symmetric pair moved by a planted amount."""
+    size = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layout = draw(st.sampled_from(["line", "grid", "plane"]))
+    if layout == "line":
+        pts = rng.integers(0, 6, size=(size, 1)) * rng.integers(1, 4, size=2)
+    elif layout == "grid":
+        pts = rng.integers(0, 3, size=(size, 2))
+    else:
+        pts = rng.random((size, 2))
+    pts = pts * 2.0 ** draw(st.integers(0, 36))
+    m = _euclidean(pts)
+    if draw(st.booleans()):
+        x, y = draw(st.lists(st.integers(0, size - 1), min_size=2, max_size=2,
+                             unique=True))
+        amount = draw(st.sampled_from([0.5, 2.0])) * METRIC_TOL
+        amount = draw(st.sampled_from([amount, 1e-6 * m.max(), 0.5 * m.max()]))
+        moved = m[x, y] + draw(st.sampled_from([-1.0, 1.0])) * amount
+        m[x, y] = m[y, x] = max(moved, 0.0)
+    return pts, m
 
 
 def line_metric(n):
@@ -388,6 +495,16 @@ class TestSerialization:
                 "name": "x", "capacity": 1, "demands": [1],
                 "metric": {"type": "geo"},
             })
+
+    def test_loaded_coordinates_skip_the_screen(self, tmp_path, monkeypatch):
+        # The euc2d branch of from_json_dict builds the metric with the
+        # same _euclidean, so a file that ucvrp gen wrote needs no screen.
+        inst = gen_instance("euclidean", 200, 10, seed=1)
+        path = tmp_path / "i.json"
+        save_json(inst, str(path))
+        refuse_triangle_checks(monkeypatch)
+        back = load_json(str(path))
+        assert validate_instance(back) is back
 
     def test_euclidean_metric_is_bit_identical(self):
         inst = gen_instance("euclidean", 9, 3, seed=4)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from ucvrp.instance import gen_instance
@@ -81,6 +82,27 @@ class TestCheckFeasible:
         assert check_feasible(inst, extra).violations == ("UnknownVertex(3,-1)",)
         beyond = Solution(served + (Tour((0, 3, 4, 0), 1.0, "external"),), {1: 0, 2: 1, 3: 2})
         assert check_feasible(inst, beyond).violations == ("UnknownVertex(2,4)",)
+
+    def test_float_indices_are_reported(self):
+        # 3.0 equals 3 in a set, so only the type tells it cannot index.
+        inst = gen_instance("euclidean", 3, 3, seed=1)
+        served = (tour(inst, 1), tour(inst, 2))
+        float_vertex = Solution(served + (Tour((0, 3.0, 0), 1.0, "external"),),
+                                {1: 0, 2: 1, 3: 2})
+        assert check_feasible(inst, float_vertex).violations == ("UnknownVertex(2,3.0)",)
+        float_index = Solution(served + (tour(inst, 3),), {1: 0, 2: 1, 3: 0.0})
+        assert check_feasible(inst, float_index).violations == (
+            "BadTourIndex(3,0.0)", "CustomerUnserved(3)")
+        float_customer = Solution(served + (tour(inst, 3),), {1: 0, 2: 1, 3.0: 2})
+        assert check_feasible(inst, float_customer).violations == (
+            "UnknownCustomer(3.0)", "CustomerUnserved(3)")
+
+    def test_numpy_integers_are_indices(self):
+        inst = gen_instance("euclidean", 3, 3, seed=1)
+        three = Tour((0, np.int64(3), 0), inst.route_cost((0, 3, 0)), "external")
+        sol = Solution((tour(inst, 1), tour(inst, 2), three),
+                       {np.int64(1): 0, 2: np.int32(1), 3: 2})
+        assert check_feasible(inst, sol).ok
 
 
 class TestMerge:
