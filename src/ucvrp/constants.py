@@ -24,7 +24,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize
 
 ENCLOSURE_WIDTH = 1e-12
 
@@ -152,6 +151,8 @@ def f_epsilon(eps: float) -> FWitness:
     """
     if not 0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
+    # Imported here: scipy.optimize costs ~0.4 s to load, and only the constants report needs it.
+    from scipy.optimize import minimize
 
     def obj2(p: np.ndarray) -> float:
         tau, rho = p

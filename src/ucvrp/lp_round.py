@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from ucvrp.instance import Instance
 from ucvrp.tsp import SubsetTooLarge, Tour, approx_tsp, optimal_tours
@@ -178,6 +177,8 @@ def solve_covering_lp(catalog: TourCatalog) -> LpSolution:
             if v in row:
                 a[row[v], j] = 1.0
     c = np.array([t.cost for t in catalog.tours])
+    # Imported here: scipy.optimize costs ~0.4 s to load, and most solves build no LP.
+    from scipy.optimize import linprog
     res = linprog(c, A_ub=-a, b_ub=-np.ones(m), bounds=(0, None), method="highs")
     if not res.success:
         raise LpInfeasible(f"LP solver failed: {res.message}")

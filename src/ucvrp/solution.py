@@ -87,7 +87,8 @@ def check_feasible(inst: Instance, sol: Solution) -> FeasibilityReport:
             )
         if len(t.vertices) < 2 or t.vertices[0] != 0 or t.vertices[-1] != 0:
             problems.append(f"NotRooted({ti})")
-        elif known and abs(t.cost - t.recompute_cost(inst)) > 1e-6:
+        # "not <=", so a NaN cost, which fails every comparison, is a mismatch.
+        elif known and not abs(t.cost - t.recompute_cost(inst)) <= 1e-6:
             problems.append(f"CostMismatch({ti})")
     return FeasibilityReport(not problems, tuple(problems))
 

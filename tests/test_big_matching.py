@@ -192,14 +192,56 @@ class TestAgreesWithNetworkx:
                 Instance("ties", k, demands, _tie_metric(entries, n, values)))
 
 
-def test_solver_import_leaves_networkx_out():
+def _probe(script: str, *args: str) -> str:
+    """Run ``script`` in a fresh interpreter on ``src`` and return its last
+    line of output."""
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    probe = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, ucvrp.algorithms; print('networkx' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=120)
-    assert probe.stdout.strip() == "False"
+    probe = subprocess.run([sys.executable, "-c", script, *args],
+                           env=env, capture_output=True, text=True, check=True, timeout=120)
+    return probe.stdout.splitlines()[-1]
+
+
+@pytest.mark.parametrize("module", ["networkx", "scipy.optimize"])
+def test_package_import_leaves_out(module):
+    # Every ucvrp module, imported at once: none may pull ``module`` in at
+    # module level.
+    assert _probe(
+        "import importlib, pkgutil, sys, ucvrp\n"
+        "for m in pkgutil.iter_modules(ucvrp.__path__):\n"
+        "    importlib.import_module('ucvrp.' + m.name)\n"
+        f"print({module!r} in sys.modules)") == "False"
+
+
+def test_scipy_optimize_loads_on_first_lp_or_constants(tmp_path):
+    # gen, exact and n = 200 solves (whose catalogs are refused) build no LP.
+    assert _probe(
+        "import sys\n"
+        "from ucvrp.cli import main\n"
+        "d = sys.argv[1]\n"
+        "for argv in (['gen', '-n', '200', '-k', '10', '--seed', '1', '--out', d + '/e.json'],\n"
+        "             ['gen', '-n', '200', '-k', '10', '--seed', '1', '--kind', 'random_metric',\n"
+        "              '--out', d + '/r.json'],\n"
+        "             ['gen', '-n', '6', '-k', '3', '--seed', '1', '--out', d + '/s.json'],\n"
+        "             ['solve', d + '/e.json', '--alg', 'alg1'],\n"
+        "             ['solve', d + '/r.json', '--alg', 'alg1'],\n"
+        "             ['exact', d + '/s.json']):\n"
+        "    assert main(argv) == 0, argv\n"
+        "print('scipy.optimize' in sys.modules)", str(tmp_path)) == "False"
+    assert _probe(
+        "import sys\n"
+        "from ucvrp.instance import line3\n"
+        "from ucvrp.lp_round import enumerate_tours, solve_covering_lp\n"
+        "catalog = enumerate_tours(line3(), 'lp1')\n"
+        "print('scipy.optimize' in sys.modules, end=' ')\n"
+        "solve_covering_lp(catalog)\n"
+        "print('scipy.optimize' in sys.modules)") == "False True"
+    assert _probe(
+        "import sys\n"
+        "from ucvrp.constants import constants_report\n"
+        "print('scipy.optimize' in sys.modules, end=' ')\n"
+        "constants_report()\n"
+        "print('scipy.optimize' in sys.modules)") == "False True"
 
 
 class TestMatchingBranch:

@@ -55,6 +55,15 @@ class TestCheckFeasible:
         rep = check_feasible(inst_line3, sol)
         assert any(v.startswith("CostMismatch") for v in rep.violations)
 
+    def test_nan_cost_is_a_mismatch(self):
+        inst = gen_instance("euclidean", 3, 3, seed=1)
+        sol = trivial_solution(inst, [1, 2, 3])
+        t = sol.tours[0]
+        nan = Solution((Tour(t.vertices, float("nan"), t.quality_tag), *sol.tours[1:]),
+                       sol.assignment)
+        assert np.isnan(nan.cost)
+        assert check_feasible(inst, nan).violations == ("CostMismatch(0)",)
+
     def test_unknown_customer_and_bad_index(self, inst_line3):
         sol = Solution(
             (tour(inst_line3, 1), tour(inst_line3, 2), tour(inst_line3, 3)),
