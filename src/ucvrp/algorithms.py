@@ -6,7 +6,10 @@ its covering LP, the LP branch (round the LP and serve each selected
 catalog entry by the tour it was priced by, then serve the leftover
 customers by the threshold partition) and the report, which checks
 feasibility once per public call.  ``lp_itp_pipeline`` runs one LP
-branch, ``alg1`` one and ``alg2`` two over a shared catalog.
+branch, ``alg1`` one and ``alg2`` two over a shared catalog.  An
+``alg1``/``alg2`` call given neither tour nor catalog, whose depot tour
+is exact (2 <= n <= ``HELDKARP_CAP``), reads both off one Held-Karp
+table.
 
 ``alg1`` (fixed capacity) runs the matching branch and the full-catalog
 branch with threshold 1/3, keeping the cheaper solution; its default
@@ -35,10 +38,12 @@ from ucvrp.big_matching import BIG_THRESHOLD, serve_big_by_matching, subalg1
 from ucvrp.constants import default_gammas
 from ucvrp.instance import Instance, radial_lower_bound
 from ucvrp.itp import delta_itp, delta_itp_plus
-from ucvrp.lp_round import (CatalogTooLarge, LpSolution, TourCatalog, check_gamma,
-                             enumerate_tours, round_tours, solve_covering_lp)
+from ucvrp.lp_round import (CatalogTooLarge, LpSolution, TourCatalog, catalog_sets,
+                             check_gamma, enumerate_tours, priced_catalog, round_tours,
+                             solve_covering_lp)
 from ucvrp.solution import Solution, check_feasible, merge
-from ucvrp.tsp import SubsetTooLarge, Tour, approx_tsp, exact_tsp
+from ucvrp.tsp import (HELDKARP_CAP, SubsetTooLarge, Tour, approx_tsp, exact_tsp,
+                       exact_tsp_and_tours)
 
 THIRD = Fraction(1, 3)
 
@@ -70,6 +75,17 @@ def default_tour(inst: Instance) -> Tour:
         return exact_tsp(inst, inst.customers)
     except SubsetTooLarge:
         return approx_tsp(inst, inst.customers)
+
+
+def _one_table(inst, tour, catalog, lp_variant, delta_lp):
+    """The depot tour and catalog of a solve, as passed in.  A solve
+    given neither, whose tour is exact (2 <= n <= ``HELDKARP_CAP``), reads
+    both off one Held-Karp table; the catalog equals ``enumerate_tours``'."""
+    if tour is None and catalog is None and 2 <= inst.n <= HELDKARP_CAP:
+        sets = catalog_sets(inst, lp_variant, delta_lp)
+        tour, tours = exact_tsp_and_tours(inst, sets.ground, sets.masks)
+        catalog = priced_catalog(sets, tours)
+    return tour, catalog
 
 
 def _catalog_lp(inst, lp_variant, delta_lp, catalog, lpsol):
@@ -180,6 +196,8 @@ def alg1(
 ) -> tuple[Solution, SolveReport]:
     """Better of the matching branch and the full-catalog LP branch."""
     gamma = check_gamma(default_gammas().gamma_star if gamma is None else gamma)
+    if gamma != 0:
+        tour, catalog = _one_table(inst, tour, catalog, "lp1", None)
     if tour is None:
         tour = default_tour(inst)
     sol_a = subalg1(inst, tour)
@@ -219,7 +237,9 @@ def alg2(
     gamma1 = check_gamma(default_gammas().gamma1 if gamma1 is None else gamma1)
     gamma2 = check_gamma(default_gammas().gamma2 if gamma2 is None else gamma2)
     # The catalog first: a refused one raises before the tour is built.
+    # Up to the cap none is refused, and one table builds both.
     if gamma1 != 0 or gamma2 != 0:
+        tour, catalog = _one_table(inst, tour, catalog, "lp2", delta)
         catalog, lpsol = _catalog_lp(inst, "lp2", delta, catalog, lpsol)
     if tour is None:
         tour = default_tour(inst)

@@ -7,12 +7,16 @@ Catalog variants:
   lp2(delta) — demand-feasible sets of non-small customers only
                (normalized demand > delta); only those must be covered.
 
-Only the demand-feasible sets are enumerated, each with the optimal
-tour of its set, so the LP optimum is a valid lower bound on the optimal
-solution cost.  Should a feasible set exceed the Held-Karp cap, every
-entry holds its MST-doubling tour instead and the catalog is flagged
-``exact_priced = False``.  An entry's cost is its tour's, so a selected
-entry is served by the tour the LP priced.
+Only the demand-feasible sets are enumerated (``catalog_sets``), each
+with the optimal tour of its set, so the LP optimum is a valid lower
+bound on the optimal solution cost.  ``enumerate_tours`` prices them by
+a Held-Karp pass over these sets alone; a solve that builds an exact
+depot tour prices them off that tour's table instead and wraps the tours
+with ``priced_catalog``, to the same entries.  Should a feasible set
+exceed the Held-Karp cap, every entry holds its MST-doubling tour
+instead and the catalog is flagged ``exact_priced = False``.  An entry's
+cost is its tour's, so a selected entry is served by the tour the LP
+priced.
 Rounding selects each tour independently with probability
 min{1, gamma * x*_T}; draws are keyed by (seed, tour content) so the
 outcome does not depend on enumeration order.
@@ -24,7 +28,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -99,41 +103,61 @@ def _digest(customers: frozenset[int]) -> int:
     return int.from_bytes(hashlib.blake2b(payload, digest_size=8).digest(), "big")
 
 
-def enumerate_tours(
-    inst: Instance,
-    variant: str,
-    delta: Optional[Fraction] = None,
-) -> TourCatalog:
-    """All demand-feasible customer sets of the relevant ground set, each
-    with its optimal tour, in deterministic order."""
+@dataclass(frozen=True)
+class CatalogSets:
+    """The demand-feasible sets a catalog holds, before pricing: mask m
+    stands for {ground[i] : bit i of m set}, in increasing order."""
+
+    variant: str
+    delta: Optional[Fraction]
+    ground: tuple[int, ...]  # also the cover set
+    masks: list[int]
+
+
+def catalog_sets(inst: Instance, variant: str, delta: Optional[Fraction] = None) -> CatalogSets:
+    """The ground set and demand-feasible sets of a catalog variant."""
     if variant == "lp1":
-        ground = list(inst.customers)
-        cover = frozenset(inst.customers)
+        ground = tuple(inst.customers)
     elif variant == "lp2":
         if delta is None:
             raise ValueError("lp2 requires delta")
         delta = Fraction(delta)
-        ground = [v for v in inst.customers if inst.exceeds(v, delta)]
-        cover = frozenset(ground)
+        ground = tuple(v for v in inst.customers if inst.exceeds(v, delta))
     else:
         raise ValueError(f"unknown catalog variant {variant!r}")
 
     s = len(ground)
     if s > 24:
         raise CatalogTooLarge(f"ground set of {s} customers exceeds the limit of 24")
-    if not ground:
-        return TourCatalog(variant, delta, (), cover)
-
     masks = feasible_masks([inst.demand(v) for v in ground], inst.capacity)
-    try:
-        tours, exact = optimal_tours(inst, ground, masks).values(), True
-    except SubsetTooLarge:
-        # A feasible set is out of Held-Karp's reach; tour greedily and flag it.
-        sets = ([v for i, v in enumerate(ground) if (mask >> i) & 1] for mask in masks)
-        tours, exact = [approx_tsp(inst, members) for members in sets], False
+    return CatalogSets(variant, delta, ground, masks)
+
+
+def priced_catalog(sets: CatalogSets, tours: Iterable[Tour], exact: bool = True) -> TourCatalog:
+    """The catalog of ``sets`` whose entries are ``tours``, one per mask;
+    ``exact`` says whether each is its set's optimal tour."""
     entries = [CatalogEntry(t.customers, t, _digest(t.customers)) for t in tours]
     entries.sort(key=lambda e: (len(e.customers), sorted(e.customers)))
-    return TourCatalog(variant, delta, tuple(entries), cover, exact)
+    return TourCatalog(sets.variant, sets.delta, tuple(entries), frozenset(sets.ground), exact)
+
+
+def enumerate_tours(
+    inst: Instance,
+    variant: str,
+    delta: Optional[Fraction] = None,
+) -> TourCatalog:
+    """All demand-feasible customer sets of the relevant ground set, each
+    with its optimal tour from a Held-Karp pass over these sets alone,
+    in deterministic order."""
+    sets = catalog_sets(inst, variant, delta)
+    try:
+        tours, exact = optimal_tours(inst, sets.ground, sets.masks).values(), True
+    except SubsetTooLarge:
+        # A feasible set is out of Held-Karp's reach; tour greedily and flag it.
+        members = ([v for i, v in enumerate(sets.ground) if (mask >> i) & 1]
+                   for mask in sets.masks)
+        tours, exact = [approx_tsp(inst, m) for m in members], False
+    return priced_catalog(sets, tours, exact)
 
 
 def feasible_masks(demands: Sequence[int], capacity: int) -> list[int]:

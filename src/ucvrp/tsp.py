@@ -9,16 +9,19 @@ each optimal tour off its table; sets are capped at ``HELDKARP_CAP`` =
 sums and mins as the scalar recurrence, so its tours and costs match
 it bit for bit.  Its table is column-major, one row per end vertex and
 one column per set, so each step reduces across rows over long
-contiguous arrays; for the prefix family 1..M of an exact tour a
-set's predecessor column is found by subtraction.  The table takes
-2^s (s+1) 8 bytes for all subsets of s customers, about 40 MB at the
-cap.  The approximate solver doubles a minimum spanning tree and
-shortcuts the resulting Euler walk, guaranteeing cost at most twice
-the optimum.
-"""
+contiguous arrays.  The steps of the full family of s customers, which
+an exact tour fills, are built once per s and kept: s 2^(s-1) int64
+predecessor columns, 0.43 MB at s = 13 and 19 MB at the cap.  The
+table takes 2^s (s+1) 8 bytes for all subsets of s customers, about
+40 MB at the cap.  A set's column does not depend on the family it is
+priced in, so ``exact_tsp_and_tours`` reads an exact depot tour and a
+whole catalog off one table.  The approximate solver doubles a minimum
+spanning tree and shortcuts the resulting Euler walk, guaranteeing cost
+at most twice the optimum."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -167,8 +170,9 @@ def optimal_tours(
 ) -> dict[int, Tour]:
     """Optimal tour of every set in ``masks``, where ``mask`` stands for
     {ground[i] : bit i of mask set}.  ``masks`` must be downward closed
-    and increasing, like the demand-feasible sets of a catalog; any other
-    family raises ``ValueError``.  With
+    and increasing, like the demand-feasible sets of a catalog, and name
+    non-empty sets of ``ground``; any other family raises ``ValueError``.
+    With
     ``ground`` sorted, each tour is ``exact_tsp``'s, except that a
     singleton costs c(r,v) + c(v,r) where ``exact_tsp`` takes 2 c(r,v)."""
     masks = list(masks)
@@ -179,6 +183,33 @@ def optimal_tours(
     family = np.array(masks, dtype=np.int64)
     tours = _optimal_tours(sub, family, _held_karp(sub, family), ground, family)
     return dict(zip(masks, tours))
+
+
+def exact_tsp_and_tours(
+    inst: Instance, ground: Sequence[int], masks: Sequence[int]
+) -> tuple[Tour, list[Tour]]:
+    """``exact_tsp(inst, inst.customers)`` and the tour of every set in
+    ``masks``, which name sets of ``ground`` as in ``optimal_tours``, all
+    read off one Held-Karp table over every subset of the customers.
+    Needs 2 <= n <= ``HELDKARP_CAP`` and ``ground`` increasing customers;
+    each tour is then the one ``optimal_tours`` gives, bit for bit.  A
+    mask that names no non-empty set of ``ground`` raises ``ValueError``."""
+    customers = list(inst.customers)
+    if len(customers) < 2:
+        raise ValueError("an exact tour over fewer than 2 customers needs no table")
+    if len(customers) > HELDKARP_CAP:
+        raise SubsetTooLarge(f"{len(customers)} customers exceeds cap {HELDKARP_CAP}")
+    if list(ground) != _customers(inst, ground):
+        raise ValueError("ground must be increasing customers")
+    family = np.array(masks, dtype=np.int64)
+    _check_sets(family, len(ground))
+    # Bit deposit: bit i of a mask moves to the bit of customer ground[i].
+    wanted = _bits(family, len(ground)) @ (1 << (np.array(ground, dtype=np.int64) - 1))
+    full = np.arange(1, 1 << len(customers), dtype=np.int64)
+    sub = _submetric(inst, customers)
+    table = _held_karp(sub, full)
+    *tours, tour = _optimal_tours(sub, full, table, customers, np.append(wanted, full[-1]))
+    return tour, tours
 
 
 def tour_costs_all_subsets(inst: Instance, ground: Sequence[int]) -> list[float]:
@@ -210,42 +241,78 @@ def _held_karp(sub: np.ndarray, masks: np.ndarray) -> np.ndarray:
     whole column only picks members.  Columns are filled layer by layer
     in popcount, one member bit b at a time, as whole rows: gather the
     predecessor columns (masks[r] minus bit b), add c(x_i, x_{b+1}) to
-    row i, and reduce across rows into row b + 1.  These are the scalar
-    DP's sums and mins, so the table matches it bit for bit.  When the
-    family is the prefix 1..M, as for an exact tour, mask m sits in
-    column m - 1 and its predecessor is found by subtracting 1 << b;
-    any other family looks predecessors up by binary search.  The table
-    takes len(masks) * (s+1) * 8 bytes, about 40 MB for every subset of
-    18 customers.
+    row i >= 1, and reduce across rows into row b + 1.  These are the
+    scalar DP's sums and mins, so the table matches it bit for bit.  The
+    steps of the full family 1..2^s - 1, as for an exact tour, are built
+    once per s (``_full_schedule``); other families build theirs per
+    call (``_steps``).  The table takes len(masks) * (s+1) * 8 bytes,
+    about 40 MB for every subset of 18 customers.
     """
+    s = len(sub) - 1
     if (masks[1:] <= masks[:-1]).any():
         raise ValueError("Held-Karp masks must be increasing")
-    prefix = len(masks) > 0 and masks[0] == 1 and masks[-1] == len(masks)
-    s = len(sub) - 1
+    _check_sets(masks, s)
     table = np.full((s + 1, len(masks)), INF)
+    ones = np.flatnonzero((masks & (masks - 1)) == 0)
+    first = _bits(masks[ones], s) @ np.arange(1, s + 1)  # row b + 1 of set 1 << b
+    table[first, ones] = sub[0, first]
+    if len(masks) == (1 << s) - 1:  # increasing and in range: every subset
+        steps = ((b, prev, prev + (1 << b)) for b, prev in _full_schedule(s))
+    else:
+        steps = _steps(masks, s)
+    ends = table[1:]  # a path over a non-empty set never ends at the depot
+    for b, prev, cols in steps:
+        paths = ends.take(prev, axis=1)
+        paths += sub[1:, b + 1, None]
+        table[b + 1, cols] = np.minimum.reduce(paths, axis=0)
+    return table
+
+
+def _check_sets(masks: np.ndarray, s: int) -> None:
+    """``ValueError`` unless every mask names a non-empty set of an
+    s-member ground."""
+    if len(masks) and (masks.min() < 1 or masks.max() >> s):
+        raise ValueError(f"Held-Karp masks must be downward closed, over non-empty "
+                         f"sets of the {s}-member ground")
+
+
+def _steps(masks: np.ndarray, s: int):
+    """The DP's steps above the singletons, in order: (b, predecessor
+    columns, columns) of the sets of each popcount layer that hold bit
+    b.  In a prefix family 1..M mask m sits in column m - 1, and every
+    subset of m precedes it; any other family finds predecessors by
+    binary search and raises ``ValueError`` at one that is missing."""
+    prefix = len(masks) and masks[-1] == len(masks)  # increasing from 1: 1..M
     bits = _bits(masks, s)
     layers = bits.sum(axis=1)
-    for size in range(1, int(layers.max(initial=0)) + 1):
+    for size in range(2, int(layers.max(initial=0)) + 1):
         layer = np.flatnonzero(layers == size)
         members = bits[layer]
         for b in range(s):
             cols = layer[members[:, b]]
             if not cols.size:
                 continue
-            if size == 1:
-                table[b + 1, cols] = sub[0, b + 1]
-                continue
             if prefix:
-                prev_cols = cols - (1 << b)
-            else:
-                prev = masks[cols] ^ (1 << b)
-                prev_cols = masks.searchsorted(prev)
-                if (masks[prev_cols] != prev).any():
-                    raise ValueError("Held-Karp masks must be downward closed")
-            paths = table.take(prev_cols, axis=1)
-            paths += sub[:, b + 1, None]
-            table[b + 1, cols] = np.minimum.reduce(paths, axis=0)
-    return table
+                yield b, cols - (1 << b), cols
+                continue
+            prev = masks[cols] ^ (1 << b)
+            prev_cols = masks.searchsorted(prev)
+            if (masks[prev_cols] != prev).any():
+                raise ValueError("Held-Karp masks must be downward closed")
+            yield b, prev_cols, cols
+
+
+@functools.cache
+def _full_schedule(s: int) -> tuple[tuple[int, np.ndarray], ...]:
+    """``_steps`` of the full family 1..2^s - 1, kept read-only for reuse:
+    (b, predecessor columns) per step, the columns being these plus
+    1 << b.  It holds s 2^(s-1) - s int64 indices, 8 bytes each: 0.43 MB
+    at s = 13, 19 MB at the cap.  The DP never tours more than the cap,
+    so at most one schedule per s <= 18 is kept, ~38 MB were each used."""
+    schedule = tuple((b, prev) for b, prev, _ in _steps(np.arange(1, 1 << s), s))
+    for _, prev in schedule:
+        prev.flags.writeable = False
+    return schedule
 
 
 def _optimal_tours(sub, masks, table, ground: Sequence[int], wanted) -> list[Tour]:

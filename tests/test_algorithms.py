@@ -2,6 +2,7 @@ import hashlib
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import ucvrp.algorithms as algorithms
@@ -9,11 +10,11 @@ from ucvrp import oracle, tsp
 from ucvrp.algorithms import alg1, alg2, default_tour, lp_itp_pipeline
 from ucvrp.big_matching import serve_big_by_matching
 from ucvrp.constants import default_gammas
-from ucvrp.instance import gen_instance
+from ucvrp.instance import METRIC_TOL, Instance, gen_instance, validate_instance
 from ucvrp.lp_round import enumerate_tours, round_tours, solve_covering_lp
 from ucvrp.oracle import exact_cvrp
 from ucvrp.solution import check_feasible
-from ucvrp.tsp import approx_tsp
+from ucvrp.tsp import approx_tsp, exact_tsp
 
 from conftest import instance_mix
 
@@ -193,6 +194,122 @@ def test_warm_solves_make_no_exact_tours(monkeypatch):
     assert calls == []
     gamma = default_gammas().gamma_star
     assert any(round_tours(cat1, lp1, gamma, seed).selected for seed in range(4))
+
+
+def tie_heavy(n, k, seed, lengths):
+    """A generated instance's demands on a metric whose distances are all
+    drawn from ``lengths`` (1 and 2 keep the triangle inequality)."""
+    base = gen_instance("euclidean", n, k, seed=seed)
+    upper = np.random.default_rng(seed).choice(lengths, n * (n + 1) // 2)
+    m = np.zeros((n + 1, n + 1))
+    m[np.triu_indices(n + 1, 1)] = upper
+    return Instance(f"ties{lengths}", k, base.demands, m + m.T)
+
+
+def skewed(inst):
+    """``inst`` with every c(r, v) from the depot raised by half the
+    asymmetry ``validate_instance`` forgives: a catalog singleton then
+    costs c(r,v) + c(v,r), not ``exact_tsp``'s 2 c(r,v)."""
+    m = inst.metric.copy()
+    m[0, 1:] += 0.5 * METRIC_TOL
+    return validate_instance(Instance("skewed", inst.capacity, inst.demands, m))
+
+
+CATALOG_CASES = [
+    *instance_mix(14, max_n=9, max_k=10, seed_base=8100),
+    *(tie_heavy(n, k, n, lengths) for n, k in ((6, 4), (9, 10))
+      for lengths in ([1.0], [1.0, 2.0])),
+    *(skewed(gen_instance(kind, n, k, seed=n))
+      for kind, n, k in (("euclidean", 2, 3), ("random_metric", 7, 10), ("euclidean", 9, 4))),
+]
+
+
+def catalog_rows(catalog):
+    return [(e.customers, e.tour.vertices, e.tour.quality_tag, e.cost.hex(), e.digest)
+            for e in catalog.tours]
+
+
+@pytest.mark.parametrize("variant, delta", [
+    ("lp1", None), ("lp2", Fraction(1, 10)), ("lp2", FIFTH), ("lp2", Fraction(2, 5)),
+])
+def test_catalog_from_the_depot_table_equals_enumerated(variant, delta):
+    # A set's Held-Karp column is the same floats in the full table as in a
+    # table over the catalog's sets alone, and lp2's ground positions keep
+    # their order as customer bits, so both read the same tours.
+    proper = 0
+    for inst in CATALOG_CASES:
+        tour, catalog = algorithms._one_table(inst, None, None, variant, delta)
+        want = enumerate_tours(inst, variant, delta)
+        if inst.n < 2:
+            assert (tour, catalog) == (None, None)
+            continue
+        assert tour == exact_tsp(inst, inst.customers)
+        assert tour.cost.hex() == exact_tsp(inst, inst.customers).cost.hex()
+        assert catalog_rows(catalog) == catalog_rows(want)
+        assert (catalog.variant, catalog.delta, catalog.cover_set, catalog.exact_priced) == (
+            want.variant, want.delta, want.cover_set, want.exact_priced)
+        proper += 0 < len(catalog.cover_set) < inst.n
+    if variant == "lp2":
+        assert proper  # some ground set is a proper, non-empty subset
+    # Either argument given keeps the solve on its own tour or catalog.
+    inst = CATALOG_CASES[1]
+    given = default_tour(inst)
+    assert algorithms._one_table(inst, given, None, variant, delta) == (given, None)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda inst, tour: alg1(inst, seed=3, tour=tour),
+    lambda inst, tour: alg2(inst, FIFTH, seed=3, tour=tour),
+], ids=["alg1", "alg2"])
+def test_cold_solve_equals_solve_given_its_tour(solve):
+    for inst in CATALOG_CASES:
+        a_sol, a_rep = solve(inst, None)
+        b_sol, b_rep = solve(inst, default_tour(inst))
+        assert [t.vertices for t in a_sol.tours] == [t.vertices for t in b_sol.tours]
+        assert a_sol.cost.hex() == b_sol.cost.hex()
+        assert a_rep.to_json() == b_rep.to_json()
+
+
+@pytest.mark.parametrize("n, built", [(1, 1), (2, 0)])
+def test_depot_tour_of_one_customer_is_exact_tsps(monkeypatch, n, built):
+    # At n = 1 no table is built and default_tour runs exact_tsp: a catalog
+    # singleton's c(r,v) + c(v,r) differs from its 2 c(r,v) when skewed.
+    inst = skewed(gen_instance("euclidean", n, 3, seed=3))
+    assert exact_tsp(inst, [1]).cost != enumerate_tours(inst, "lp1").tours[0].cost
+    calls = []
+    real = algorithms.default_tour
+
+    def counting(inst):
+        calls.append(inst.name)
+        return real(inst)
+
+    monkeypatch.setattr(algorithms, "default_tour", counting)
+    alg1(inst)
+    alg2(inst, FIFTH)
+    assert len(calls) == 2 * built
+
+
+@pytest.mark.parametrize("n", [2, 9, 18])
+def test_one_table_per_cold_solve(monkeypatch, n):
+    inst = gen_instance("euclidean", n, 4, seed=n)
+    tour = default_tour(inst)
+    cat1, cat2 = enumerate_tours(inst, "lp1"), enumerate_tours(inst, "lp2", FIFTH)
+    lp1, lp2 = solve_covering_lp(cat1), solve_covering_lp(cat2)
+    tables = []
+    real = tsp._held_karp
+
+    def counting(sub, masks):
+        tables.append(len(masks))
+        return real(sub, masks)
+
+    monkeypatch.setattr(tsp, "_held_karp", counting)
+    alg1(inst, seed=1)
+    assert tables == [(1 << n) - 1]
+    alg2(inst, FIFTH, seed=1)
+    assert tables == [(1 << n) - 1] * 2
+    alg1(inst, seed=1, tour=tour, catalog=cat1, lpsol=lp1)
+    alg2(inst, FIFTH, seed=1, tour=tour, catalog=cat2, lpsol=lp2)
+    assert len(tables) == 2
 
 
 # sha256 of the rows built below.  A solution or report that changes but

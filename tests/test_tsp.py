@@ -124,12 +124,15 @@ class TestHeldKarpKernel:
         assert_same_tours(got.values(), want.values())
 
     # A prefix family 1..M finds each predecessor by subtraction, not by
-    # binary search; an M short of 2^s - 1 leaves the top layers partial.
+    # binary search.  The full family M = 2^s - 1 runs the schedule built
+    # once per s; an M short of it leaves the top layers partial.
     @given(inst=tour_instances(), data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_prefix_family_matches_scalar_kernel(self, inst, data):
         ground = sorted(data.draw(st.sets(st.sampled_from(list(inst.customers)), min_size=2)))
-        masks = range(1, data.draw(st.integers(1, (1 << len(ground)) - 2), label="M") + 1)
+        full = (1 << len(ground)) - 1
+        top = data.draw(st.one_of(st.just(full), st.integers(1, full - 1)), label="M")
+        masks = range(1, top + 1)
         got = optimal_tours(inst, ground, masks)
         want = held_karp_tours(inst, ground, masks)
         assert list(got) == list(want) == list(masks)
@@ -141,13 +144,60 @@ class TestHeldKarpKernel:
             optimal_tours(inst_line3, [1, 2, 3], masks)
 
     # [0, 1, 2, 3, 5] ends at its length, like a prefix family, but lacks
-    # 4; [1, 2, 4, 7] has no mask of popcount 2 to build 7 from.
+    # 4; [1, 2, 4, 7] has no mask of popcount 2 to build 7 from.  The last
+    # four name no non-empty set of the 3-member ground: the empty set, or
+    # a set holding a fourth member.
     @pytest.mark.parametrize(
-        "masks", [[1, 3], [2, 3], [1, 2, 4, 7], [1, 2, 3, 4, 5, 7], [0, 1, 2, 3, 5]]
+        "masks", [[1, 3], [2, 3], [1, 2, 4, 7], [1, 2, 3, 4, 5, 7], [0, 1, 2, 3, 5],
+                  [0], [8], [1, 8], [1, 2, 3, 9]]
     )
     def test_rejects_family_not_downward_closed(self, inst_line3, masks):
         with pytest.raises(ValueError, match="downward closed"):
             optimal_tours(inst_line3, [1, 2, 3], masks)
+
+    def test_full_schedule_is_built_once_per_size(self):
+        inst = gen_instance("euclidean", 7, 3, seed=4)
+        exact_tsp(inst, inst.customers)
+        schedule = tsp._full_schedule(7)
+        built = tsp._full_schedule.cache_info().misses
+        exact_tsp(inst, inst.customers)
+        optimal_tours(inst, list(inst.customers), range(1, 1 << 7))
+        assert tsp._full_schedule.cache_info().misses == built
+        assert tsp._full_schedule(7) is schedule
+        assert all(not prev.flags.writeable for _, prev in schedule)
+        with pytest.raises(ValueError, match="read-only"):
+            schedule[-1][1][0] = 0
+        # s 2^(s-1) - s predecessor columns, one per member of each set
+        # above the singletons, as int64.
+        assert sum(prev.nbytes for _, prev in schedule) == 8 * (7 * 2 ** 6 - 7)
+
+
+class TestExactTspAndTours:
+    @given(inst=tour_instances(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_exact_tsp_and_optimal_tours(self, inst, data):
+        ground = sorted(data.draw(st.sets(st.sampled_from(list(inst.customers)))))
+        masks = feasible_masks([inst.demand(v) for v in ground], inst.capacity)
+        tour, tours = tsp.exact_tsp_and_tours(inst, ground, masks)
+        assert_same_tours([tour], [exact_tsp(inst, inst.customers)])
+        assert_same_tours(tours, optimal_tours(inst, ground, masks).values())
+
+    @pytest.mark.parametrize("masks", [[0], [8], [1, 8], [1, 2, 3, 9]])
+    def test_rejects_masks_outside_the_ground(self, masks):
+        inst = gen_instance("euclidean", 5, 3, seed=1)
+        with pytest.raises(ValueError, match="non-empty sets of the 3-member ground"):
+            tsp.exact_tsp_and_tours(inst, [1, 2, 3], masks)
+
+    def test_needs_an_exact_tour_and_a_sorted_ground(self, inst_line3, monkeypatch):
+        with pytest.raises(ValueError, match="increasing customers"):
+            tsp.exact_tsp_and_tours(inst_line3, [2, 1], [1])
+        with pytest.raises(NotACustomer):
+            tsp.exact_tsp_and_tours(inst_line3, [0, 1], [1])
+        with pytest.raises(ValueError, match="fewer than 2"):
+            tsp.exact_tsp_and_tours(gen_instance("euclidean", 1, 3, seed=1), [1], [1])
+        monkeypatch.setattr(tsp, "HELDKARP_CAP", 2)
+        with pytest.raises(SubsetTooLarge):
+            tsp.exact_tsp_and_tours(inst_line3, [1], [1])
 
 
 class TestApproxTsp:
