@@ -1,15 +1,15 @@
 """Composed solvers: the LP-round-then-partition pipeline and the two
 meta-algorithms that take the best of their branches.
 
-Each step of a solve exists once: the depot tour, the tour catalog with
-its covering LP, the LP branch (round the LP and serve each selected
-catalog entry by the tour it was priced by, then serve the leftover
-customers by the threshold partition) and the report, which checks
-feasibility once per public call.  ``lp_itp_pipeline`` runs one LP
-branch, ``alg1`` one and ``alg2`` two over a shared catalog.  An
-``alg1``/``alg2`` call given neither tour nor catalog, whose depot tour
-is exact (2 <= n <= ``HELDKARP_CAP``), reads both off one Held-Karp
-table.
+Each step of a solve exists once: the depot tour with the tour catalog
+and its covering LP (``_catalog_lp``), the LP branch (round the LP and
+serve each selected catalog entry by the tour it was priced by, then
+serve the leftover customers by the threshold partition) and the
+report, which checks feasibility once per public call.
+``lp_itp_pipeline`` runs one LP branch, ``alg1`` one and ``alg2`` two
+over a shared catalog.  A solve given neither tour nor catalog, whose
+depot tour is exact (2 <= n <= ``HELDKARP_CAP``), reads both off one
+Held-Karp table.
 
 ``alg1`` (fixed capacity) runs the matching branch and the full-catalog
 branch with threshold 1/3, keeping the cheaper solution; its default
@@ -22,8 +22,8 @@ at the root y1 of (1/2) y + 6 (1 - y)(1 - e^{-y/2}) = ln(2 - 2 y),
 y2 = 4 (1 - y1)(1 - e^{-y1/2}); a refused catalog raises.
 
 ``SOLVERS`` has one row per ``ucvrp solve`` name, the meta-algorithms and
-each of their branches: how to run it, with its report, whether it needs
-delta, why it refuses gamma and which catalog ``--dump-lp`` builds.
+each of their branches: how to run it, building all it uses, whether it
+needs delta and why it refuses gamma.
 """
 
 from __future__ import annotations
@@ -77,27 +77,24 @@ def default_tour(inst: Instance) -> Tour:
         return approx_tsp(inst, inst.customers)
 
 
-def _one_table(inst, tour, catalog, lp_variant, delta_lp):
-    """The depot tour and catalog of a solve, as passed in.  A solve
-    given neither, whose tour is exact (2 <= n <= ``HELDKARP_CAP``), reads
-    both off one Held-Karp table; the catalog equals ``enumerate_tours``'."""
-    if tour is None and catalog is None and 2 <= inst.n <= HELDKARP_CAP:
-        sets = catalog_sets(inst, lp_variant, delta_lp)
+def _catalog_lp(inst, variant, delta_lp, tour=None, catalog=None, lpsol=None):
+    """The depot tour, tour catalog and covering-LP solution of a solve,
+    each as passed in or built; the tour stays None unless a table gives
+    it.  A solve given neither tour nor catalog, whose tour is exact
+    (2 <= n <= ``HELDKARP_CAP``), reads both off one Held-Karp table; the
+    catalog equals ``enumerate_tours``'.  A catalog that covers nobody
+    gets no LP."""
+    if catalog is None and tour is None and 2 <= inst.n <= HELDKARP_CAP:
+        sets = catalog_sets(inst, variant, delta_lp)
         tour, tours = exact_tsp_and_tours(inst, sets.ground, sets.masks)
         catalog = priced_catalog(sets, tours)
-    return tour, catalog
-
-
-def _catalog_lp(inst, lp_variant, delta_lp, catalog, lpsol):
-    """The tour catalog and its covering-LP solution, each built unless
-    passed in.  A catalog that covers nobody gets no LP."""
-    if catalog is None:
-        catalog = enumerate_tours(inst, lp_variant, delta_lp)
-    elif catalog.variant != lp_variant or (lp_variant == "lp2" and catalog.delta != delta_lp):
-        raise ValueError(f"{catalog.variant}({catalog.delta}) catalog for {lp_variant}({delta_lp})")
+    elif catalog is None:
+        catalog = enumerate_tours(inst, variant, delta_lp)
+    elif (catalog.variant, catalog.delta) != (variant, delta_lp):
+        raise ValueError(f"{catalog.variant}({catalog.delta}) catalog for {variant}({delta_lp})")
     if lpsol is None and catalog.cover_set:
         lpsol = solve_covering_lp(catalog)
-    return catalog, lpsol
+    return tour, catalog, lpsol
 
 
 def _round_then_partition(
@@ -147,7 +144,7 @@ def lp_itp_pipeline(
     gamma: float,
     delta_itp_threshold: Fraction,
     seed: int,
-    tour: Tour,
+    tour: Optional[Tour] = None,
     delta_lp: Optional[Fraction] = None,
     catalog: Optional[TourCatalog] = None,
     lpsol: Optional[LpSolution] = None,
@@ -158,10 +155,10 @@ def lp_itp_pipeline(
     With gamma = 0 the LP is never built: everything falls to the
     partition stage.  For the restricted catalog ("lp2"), small customers
     are never covered by the LP and always go to the partition stage.
-    ``catalog``/``lpsol`` may be passed in to amortize the enumeration
-    and solve across seeds.
+    ``tour``/``catalog``/``lpsol`` may be passed in to amortize their
+    construction across seeds.
     """
-    if tour.customers != set(inst.customers):
+    if tour is not None and tour.customers != set(inst.customers):
         raise ValueError("tour must cover all customers")
     check_gamma(gamma)
     delta_itp_threshold = Fraction(delta_itp_threshold)
@@ -170,7 +167,8 @@ def lp_itp_pipeline(
         notes = (f"delta_lp={delta_lp} outside the (0, 1/3) analysis regime",)
 
     if gamma != 0:
-        catalog, lpsol = _catalog_lp(inst, lp_variant, delta_lp, catalog, lpsol)
+        tour, catalog, lpsol = _catalog_lp(inst, lp_variant, delta_lp, tour, catalog, lpsol)
+    tour = tour or default_tour(inst)
     sol, rounded_cost, itp_cost, lp_solved = _round_then_partition(
         inst, catalog, lpsol, gamma, delta_itp_threshold, seed, tour
     )
@@ -196,18 +194,15 @@ def alg1(
 ) -> tuple[Solution, SolveReport]:
     """Better of the matching branch and the full-catalog LP branch."""
     gamma = check_gamma(default_gammas().gamma_star if gamma is None else gamma)
-    if gamma != 0:
-        tour, catalog = _one_table(inst, tour, catalog, "lp1", None)
-    if tour is None:
-        tour = default_tour(inst)
-    sol_a = subalg1(inst, tour)
     branch_gamma, notes = gamma, ()
     if gamma != 0:
         try:
-            catalog, lpsol = _catalog_lp(inst, "lp1", None, catalog, lpsol)
+            tour, catalog, lpsol = _catalog_lp(inst, "lp1", None, tour, catalog, lpsol)
         except CatalogTooLarge:
             # Polynomial fallback: skip the LP entirely.
             branch_gamma, notes = 0.0, ("catalog too large; gamma forced to 0",)
+    tour = tour or default_tour(inst)
+    sol_a = subalg1(inst, tour)
     sol_b, _, _, lp_solved = _round_then_partition(
         inst, catalog, lpsol, branch_gamma, THIRD, seed, tour
     )
@@ -237,12 +232,9 @@ def alg2(
     gamma1 = check_gamma(default_gammas().gamma1 if gamma1 is None else gamma1)
     gamma2 = check_gamma(default_gammas().gamma2 if gamma2 is None else gamma2)
     # The catalog first: a refused one raises before the tour is built.
-    # Up to the cap none is refused, and one table builds both.
     if gamma1 != 0 or gamma2 != 0:
-        tour, catalog = _one_table(inst, tour, catalog, "lp2", delta)
-        catalog, lpsol = _catalog_lp(inst, "lp2", delta, catalog, lpsol)
-    if tour is None:
-        tour = default_tour(inst)
+        tour, catalog, lpsol = _catalog_lp(inst, "lp2", delta, tour, catalog, lpsol)
+    tour = tour or default_tour(inst)
 
     sol_a = subalg1(inst, tour)
     sol_b, _, _, lp_b = _round_then_partition(
@@ -262,56 +254,62 @@ def alg2(
 
 @dataclass(frozen=True)
 class Solver:
-    """``run(inst, tour, delta, gamma, seed, catalog, lpsol)`` returns the
-    solution, its report and the ``--trace`` payload or None; a gamma of
-    None is the default, and a catalog of None is built if needed."""
+    """``run(inst, delta, gamma, seed)`` builds what the solver uses and
+    returns the solution, its report and the extras a flag may print:
+    ``"trace"`` for ``--trace``, and ``"lp"``, the (catalog, LP solution)
+    that an LP branch rounded, for ``--dump-lp``.  A gamma of None is the
+    default."""
 
-    run: Callable[..., tuple[Solution, SolveReport, Optional[dict]]]
+    run: Callable[..., tuple[Solution, SolveReport, dict]]
     needs_delta: bool = False
     no_gamma: Optional[str] = None  # why gamma is refused; None if it is taken
-    lp_variant: Optional[str] = None  # the catalog --dump-lp builds and passes in
 
 
-def _no_lp(name, inst, tour, sol, delta, seed, trace=None):
+def _no_lp(name, inst, tour, sol, delta, seed, **extras):
     """A solver without LP or branches, run at partition threshold delta."""
     params = {"delta_itp": str(delta)}
     return sol, _report(inst, sol, tour, algorithm=name, params=params,
-                        branch_costs={}, seed=seed), trace
+                        branch_costs={}, seed=seed), extras
 
 
-def _run_ditp(name, fixed_delta, inst, tour, delta, gamma, seed, catalog, lpsol):
+def _run_ditp(name, fixed_delta, inst, delta, gamma, seed):
     delta = delta if fixed_delta is None else fixed_delta
+    tour = default_tour(inst)
     sol, trace = delta_itp(inst, set(inst.customers), tour, delta)
-    return _no_lp(name, inst, tour, sol, delta, seed, trace.to_json_dict())
+    return _no_lp(name, inst, tour, sol, delta, seed, trace=trace.to_json_dict())
 
 
-def _run_ditp_plus(inst, tour, delta, gamma, seed, catalog, lpsol):
+def _run_ditp_plus(inst, delta, gamma, seed):
+    tour = default_tour(inst)
     sol = delta_itp_plus(inst, set(inst.customers), tour, delta)
     return _no_lp("ditp+", inst, tour, sol, delta, seed)
 
 
-def _run_subalg1(inst, tour, delta, gamma, seed, catalog, lpsol):
+def _run_subalg1(inst, delta, gamma, seed):
+    tour = default_tour(inst)
     plan, big_sol = serve_big_by_matching(inst)
     sol = subalg1(inst, tour, matching=(plan, big_sol))
-    return _no_lp("subalg1", inst, tour, sol, BIG_THRESHOLD, seed, plan.to_json_dict())
+    return _no_lp("subalg1", inst, tour, sol, BIG_THRESHOLD, seed, trace=plan.to_json_dict())
 
 
-def _run_pipeline(variant, default_gamma, threshold, inst, tour, delta, gamma, seed,
-                  catalog, lpsol):
+def _run_pipeline(variant, default_gamma, threshold, inst, delta, gamma, seed):
     """One LP branch; a threshold of None partitions at delta."""
-    gamma = getattr(default_gammas(), default_gamma) if gamma is None else gamma
+    gamma = check_gamma(getattr(default_gammas(), default_gamma) if gamma is None else gamma)
+    delta_lp = None if variant == "lp1" else delta
+    tour = catalog = lpsol = None
+    if gamma != 0:
+        tour, catalog, lpsol = _catalog_lp(inst, variant, delta_lp)
     sol, report = lp_itp_pipeline(inst, variant, gamma, threshold or delta, seed, tour,
-                                  delta_lp=None if variant == "lp1" else delta,
-                                  catalog=catalog, lpsol=lpsol)
-    return sol, report, None
+                                  delta_lp, catalog, lpsol)
+    return sol, report, {} if lpsol is None else {"lp": (catalog, lpsol)}
 
 
-def _run_alg1(inst, tour, delta, gamma, seed, catalog, lpsol):
-    return (*alg1(inst, seed=seed, gamma=gamma, tour=tour), None)
+def _run_alg1(inst, delta, gamma, seed):
+    return (*alg1(inst, seed=seed, gamma=gamma), {})
 
 
-def _run_alg2(inst, tour, delta, gamma, seed, catalog, lpsol):
-    return (*alg2(inst, delta, seed=seed, tour=tour), None)
+def _run_alg2(inst, delta, gamma, seed):
+    return (*alg2(inst, delta, seed=seed), {})
 
 
 _NO_LP = "rounds no LP"
@@ -320,11 +318,9 @@ SOLVERS = {
     "ditp": Solver(partial(_run_ditp, "ditp", None), needs_delta=True, no_gamma=_NO_LP),
     "ditp+": Solver(_run_ditp_plus, needs_delta=True, no_gamma=_NO_LP),
     "subalg1": Solver(_run_subalg1, no_gamma=_NO_LP),
-    "subalg2": Solver(partial(_run_pipeline, "lp1", "gamma_star", THIRD), lp_variant="lp1"),
-    "subalg3": Solver(partial(_run_pipeline, "lp2", "gamma1", THIRD), needs_delta=True,
-                      lp_variant="lp2"),
-    "subalg4": Solver(partial(_run_pipeline, "lp2", "gamma2", None), needs_delta=True,
-                      lp_variant="lp2"),
+    "subalg2": Solver(partial(_run_pipeline, "lp1", "gamma_star", THIRD)),
+    "subalg3": Solver(partial(_run_pipeline, "lp2", "gamma1", THIRD), needs_delta=True),
+    "subalg4": Solver(partial(_run_pipeline, "lp2", "gamma2", None), needs_delta=True),
     "alg1": Solver(_run_alg1),
     "alg2": Solver(_run_alg2, needs_delta=True,
                    no_gamma="takes two intensities, gamma1 and gamma2"),

@@ -20,6 +20,10 @@ from ucvrp.solution import check_feasible
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+# The library's typed errors and unreadable or malformed input: a usage
+# error, not a violation.
+USAGE_ERRORS = (ValueError, KeyError, OSError, lp_round.LpInfeasible,
+                constants.NoSignChange, constants.DomainViolation)
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -47,13 +51,7 @@ def cmd_solve(args) -> int:
               file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     inst = validate_instance(load_json(args.instance))
-    catalog = lpsol = None
-    if args.dump_lp and solver.lp_variant:
-        # Built once: the pipeline solves with the objects that are dumped.
-        catalog = lp_round.enumerate_tours(inst, solver.lp_variant, args.delta)
-        lpsol = lp_round.solve_covering_lp(catalog)
-    tour = algorithms.default_tour(inst)
-    sol, report, trace = solver.run(inst, tour, args.delta, args.gamma, args.seed, catalog, lpsol)
+    sol, report, extras = solver.run(inst, args.delta, args.gamma, args.seed)
     # The report holds the bound and the check; a failed check reruns for its violations.
     violations = [] if report.feasible else list(check_feasible(inst, sol).violations)
     out = {
@@ -67,9 +65,10 @@ def cmd_solve(args) -> int:
         "lower_bounds": report.lower_bounds,
         "report": report.to_json_dict(),
     }
-    if args.trace and trace is not None:
-        out["trace"] = trace
-    if catalog is not None:
+    if args.trace and "trace" in extras:
+        out["trace"] = extras["trace"]
+    if args.dump_lp and "lp" in extras:
+        catalog, lpsol = extras["lp"]
         out["lp"] = {"catalog": catalog.to_json_dict(), "solution": lpsol.to_json_dict()}
     # A non-finite value, such as a NaN gamma that no rounding saw, is not JSON.
     print(json.dumps(out, sort_keys=True, allow_nan=False))
@@ -147,15 +146,21 @@ def cmd_check(args) -> int:
     if not paths:
         print(f"no instance files in {args.directory}", file=sys.stderr)
         return EXIT_USAGE
-    bad = 0
+    bad = invalid = 0
     for path in paths:
-        inst = load_json(str(path))
-        failures = check_instance_invariants(inst)
+        try:
+            failures = check_instance_invariants(load_json(str(path)))
+        except USAGE_ERRORS as exc:
+            print(f"{path.name}: error {type(exc).__name__}: {exc}")
+            invalid += 1
+            continue
         status = "ok" if not failures else "FAIL"
         print(f"{path.name}: {status}")
         for f in failures:
             print(f"  {f}")
         bad += bool(failures)
+    if invalid:
+        return EXIT_USAGE
     return EXIT_OK if bad == 0 else EXIT_VIOLATION
 
 
@@ -174,8 +179,7 @@ def cmd_bench(args) -> int:
             opt = oracle.exact_cvrp(inst).opt_cost
             for alg in algs:
                 t0 = time.perf_counter()
-                tour = algorithms.default_tour(inst)
-                sol, rep, _ = algorithms.SOLVERS[alg].run(inst, tour, None, None, seed, None, None)
+                sol, rep, _ = algorithms.SOLVERS[alg].run(inst, None, None, seed)
                 wall = time.perf_counter() - t0
                 rows.append({
                     "instance": inst.name,
@@ -254,10 +258,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError, lp_round.LpInfeasible,
-            constants.NoSignChange, constants.DomainViolation) as exc:
-        # The library's typed errors and unreadable or malformed input: a
-        # usage error, not a violation.
+    except USAGE_ERRORS as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
         return EXIT_USAGE
 

@@ -115,9 +115,10 @@ class CatalogSets:
 
 
 def catalog_sets(inst: Instance, variant: str, delta: Optional[Fraction] = None) -> CatalogSets:
-    """The ground set and demand-feasible sets of a catalog variant."""
+    """The ground set and demand-feasible sets of a catalog variant; an
+    lp1 catalog takes no delta and stores None."""
     if variant == "lp1":
-        ground = tuple(inst.customers)
+        ground, delta = tuple(inst.customers), None
     elif variant == "lp2":
         if delta is None:
             raise ValueError("lp2 requires delta")

@@ -214,7 +214,8 @@ def exact_tsp_and_tours(
 
 def tour_costs_all_subsets(inst: Instance, ground: Sequence[int]) -> list[float]:
     """Optimal tour cost for every subset of ``ground``; entry ``mask``
-    prices {ground[i] : bit i of mask set}."""
+    prices {ground[i] : bit i of mask set}.  No solve calls it: it is
+    kept only because the benchmark's tracer names it."""
     tours = optimal_tours(inst, ground, range(1, 1 << len(ground)))
     return [0.0, *(t.cost for t in tours.values())]
 

@@ -238,10 +238,10 @@ def test_catalog_from_the_depot_table_equals_enumerated(variant, delta):
     # their order as customer bits, so both read the same tours.
     proper = 0
     for inst in CATALOG_CASES:
-        tour, catalog = algorithms._one_table(inst, None, None, variant, delta)
+        tour, catalog, _ = algorithms._catalog_lp(inst, variant, delta)
         want = enumerate_tours(inst, variant, delta)
         if inst.n < 2:
-            assert (tour, catalog) == (None, None)
+            assert tour is None and catalog_rows(catalog) == catalog_rows(want)
             continue
         assert tour == exact_tsp(inst, inst.customers)
         assert tour.cost.hex() == exact_tsp(inst, inst.customers).cost.hex()
@@ -253,8 +253,10 @@ def test_catalog_from_the_depot_table_equals_enumerated(variant, delta):
         assert proper  # some ground set is a proper, non-empty subset
     # Either argument given keeps the solve on its own tour or catalog.
     inst = CATALOG_CASES[1]
-    given = default_tour(inst)
-    assert algorithms._one_table(inst, given, None, variant, delta) == (given, None)
+    given, want = default_tour(inst), enumerate_tours(inst, variant, delta)
+    tour, catalog, _ = algorithms._catalog_lp(inst, variant, delta, tour=given)
+    assert tour is given and catalog_rows(catalog) == catalog_rows(want)
+    assert algorithms._catalog_lp(inst, variant, delta, catalog=want)[:2] == (None, want)
 
 
 @pytest.mark.parametrize("solve", [

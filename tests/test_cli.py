@@ -1,12 +1,13 @@
+import hashlib
 import json
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from ucvrp import algorithms, big_matching, cli, lp_round
+from ucvrp import algorithms, big_matching, cli, lp_round, tsp
 from ucvrp.cli import main
-from ucvrp.instance import gen_instance, load_json, radial_lower_bound
+from ucvrp.instance import gen_instance, load_json, radial_lower_bound, save_json
 from ucvrp.oracle import exact_cvrp
 from ucvrp.solution import FeasibilityReport
 
@@ -40,6 +41,17 @@ def instance_file(tmp_path, capsys):
                   "--seed", "7", "--out", str(path))
     assert code == 0
     return path
+
+
+@pytest.fixture(scope="module")
+def exact_files(tmp_path_factory):
+    """Instance files at n = 2, 13 and 18, where every depot tour is exact."""
+    paths = []
+    for n in (2, 13, 18):
+        path = tmp_path_factory.mktemp("exact") / f"n{n}.json"
+        assert main(["gen", "-n", str(n), "-k", "4", "--seed", "1", "--out", str(path)]) == 0
+        paths.append(path)
+    return paths
 
 
 class TestGen:
@@ -89,22 +101,26 @@ class TestSolve:
         assert "lp" in payload
         assert payload["lp"]["solution"]["objective"] > 0
 
-    @pytest.mark.parametrize("argv", [
-        ("--alg", "alg1"),
-        ("--alg", "alg2", "--delta", "1/5"),
-    ])
-    def test_builds_depot_tour_once(self, instance_file, capsys, monkeypatch, argv):
-        calls = []
-        real = algorithms.default_tour
+    @pytest.mark.parametrize("dump_lp", [[], ["--dump-lp"]], ids=["plain", "dump-lp"])
+    @pytest.mark.parametrize("alg", list(algorithms.SOLVERS))
+    def test_one_held_karp_table_per_solve(self, exact_files, capsys, monkeypatch,
+                                           alg, dump_lp):
+        # The depot tour, and the catalog of a solver that rounds an LP, are
+        # read off one table whether or not the LP is dumped.
+        tables = []
+        real = tsp._held_karp
 
-        def counting(inst):
-            calls.append(inst.name)
-            return real(inst)
+        def counting(sub, masks):
+            tables.append(len(masks))
+            return real(sub, masks)
 
-        monkeypatch.setattr(algorithms, "default_tour", counting)
-        code, _ = run(capsys, "solve", str(instance_file), *argv)
-        assert code == 0
-        assert len(calls) == 1
+        monkeypatch.setattr(tsp, "_held_karp", counting)
+        delta = ["--delta", "1/5"] if algorithms.SOLVERS[alg].needs_delta else []
+        for path in exact_files:
+            tables.clear()
+            code, _ = run(capsys, "solve", str(path), "--alg", alg, *delta, *dump_lp)
+            assert code == 0
+            assert len(tables) == 1, path.name
 
     @pytest.mark.parametrize("alg", ["ditp", "ditp+", "subalg3", "subalg4", "alg2"])
     def test_delta_required(self, instance_file, capsys, alg):
@@ -134,22 +150,47 @@ class TestSolve:
         assert f"--gamma does not apply to {argv[1]}" in captured.err
         assert captured.out == ""
 
-    def test_lp_dump_builds_catalog_and_lp_once(self, instance_file, capsys, monkeypatch):
+    def test_lp_dump_builds_catalog_and_lp_once(self, tmp_path, capsys, monkeypatch):
+        # One catalog, by either pricing path (its own pass, or the depot
+        # tour's table at 2 <= n <= 18), and one LP.  enumerate_tours calls
+        # lp_round.priced_catalog, which is not wrapped.
         calls = []
-        for name in ("enumerate_tours", "solve_covering_lp"):
+        for name, modules in (("enumerate_tours", (lp_round, algorithms)),
+                              ("priced_catalog", (algorithms,)),
+                              ("solve_covering_lp", (lp_round, algorithms))):
             real = getattr(lp_round, name)
 
             def counting(*args, _name=name, _real=real, **kwargs):
                 calls.append(_name)
                 return _real(*args, **kwargs)
 
-            monkeypatch.setattr(lp_round, name, counting)
-            monkeypatch.setattr(algorithms, name, counting)
-        code, out = run(capsys, "solve", str(instance_file), "--alg", "subalg2",
-                        "--dump-lp")
+            for module in modules:
+                monkeypatch.setattr(module, name, counting)
+        path = tmp_path / "i.json"
+        for n, pricing in ((1, "enumerate_tours"), (6, "priced_catalog")):
+            calls.clear()
+            run(capsys, "gen", "-n", str(n), "-k", "3", "--seed", "7", "--out", str(path))
+            code, out = run(capsys, "solve", str(path), "--alg", "subalg2", "--dump-lp")
+            assert code == 0
+            assert json.loads(out)["report"]["lp_solved"]
+            assert sorted(calls) == [pricing, "solve_covering_lp"]
+
+    @pytest.mark.parametrize("gen, solve", [
+        (["-n", "200", "-k", "10", "--seed", "1"], ["--alg", "subalg2", "--gamma", "0"]),
+        (["-n", "13", "-k", "4", "--seed", "1"], ["--alg", "subalg2", "--gamma", "0"]),
+        (["-n", "3", "-k", "10", "--demand-law", "heavy", "--seed", "8"],
+         ["--alg", "subalg3", "--delta", "1/5"]),
+    ], ids=["gamma0-n200", "gamma0-n13", "empty-cover"])
+    def test_lp_dump_without_an_lp(self, tmp_path, capsys, gen, solve):
+        # --dump-lp prints the LP a solve rounded.  At gamma = 0 none is
+        # built, not even a refused catalog, and an empty cover set needs none.
+        path = tmp_path / "i.json"
+        run(capsys, "gen", *gen, "--out", str(path))
+        code, out = run(capsys, "solve", str(path), *solve, "--dump-lp")
         assert code == 0
-        assert json.loads(out)["report"]["lp_solved"]
-        assert sorted(calls) == ["enumerate_tours", "solve_covering_lp"]
+        payload = json.loads(out)
+        assert "lp" not in payload
+        assert not payload["report"]["lp_solved"]
 
     @pytest.mark.parametrize("alg, name", [
         ("subalg1", "serve_big_by_matching"),
@@ -255,13 +296,14 @@ class TestLibraryErrors:
         assert code == 2
         assert "gamma must be finite and non-negative" in json.loads(out)["message"]
 
-    @pytest.mark.parametrize("alg", ["subalg2", "subalg4"])
-    def test_lp_dump_with_delta(self, instance_file, capsys, alg):
-        # subalg2's lp1 catalog carries the --delta it was built with.
+    @pytest.mark.parametrize("alg, delta", [("subalg2", None), ("subalg4", "1/5")],
+                             ids=["subalg2", "subalg4"])
+    def test_lp_dump_with_delta(self, instance_file, capsys, alg, delta):
+        # An lp1 catalog takes no delta, so subalg2's holds none whatever --delta says.
         code, out = run(capsys, "solve", str(instance_file), "--alg", alg,
                         "--delta", "1/5", "--dump-lp")
         assert code == 0
-        assert json.loads(out)["lp"]["catalog"]["delta"] == "1/5"
+        assert json.loads(out)["lp"]["catalog"]["delta"] == delta
 
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -361,6 +403,35 @@ class TestTwoOutcomes:
             assert set(payload) == {"error", "message"}
 
 
+# Ten instances, every solver and five flag sets, less the 50 runs that
+# refuse --gamma: 400 runs of ``ucvrp solve``.  sha256 of each run's file
+# name, arguments, exit code and stdout; change it only with the output.
+GRID_SPECS = (("euclidean", 1, 3), ("random_metric", 2, 3), ("euclidean", 3, 2),
+              ("random_metric", 5, 4), ("euclidean", 6, 3), ("random_metric", 8, 5),
+              ("euclidean", 9, 4), ("random_metric", 11, 3), ("euclidean", 12, 4),
+              ("random_metric", 13, 4))
+GRID_FLAGS = ([], ["--trace"], ["--dump-lp"], ["--gamma", "0", "--dump-lp"],
+              ["--delta", "1/5", "--dump-lp"])
+GRID_DIGEST = "87b0dbef0ca714a79012cb137993ac4192abfb1fec0910e89057d244556f7d69"
+
+
+def test_cli_grid_outputs_pinned(tmp_path, capsys):
+    rows = []
+    for seed, (kind, n, k) in enumerate(GRID_SPECS):
+        path = tmp_path / f"{kind}-{n}.json"
+        save_json(gen_instance(kind, n, k, seed=seed), str(path))
+        for alg, solver in algorithms.SOLVERS.items():
+            delta = ["--delta", "1/5"] if solver.needs_delta else []
+            for flags in GRID_FLAGS:
+                if "--gamma" in flags and solver.no_gamma:
+                    continue
+                argv = ["--alg", alg, *delta, *flags]
+                rows.append([path.name, argv, *run(capsys, "solve", str(path), *argv)])
+    assert len(rows) == 400
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == GRID_DIGEST, digest
+
+
 class TestExact:
     def test_matches_oracle(self, instance_file, capsys):
         code, out = run(capsys, "exact", str(instance_file))
@@ -401,6 +472,19 @@ class TestCheckAndBench:
         code, _ = run(capsys, "check", str(instance_file.parent))
         assert code == 0
         assert len(calls) == 1
+
+    def test_check_reports_every_invalid_file(self, tmp_path, capsys):
+        data = gen_instance("euclidean", 4, 3, seed=1).to_json_dict()
+        (tmp_path / "a.json").write_text(json.dumps(data))
+        (tmp_path / "b.json").write_text(json.dumps({**data, "demands": [99, 1, 1, 1]}))
+        (tmp_path / "c.json").write_text("{not json")
+        (tmp_path / "d.json").write_text(json.dumps(data))
+        code, out = run(capsys, "check", str(tmp_path))
+        assert code == 2
+        a, b, c, d = out.splitlines()
+        assert (a, d) == ("a.json: ok", "d.json: ok")
+        assert b == "b.json: error DemandOutOfRange: demand of customer 1 is 99, outside [1, 3]"
+        assert c.startswith("c.json: error JSONDecodeError: ")
 
     def test_check_empty_directory(self, tmp_path, capsys):
         assert main(["check", str(tmp_path)]) == 2
