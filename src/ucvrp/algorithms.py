@@ -23,7 +23,7 @@ y2 = 4 (1 - y1)(1 - e^{-y1/2}); a refused catalog raises.
 
 ``SOLVERS`` has one row per ``ucvrp solve`` name, the meta-algorithms and
 each of their branches: how to run it, building all it uses, whether it
-needs delta and why it refuses gamma.
+needs delta, why it refuses gamma and whether it keeps a trace.
 """
 
 from __future__ import annotations
@@ -184,6 +184,11 @@ def lp_itp_pipeline(
     )
 
 
+def _lp_extra(report: SolveReport, catalog, lpsol) -> dict:
+    """``--dump-lp``'s extra: the catalog and LP solution a solve rounded."""
+    return {"lp": (catalog, lpsol)} if report.lp_solved else {}
+
+
 def alg1(
     inst: Instance,
     seed: int = 0,
@@ -193,6 +198,11 @@ def alg1(
     lpsol: Optional[LpSolution] = None,
 ) -> tuple[Solution, SolveReport]:
     """Better of the matching branch and the full-catalog LP branch."""
+    return _alg1(inst, seed, gamma, tour, catalog, lpsol)[:2]
+
+
+def _alg1(inst, seed, gamma, tour=None, catalog=None, lpsol=None):
+    """``alg1``, plus the ``Solver.run`` extras."""
     gamma = check_gamma(default_gammas().gamma_star if gamma is None else gamma)
     branch_gamma, notes = gamma, ()
     if gamma != 0:
@@ -207,11 +217,12 @@ def alg1(
         inst, catalog, lpsol, branch_gamma, THIRD, seed, tour
     )
     sol = sol_a if sol_a.cost <= sol_b.cost else sol_b
-    return sol, _report(
+    report = _report(
         inst, sol, tour, algorithm="alg1", params={"gamma": gamma},
         branch_costs={"subalg1": sol_a.cost, "subalg2": sol_b.cost},
         seed=seed, lp_solved=lp_solved, notes=notes,
     )
+    return sol, report, _lp_extra(report, catalog, lpsol)
 
 
 def alg2(
@@ -226,6 +237,11 @@ def alg2(
 ) -> tuple[Solution, SolveReport]:
     """Best of the matching branch and two restricted-catalog LP branches
     (thresholds 1/3 and ``delta`` for the partition stage)."""
+    return _alg2(inst, delta, seed, gamma1, gamma2, tour, catalog, lpsol)[:2]
+
+
+def _alg2(inst, delta, seed, gamma1=None, gamma2=None, tour=None, catalog=None, lpsol=None):
+    """``alg2``, plus the ``Solver.run`` extras."""
     delta = Fraction(delta)
     if not 0 < delta < THIRD:
         raise ValueError(f"delta must lie in (0, 1/3), got {delta}")
@@ -246,10 +262,11 @@ def alg2(
     sol = min((sol_a, sol_b, sol_c), key=lambda s: s.cost)
     params = {"delta": str(delta), "gamma1": gamma1, "gamma2": gamma2}
     costs = {"subalg1": sol_a.cost, "subalg3": sol_b.cost, "subalg4": sol_c.cost}
-    return sol, _report(
+    report = _report(
         inst, sol, tour, algorithm="alg2", params=params, branch_costs=costs,
         seed=seed, lp_solved=lp_b or lp_c,
     )
+    return sol, report, _lp_extra(report, catalog, lpsol)
 
 
 @dataclass(frozen=True)
@@ -263,6 +280,7 @@ class Solver:
     run: Callable[..., tuple[Solution, SolveReport, dict]]
     needs_delta: bool = False
     no_gamma: Optional[str] = None  # why gamma is refused; None if it is taken
+    traces: bool = False  # whether its extras hold a "trace"
 
 
 def _no_lp(name, inst, tour, sol, delta, seed, **extras):
@@ -301,23 +319,24 @@ def _run_pipeline(variant, default_gamma, threshold, inst, delta, gamma, seed):
         tour, catalog, lpsol = _catalog_lp(inst, variant, delta_lp)
     sol, report = lp_itp_pipeline(inst, variant, gamma, threshold or delta, seed, tour,
                                   delta_lp, catalog, lpsol)
-    return sol, report, {} if lpsol is None else {"lp": (catalog, lpsol)}
+    return sol, report, _lp_extra(report, catalog, lpsol)
 
 
 def _run_alg1(inst, delta, gamma, seed):
-    return (*alg1(inst, seed=seed, gamma=gamma), {})
+    return _alg1(inst, seed, gamma)
 
 
 def _run_alg2(inst, delta, gamma, seed):
-    return (*alg2(inst, delta, seed=seed), {})
+    return _alg2(inst, delta, seed)
 
 
 _NO_LP = "rounds no LP"
 SOLVERS = {
-    "itp": Solver(partial(_run_ditp, "itp", Fraction(0)), no_gamma=_NO_LP),
-    "ditp": Solver(partial(_run_ditp, "ditp", None), needs_delta=True, no_gamma=_NO_LP),
+    "itp": Solver(partial(_run_ditp, "itp", Fraction(0)), no_gamma=_NO_LP, traces=True),
+    "ditp": Solver(partial(_run_ditp, "ditp", None), needs_delta=True, no_gamma=_NO_LP,
+                   traces=True),
     "ditp+": Solver(_run_ditp_plus, needs_delta=True, no_gamma=_NO_LP),
-    "subalg1": Solver(_run_subalg1, no_gamma=_NO_LP),
+    "subalg1": Solver(_run_subalg1, no_gamma=_NO_LP, traces=True),
     "subalg2": Solver(partial(_run_pipeline, "lp1", "gamma_star", THIRD)),
     "subalg3": Solver(partial(_run_pipeline, "lp2", "gamma1", THIRD), needs_delta=True),
     "subalg4": Solver(partial(_run_pipeline, "lp2", "gamma2", None), needs_delta=True),

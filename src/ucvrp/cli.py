@@ -50,6 +50,9 @@ def cmd_solve(args) -> int:
         print(f"--gamma does not apply to {args.alg}, which {solver.no_gamma}",
               file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
+    if args.trace and not solver.traces:
+        print(f"--trace does not apply to {args.alg}, which keeps no trace", file=sys.stderr)
+        raise SystemExit(EXIT_USAGE)
     inst = validate_instance(load_json(args.instance))
     sol, report, extras = solver.run(inst, args.delta, args.gamma, args.seed)
     # The report holds the bound and the check; a failed check reruns for its violations.
@@ -65,7 +68,7 @@ def cmd_solve(args) -> int:
         "lower_bounds": report.lower_bounds,
         "report": report.to_json_dict(),
     }
-    if args.trace and "trace" in extras:
+    if args.trace:
         out["trace"] = extras["trace"]
     if args.dump_lp and "lp" in extras:
         catalog, lpsol = extras["lp"]

@@ -150,6 +150,38 @@ class TestSolve:
         assert f"--gamma does not apply to {argv[1]}" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["--alg", "ditp+", "--delta", "1/5"],
+        ["--alg", "subalg2"],
+        ["--alg", "subalg3", "--delta", "1/5"],
+        ["--alg", "subalg4", "--delta", "1/5"],
+        ["--alg", "alg1"],
+        ["--alg", "alg2", "--delta", "1/5"],
+    ], ids=["ditp+", "subalg2", "subalg3", "subalg4", "alg1", "alg2"])
+    def test_trace_without_a_trace_is_usage_error(self, instance_file, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", str(instance_file), *argv, "--trace"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"--trace does not apply to {argv[1]}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("alg, branch", [
+        (["--alg", "alg1"], ["--alg", "subalg2"]),
+        (["--alg", "alg2", "--delta", "1/5"], ["--alg", "subalg3", "--delta", "1/5"]),
+    ], ids=["alg1", "alg2"])
+    def test_lp_dump_of_a_meta_algorithm(self, instance_file, capsys, alg, branch):
+        # alg1 and alg2 print the one catalog and LP their LP branches
+        # share: their first LP branch's, which builds and rounds the same.
+        code, out = run(capsys, "solve", str(instance_file), *alg, "--dump-lp")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["report"]["lp_solved"]
+        _, plain = run(capsys, "solve", str(instance_file), *alg)
+        assert {**json.loads(plain), "lp": payload["lp"]} == payload
+        _, own = run(capsys, "solve", str(instance_file), *branch, "--dump-lp")
+        assert payload["lp"] == json.loads(own)["lp"]
+
     def test_lp_dump_builds_catalog_and_lp_once(self, tmp_path, capsys, monkeypatch):
         # One catalog, by either pricing path (its own pass, or the depot
         # tour's table at 2 <= n <= 18), and one LP.  enumerate_tours calls
@@ -404,15 +436,16 @@ class TestTwoOutcomes:
 
 
 # Ten instances, every solver and five flag sets, less the 50 runs that
-# refuse --gamma: 400 runs of ``ucvrp solve``.  sha256 of each run's file
-# name, arguments, exit code and stdout; change it only with the output.
+# refuse --gamma: 400 runs of ``ucvrp solve``, 60 of which refuse --trace.
+# sha256 of each run's file name, arguments, exit code and stdout; change
+# it only with the output.
 GRID_SPECS = (("euclidean", 1, 3), ("random_metric", 2, 3), ("euclidean", 3, 2),
               ("random_metric", 5, 4), ("euclidean", 6, 3), ("random_metric", 8, 5),
               ("euclidean", 9, 4), ("random_metric", 11, 3), ("euclidean", 12, 4),
               ("random_metric", 13, 4))
 GRID_FLAGS = ([], ["--trace"], ["--dump-lp"], ["--gamma", "0", "--dump-lp"],
               ["--delta", "1/5", "--dump-lp"])
-GRID_DIGEST = "87b0dbef0ca714a79012cb137993ac4192abfb1fec0910e89057d244556f7d69"
+GRID_DIGEST = "dc750ea0e1e63608913f36ffdf40ae9a210b372e078fd2cb0e0f3ce9ef2d09fa"
 
 
 def test_cli_grid_outputs_pinned(tmp_path, capsys):
@@ -426,7 +459,11 @@ def test_cli_grid_outputs_pinned(tmp_path, capsys):
                 if "--gamma" in flags and solver.no_gamma:
                     continue
                 argv = ["--alg", alg, *delta, *flags]
-                rows.append([path.name, argv, *run(capsys, "solve", str(path), *argv)])
+                try:
+                    code = main(["solve", str(path), *argv])
+                except SystemExit as exc:  # a refused flag
+                    code = exc.code
+                rows.append([path.name, argv, code, capsys.readouterr().out])
     assert len(rows) == 400
     digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
     assert digest == GRID_DIGEST, digest

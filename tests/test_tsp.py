@@ -82,15 +82,23 @@ class TestExactTsp:
 @st.composite
 def tour_instances(draw, max_n=10):
     """Random float metrics, and tie-heavy ones (all distances equal, or
-    each 1 or 2) where the lexicographic tie-break decides the tour."""
+    each 1 or 2) where the lexicographic tie-break decides the tour.  In
+    "one_two_jitter" each distance of 1 or 2 carries a symmetric jitter
+    of up to 1e-10, below ``COST_TOL``: the reconstruction may then take
+    a member whose float sum is not the least, and must take the same
+    one as the scalar kernel."""
     n = draw(st.integers(2, max_n), label="n")
     capacity = draw(st.integers(1, 6), label="capacity")
     demands = draw(st.lists(st.integers(1, capacity), min_size=n, max_size=n))
-    kind = draw(st.sampled_from(["euclidean", "random_metric", "equal", "one_two"]))
+    kind = draw(st.sampled_from(["euclidean", "random_metric", "equal", "one_two",
+                                 "one_two_jitter"]))
     if kind in ("euclidean", "random_metric"):
         m = gen_instance(kind, n, 3, seed=draw(st.integers(0, 10_000))).metric
     else:
         lengths = st.just(1.0) if kind == "equal" else st.sampled_from([1.0, 2.0])
+        if kind == "one_two_jitter":
+            jitter = st.integers(0, 100).map(lambda i: i * 1e-12)
+            lengths = st.tuples(lengths, jitter).map(sum)
         upper = draw(st.lists(lengths, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
         m = np.zeros((n + 1, n + 1))
         m[np.triu_indices(n + 1, 1)] = upper
