@@ -15,12 +15,12 @@ predecessor columns, 0.43 MB at s = 13 and 19 MB at the cap.  There a
 set's column is its predecessor's plus 1 << b, so each step scatters
 through the row view past that offset, at the predecessor columns.
 The table takes 2^s (s+1) 8 bytes for all subsets of s customers,
-about 40 MB at the cap.  The exact depot tour is walked in scalar
-Python off the table, s steps of a few list reads; the tours of a
-family are walked all at once in numpy, for as many steps as the
-largest set has members.  A set's column does not depend on the family
-it is priced in, so ``exact_tsp_and_tours`` reads an exact depot tour
-and a whole catalog off one table.  ``exact_tsp`` over every customer
+about 40 MB at the cap.  Every tour, the exact depot tour and each set
+of a family alike, is walked off the table by one scalar Python walk
+(``_tours``), one step per member of a few list reads and one column
+read.  A set's column does not depend on the family it is priced in,
+so ``exact_tsp_and_tours`` reads an exact depot tour and a whole
+catalog off one table in one walk.  ``exact_tsp`` over every customer
 took ~2 ms at s = 13 and ~0.16-0.2 s at the cap on 2 shared vCPUs.
 The approximate solver doubles a minimum spanning tree and shortcuts
 the resulting Euler walk, guaranteeing cost at most twice the
@@ -95,7 +95,8 @@ def exact_tsp(inst: Instance, subset: Iterable[int]) -> Tour:
         return Tour((0, v, 0), 2.0 * inst.depot_cost(v), "exact")
 
     sub = _submetric(inst, subset)
-    return _depot_tour(sub, _held_karp(sub, np.arange(1, 1 << len(subset))), subset)
+    full = (1 << len(subset)) - 1
+    return _tours(sub, _held_karp(sub, np.arange(1, full + 1)), _prefix_column, [full], subset)[0]
 
 
 def approx_tsp(inst: Instance, subset: Iterable[int]) -> Tour:
@@ -150,6 +151,13 @@ def _customers(inst: Instance, subset: Iterable[int]) -> list[int]:
     return subset
 
 
+def _check_ground(inst: Instance, ground: Sequence[int]) -> None:
+    """``ValueError`` unless ``ground`` is increasing customers;
+    ``NotACustomer`` for the depot or a vertex beyond n."""
+    if list(ground) != _customers(inst, ground):
+        raise ValueError("ground must be increasing customers")
+
+
 def shortcut(inst: Instance, walk: Sequence[int], keep: Iterable[int]) -> Tour:
     """Shortcut a closed depot-rooted walk down to ``keep``.
 
@@ -179,20 +187,21 @@ def optimal_tours(
     inst: Instance, ground: Sequence[int], masks: Sequence[int]
 ) -> dict[int, Tour]:
     """Optimal tour of every set in ``masks``, where ``mask`` stands for
-    {ground[i] : bit i of mask set}.  ``masks`` must be downward closed
-    and increasing, like the demand-feasible sets of a catalog, and name
-    non-empty sets of ``ground``; any other family raises ``ValueError``.
-    With
-    ``ground`` sorted, each tour is ``exact_tsp``'s, except that a
-    singleton costs c(r,v) + c(v,r) where ``exact_tsp`` takes 2 c(r,v)."""
-    masks = list(masks)
+    {ground[i] : bit i of mask set}.  ``ground`` must be increasing
+    customers, and ``masks`` downward closed and increasing, like the
+    demand-feasible sets of a catalog, naming non-empty sets of
+    ``ground``; any other ground or family raises ``ValueError``.  Each
+    tour is ``exact_tsp``'s, except that a singleton costs c(r,v) + c(v,r)
+    where ``exact_tsp`` takes 2 c(r,v)."""
+    _check_ground(inst, ground)
+    masks = list(map(int, masks))
     largest = max(map(int.bit_count, masks), default=0)
     if largest > HELDKARP_CAP:
         raise SubsetTooLarge(f"{largest} customers exceeds cap {HELDKARP_CAP}")
     sub = _submetric(inst, ground)
-    family = np.array(masks, dtype=np.int64)
-    tours = _optimal_tours(sub, family, _held_karp(sub, family), ground, family)
-    return dict(zip(masks, tours))
+    table = _held_karp(sub, np.array(masks, dtype=np.int64))
+    column = {mask: i for i, mask in enumerate(masks)}.__getitem__
+    return dict(zip(masks, _tours(sub, table, column, masks, ground)))
 
 
 def exact_tsp_and_tours(
@@ -209,17 +218,16 @@ def exact_tsp_and_tours(
         raise ValueError("an exact tour over fewer than 2 customers needs no table")
     if len(customers) > HELDKARP_CAP:
         raise SubsetTooLarge(f"{len(customers)} customers exceeds cap {HELDKARP_CAP}")
-    if list(ground) != _customers(inst, ground):
-        raise ValueError("ground must be increasing customers")
+    _check_ground(inst, ground)
     family = np.array(masks, dtype=np.int64)
     _check_sets(family, len(ground))
     # Bit deposit: bit i of a mask moves to the bit of customer ground[i].
     wanted = _bits(family, len(ground)) @ (1 << (np.array(ground, dtype=np.int64) - 1))
-    full = np.arange(1, 1 << len(customers), dtype=np.int64)
+    full = (1 << len(customers)) - 1
     sub = _submetric(inst, customers)
-    table = _held_karp(sub, full)
-    tours = _optimal_tours(sub, full, table, customers, wanted)
-    return _depot_tour(sub, table, customers), tours
+    table = _held_karp(sub, np.arange(1, full + 1, dtype=np.int64))
+    tour, *tours = _tours(sub, table, _prefix_column, [full, *wanted.tolist()], customers)
+    return tour, tours
 
 
 def tour_costs_all_subsets(inst: Instance, ground: Sequence[int]) -> list[float]:
@@ -330,73 +338,46 @@ def _full_schedule(s: int) -> tuple[tuple[int, np.ndarray], ...]:
     return schedule
 
 
-def _depot_tour(sub: np.ndarray, table: np.ndarray, ground: Sequence[int]) -> Tour:
-    """The optimal tour of all of ``ground`` from a ``_held_karp`` table
-    over the full family, where set m sits in column m - 1.  It is
-    ``_optimal_tours``' walk for that one set, step for step in scalar
-    Python: the same sums, compared with the same tolerance."""
+def _prefix_column(mask: int) -> int:
+    """The column of ``mask`` in a table over a prefix family 1..M."""
+    return mask - 1
+
+
+def _tours(sub, table, column, wanted: Sequence[int], ground: Sequence[int]) -> list[Tour]:
+    """The optimal tour of each mask in ``wanted`` from a ``_held_karp``
+    table over a family that holds their subsets, where mask m sits in
+    column ``column(m)``.  Greedy front-to-back reconstruction, one set at
+    a time in scalar Python: each step takes the first member j, in
+    ascending position, with c(at, j) + finish[j] within ``COST_TOL`` of
+    the cost left, which yields the lexicographically smallest sequence.
+    finish[j] is table[j, left], the cheapest depot-rooted path over the
+    members left that ends at j, read reversed as j -> rest -> depot (c
+    is symmetric); once j is all that is left it is c(x_j, x_0).  A set's
+    cost is the min over its own column plus c(x_j, x_0), so a singleton
+    costs c(r,v) + c(v,r)."""
     c = sub.tolist()
     back = [row[0] for row in c]  # c(x_j, x_0)
-    left = (1 << len(ground)) - 1
-    finish = table[:, left - 1].tolist()
-    best = target = min(map(add, finish, back))
-    seq, at = [0], 0
-    while left:
-        limit = target + COST_TOL
-        rest = left
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            j = low.bit_length()
-            if c[at][j] + finish[j] <= limit:
-                break
-        else:
-            raise AssertionError("tour reconstruction failed")
-        seq.append(ground[j - 1])
-        target -= c[at][j]
-        at = j
-        left ^= low
-        finish = table[:, left - 1].tolist() if left & (left - 1) else back
-    seq.append(0)
-    return Tour(tuple(seq), best, "exact")
-
-
-def _optimal_tours(sub, masks, table, ground: Sequence[int], wanted) -> list[Tour]:
-    """The optimal tour of each mask in ``wanted`` from a ``_held_karp``
-    table over ``masks``, which holds their subsets.  Greedy front-to-back
-    reconstruction, all tours at once: each step takes the first member,
-    in ascending position, from which an optimal finish is left, within
-    ``COST_TOL``.  This yields the lexicographically smallest sequence.
-    The walk takes as many steps as the largest wanted set has members,
-    at most k for a catalog; the depot tour over every customer is
-    walked in scalar by ``_depot_tour`` instead."""
-    s = len(sub) - 1
-    best = np.minimum.reduce(table[:, masks.searchsorted(wanted)] + sub[:, :1], axis=0)
-    size = _bits(wanted, s).sum(axis=1)
-    seq = np.zeros((len(wanted), int(size.max(initial=0))), dtype=np.intp)
-    cur = wanted.copy()
-    last = np.zeros(len(wanted), dtype=np.intp)
-    target = best.copy()
-    for step in range(seq.shape[1]):
-        live = np.flatnonzero(cur)
-        left = cur[live]
-        # Cheapest path j -> (all of left minus j) -> depot.  By symmetry
-        # of c this is the reversal of the depot-rooted path table holds
-        # for left, ending at j; with nothing else left it is c(x_j, x_0).
-        finish = table[:, masks.searchsorted(left)]
-        finish[:, (left & (left - 1)) == 0] = sub[:, :1]
-        at = last[live]
-        cost = sub[at].T + finish
-        ok = _bits(left, s).T & (cost[1:] <= target[live] + COST_TOL)
-        if not ok.any(axis=0).all():
-            raise AssertionError("tour reconstruction failed")
-        j = ok.argmax(axis=0) + 1
-        target[live] -= sub[at, j]
-        last[live] = j
-        cur[live] = left ^ (1 << (j - 1))
-        seq[live, step] = j
-    vertex = np.array([0, *ground])[seq].tolist()
-    return [
-        Tour((0, *vertex[t][:n], 0), c, "exact")
-        for t, (n, c) in enumerate(zip(size.tolist(), best.tolist()))
-    ]
+    tours = []
+    for mask, own in zip(wanted, table[:, [column(m) for m in wanted]].T.tolist()):
+        best = target = min(map(add, own, back))
+        finish = own if mask & (mask - 1) else back
+        seq, at, left = [0], 0, mask
+        while left:
+            limit = target + COST_TOL
+            rest = left
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                j = low.bit_length()
+                if c[at][j] + finish[j] <= limit:
+                    break
+            else:
+                raise AssertionError("tour reconstruction failed")
+            seq.append(ground[j - 1])
+            target -= c[at][j]
+            at = j
+            left ^= low
+            finish = table[:, column(left)].tolist() if left & (left - 1) else back
+        seq.append(0)
+        tours.append(Tour(tuple(seq), best, "exact"))
+    return tours

@@ -163,6 +163,38 @@ class TestHeldKarpKernel:
         with pytest.raises(ValueError, match="downward closed"):
             optimal_tours(inst_line3, [1, 2, 3], masks)
 
+    # Unchecked, at n = 5, [0, 1] is toured as (0, 0, 0) at cost 0.0,
+    # [-1] as (0, -1, 0) and [1, 1] as (0, 1, 1, 0), and [6] raises an
+    # untyped IndexError.  "not a customer" is ``NotACustomer``'s message.
+    @pytest.mark.parametrize("ground, match", [
+        ([0, 1], "not a customer"), ([-1], "not a customer"), ([6], "not a customer"),
+        ([1, 1], "increasing customers"),
+    ])
+    def test_rejects_a_ground_that_is_not_increasing_customers(self, ground, match):
+        inst = gen_instance("euclidean", 5, 3, seed=1)
+        for tours in (optimal_tours, tsp.exact_tsp_and_tours):
+            with pytest.raises(ValueError, match=match):
+                tours(inst, ground, [1])
+
+    # The draws above (n <= 10) rarely reach a family of a thousand sets.
+    # Unit demands at k = 4 over a 14-member ground give every set of up
+    # to 4 of them, 1,470 sets; the ground skips customer 7 of 15, so
+    # ``exact_tsp_and_tours`` moves each mask's bits.  The 1-or-2 metric
+    # is full of ties, which the tie rule decides.
+    @pytest.mark.parametrize("kind", ["euclidean", "one_two"])
+    def test_large_family_matches_scalar_kernel(self, kind):
+        m = gen_instance("euclidean", 15, 4, seed=3).metric
+        if kind == "one_two":
+            upper = np.triu(np.random.default_rng(3).integers(1, 3, size=m.shape), 1)
+            m = (upper + upper.T).astype(float)
+        inst = Instance(kind, 4, (1,) * 15, m)
+        ground = [v for v in inst.customers if v != 7]
+        masks = feasible_masks([1] * len(ground), inst.capacity)
+        assert len(masks) == 1470
+        want = held_karp_tours(inst, ground, masks).values()
+        assert_same_tours(optimal_tours(inst, ground, masks).values(), want)
+        assert_same_tours(tsp.exact_tsp_and_tours(inst, ground, masks)[1], want)
+
     def test_full_schedule_is_built_once_per_size(self):
         inst = gen_instance("euclidean", 7, 3, seed=4)
         exact_tsp(inst, inst.customers)
