@@ -5,7 +5,7 @@ Each step of a solve exists once: the depot tour with the tour catalog
 and its covering LP (``_catalog_lp``), the LP branch (round the LP and
 serve each selected catalog entry by the tour it was priced by, then
 serve the leftover customers by the threshold partition) and the
-report, which checks feasibility once per public call.
+report, which checks feasibility once per solve.
 ``lp_itp_pipeline`` runs one LP branch, ``alg1`` one and ``alg2`` two
 over a shared catalog.  A solve given neither tour nor catalog, whose
 depot tour is exact (2 <= n <= ``HELDKARP_CAP``), reads both off one
@@ -21,6 +21,11 @@ default intensities gamma1 = ln(2 - 2 y1 - y2/2) and gamma2 = ln(2 - 2 y1)
 at the root y1 of (1/2) y + 6 (1 - y)(1 - e^{-y/2}) = ln(2 - 2 y),
 y2 = 4 (1 - y1)(1 - e^{-y1/2}); a refused catalog raises.
 
+Every solver returns (solution, report).  Beside its JSON fields, a
+report holds what the CLI's flags print: the partition trace or matching
+plan (``--trace``) and the catalog and LP solution its LP branches
+rounded (``--dump-lp``).
+
 ``SOLVERS`` has one row per ``ucvrp solve`` name, the meta-algorithms and
 each of their branches: how to run it, building all it uses, whether it
 needs delta, why it refuses gamma and whether it keeps a trace.
@@ -29,15 +34,15 @@ needs delta, why it refuses gamma and whether it keeps a trace.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
-from ucvrp.big_matching import BIG_THRESHOLD, serve_big_by_matching, subalg1
+from ucvrp.big_matching import BIG_THRESHOLD, MatchingPlan, serve_big_by_matching, subalg1
 from ucvrp.constants import default_gammas
 from ucvrp.instance import Instance, radial_lower_bound
-from ucvrp.itp import delta_itp, delta_itp_plus
+from ucvrp.itp import PartitionTrace, delta_itp, delta_itp_plus
 from ucvrp.lp_round import (CatalogTooLarge, LpSolution, TourCatalog, catalog_sets,
                              check_gamma, enumerate_tours, priced_catalog, round_tours,
                              solve_covering_lp)
@@ -60,9 +65,15 @@ class SolveReport:
     seed: int
     lp_solved: bool = False
     notes: tuple[str, ...] = ()
+    # Kept out of the JSON and of equality: what --trace and --dump-lp print.
+    trace: Optional[Union[PartitionTrace, MatchingPlan]] = field(
+        default=None, compare=False, repr=False)
+    lp: Optional[tuple[TourCatalog, LpSolution]] = field(  # set exactly when lp_solved
+        default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "notes": list(self.notes)}
+        out = {f.name: getattr(self, f.name) for f in fields(self) if f.compare}
+        return {**out, "notes": list(self.notes)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)
@@ -83,7 +94,9 @@ def _catalog_lp(inst, variant, delta_lp, tour=None, catalog=None, lpsol=None):
     it.  A solve given neither tour nor catalog, whose tour is exact
     (2 <= n <= ``HELDKARP_CAP``), reads both off one Held-Karp table; the
     catalog equals ``enumerate_tours``'.  A catalog that covers nobody
-    gets no LP."""
+    gets no LP, and an LP solution comes with the catalog it solved."""
+    if lpsol is not None and catalog is None:
+        raise ValueError("lpsol given without the catalog it solved")
     if catalog is None and tour is None and 2 <= inst.n <= HELDKARP_CAP:
         sets = catalog_sets(inst, variant, delta_lp)
         tour, tours = exact_tsp_and_tours(inst, sets.ground, sets.masks)
@@ -99,10 +112,11 @@ def _catalog_lp(inst, variant, delta_lp, tour=None, catalog=None, lpsol=None):
 
 def _round_then_partition(
     inst, catalog, lpsol, gamma, threshold, seed, tour
-) -> tuple[Solution, float, float, bool]:
+) -> tuple[Solution, float, float, Optional[tuple[TourCatalog, LpSolution]]]:
     """One LP branch: round the fractional cover, then partition the rest.
-    Returns the solution, the rounded and partition costs and whether the
-    LP was used; with gamma = 0 the catalog is ignored and may be None."""
+    Returns the solution, the rounded and partition costs and the
+    (catalog, LP solution) rounded, or None if the LP went unused; with
+    gamma = 0 the catalog is ignored and may be None."""
     lp_used = gamma != 0 and bool(catalog.cover_set)
     selected_entries = []
     rounded_cost = 0.0
@@ -124,17 +138,21 @@ def _round_then_partition(
     rounded_sol = Solution(tuple(e.tour for e in selected_entries), assignment)
 
     itp_sol = delta_itp_plus(inst, leftover, tour, threshold)
-    return merge(rounded_sol, itp_sol), rounded_cost, itp_sol.cost, lp_used
+    lp = (catalog, lpsol) if lp_used else None
+    return merge(rounded_sol, itp_sol), rounded_cost, itp_sol.cost, lp
 
 
-def _report(inst: Instance, sol: Solution, tour: Tour, **fields) -> SolveReport:
-    """The one report of a public solve: bound, feasibility, tour tag."""
+def _report(inst: Instance, sol: Solution, tour: Tour, lp=None, **named) -> SolveReport:
+    """The one report of a solve: bound, feasibility, tour tag, and the
+    LP rounded, if any."""
     return SolveReport(
         cost=sol.cost,
         lower_bounds={"radial": radial_lower_bound(inst)},
         feasible=check_feasible(inst, sol).ok,
         alpha_tag=tour.quality_tag,
-        **fields,
+        lp_solved=lp is not None,
+        lp=lp,
+        **named,
     )
 
 
@@ -154,7 +172,8 @@ def lp_itp_pipeline(
 
     With gamma = 0 the LP is never built: everything falls to the
     partition stage.  For the restricted catalog ("lp2"), small customers
-    are never covered by the LP and always go to the partition stage.
+    are never covered by the LP and always go to the partition stage; the
+    full catalog ("lp1") takes no ``delta_lp`` and drops one given.
     ``tour``/``catalog``/``lpsol`` may be passed in to amortize their
     construction across seeds.
     """
@@ -162,6 +181,7 @@ def lp_itp_pipeline(
         raise ValueError("tour must cover all customers")
     check_gamma(gamma)
     delta_itp_threshold = Fraction(delta_itp_threshold)
+    delta_lp = None if lp_variant == "lp1" else delta_lp
     notes = ()
     if lp_variant == "lp2" and delta_lp is not None and Fraction(delta_lp) >= THIRD:
         notes = (f"delta_lp={delta_lp} outside the (0, 1/3) analysis regime",)
@@ -169,7 +189,7 @@ def lp_itp_pipeline(
     if gamma != 0:
         tour, catalog, lpsol = _catalog_lp(inst, lp_variant, delta_lp, tour, catalog, lpsol)
     tour = tour or default_tour(inst)
-    sol, rounded_cost, itp_cost, lp_solved = _round_then_partition(
+    sol, rounded_cost, itp_cost, lp = _round_then_partition(
         inst, catalog, lpsol, gamma, delta_itp_threshold, seed, tour
     )
     params = {
@@ -178,15 +198,9 @@ def lp_itp_pipeline(
         "delta_lp": None if delta_lp is None else str(delta_lp),
     }
     return sol, _report(
-        inst, sol, tour, algorithm=f"pipeline-{lp_variant}", params=params,
-        branch_costs={"rounded": rounded_cost, "itp": itp_cost},
-        seed=seed, lp_solved=lp_solved, notes=notes,
+        inst, sol, tour, lp, algorithm=f"pipeline-{lp_variant}", params=params,
+        branch_costs={"rounded": rounded_cost, "itp": itp_cost}, seed=seed, notes=notes,
     )
-
-
-def _lp_extra(report: SolveReport, catalog, lpsol) -> dict:
-    """``--dump-lp``'s extra: the catalog and LP solution a solve rounded."""
-    return {"lp": (catalog, lpsol)} if report.lp_solved else {}
 
 
 def alg1(
@@ -198,11 +212,6 @@ def alg1(
     lpsol: Optional[LpSolution] = None,
 ) -> tuple[Solution, SolveReport]:
     """Better of the matching branch and the full-catalog LP branch."""
-    return _alg1(inst, seed, gamma, tour, catalog, lpsol)[:2]
-
-
-def _alg1(inst, seed, gamma, tour=None, catalog=None, lpsol=None):
-    """``alg1``, plus the ``Solver.run`` extras."""
     gamma = check_gamma(default_gammas().gamma_star if gamma is None else gamma)
     branch_gamma, notes = gamma, ()
     if gamma != 0:
@@ -213,16 +222,14 @@ def _alg1(inst, seed, gamma, tour=None, catalog=None, lpsol=None):
             branch_gamma, notes = 0.0, ("catalog too large; gamma forced to 0",)
     tour = tour or default_tour(inst)
     sol_a = subalg1(inst, tour)
-    sol_b, _, _, lp_solved = _round_then_partition(
+    sol_b, _, _, lp = _round_then_partition(
         inst, catalog, lpsol, branch_gamma, THIRD, seed, tour
     )
     sol = sol_a if sol_a.cost <= sol_b.cost else sol_b
-    report = _report(
-        inst, sol, tour, algorithm="alg1", params={"gamma": gamma},
-        branch_costs={"subalg1": sol_a.cost, "subalg2": sol_b.cost},
-        seed=seed, lp_solved=lp_solved, notes=notes,
+    return sol, _report(
+        inst, sol, tour, lp, algorithm="alg1", params={"gamma": gamma},
+        branch_costs={"subalg1": sol_a.cost, "subalg2": sol_b.cost}, seed=seed, notes=notes,
     )
-    return sol, report, _lp_extra(report, catalog, lpsol)
 
 
 def alg2(
@@ -237,11 +244,6 @@ def alg2(
 ) -> tuple[Solution, SolveReport]:
     """Best of the matching branch and two restricted-catalog LP branches
     (thresholds 1/3 and ``delta`` for the partition stage)."""
-    return _alg2(inst, delta, seed, gamma1, gamma2, tour, catalog, lpsol)[:2]
-
-
-def _alg2(inst, delta, seed, gamma1=None, gamma2=None, tour=None, catalog=None, lpsol=None):
-    """``alg2``, plus the ``Solver.run`` extras."""
     delta = Fraction(delta)
     if not 0 < delta < THIRD:
         raise ValueError(f"delta must lie in (0, 1/3), got {delta}")
@@ -262,39 +264,37 @@ def _alg2(inst, delta, seed, gamma1=None, gamma2=None, tour=None, catalog=None, 
     sol = min((sol_a, sol_b, sol_c), key=lambda s: s.cost)
     params = {"delta": str(delta), "gamma1": gamma1, "gamma2": gamma2}
     costs = {"subalg1": sol_a.cost, "subalg3": sol_b.cost, "subalg4": sol_c.cost}
-    report = _report(
-        inst, sol, tour, algorithm="alg2", params=params, branch_costs=costs,
-        seed=seed, lp_solved=lp_b or lp_c,
+    return sol, _report(
+        inst, sol, tour, lp_b or lp_c, algorithm="alg2", params=params,
+        branch_costs=costs, seed=seed,
     )
-    return sol, report, _lp_extra(report, catalog, lpsol)
 
 
 @dataclass(frozen=True)
 class Solver:
     """``run(inst, delta, gamma, seed)`` builds what the solver uses and
-    returns the solution, its report and the extras a flag may print:
-    ``"trace"`` for ``--trace``, and ``"lp"``, the (catalog, LP solution)
-    that an LP branch rounded, for ``--dump-lp``.  A gamma of None is the
+    returns the solution and its report, whose ``trace`` and ``lp`` hold
+    what ``--trace`` and ``--dump-lp`` print.  A gamma of None is the
     default."""
 
-    run: Callable[..., tuple[Solution, SolveReport, dict]]
+    run: Callable[..., tuple[Solution, SolveReport]]
     needs_delta: bool = False
     no_gamma: Optional[str] = None  # why gamma is refused; None if it is taken
-    traces: bool = False  # whether its extras hold a "trace"
+    traces: bool = False  # whether its report holds a trace
 
 
-def _no_lp(name, inst, tour, sol, delta, seed, **extras):
+def _no_lp(name, inst, tour, sol, delta, seed, trace=None):
     """A solver without LP or branches, run at partition threshold delta."""
     params = {"delta_itp": str(delta)}
     return sol, _report(inst, sol, tour, algorithm=name, params=params,
-                        branch_costs={}, seed=seed), extras
+                        branch_costs={}, seed=seed, trace=trace)
 
 
 def _run_ditp(name, fixed_delta, inst, delta, gamma, seed):
     delta = delta if fixed_delta is None else fixed_delta
     tour = default_tour(inst)
     sol, trace = delta_itp(inst, set(inst.customers), tour, delta)
-    return _no_lp(name, inst, tour, sol, delta, seed, trace=trace.to_json_dict())
+    return _no_lp(name, inst, tour, sol, delta, seed, trace)
 
 
 def _run_ditp_plus(inst, delta, gamma, seed):
@@ -307,27 +307,21 @@ def _run_subalg1(inst, delta, gamma, seed):
     tour = default_tour(inst)
     plan, big_sol = serve_big_by_matching(inst)
     sol = subalg1(inst, tour, matching=(plan, big_sol))
-    return _no_lp("subalg1", inst, tour, sol, BIG_THRESHOLD, seed, trace=plan.to_json_dict())
+    return _no_lp("subalg1", inst, tour, sol, BIG_THRESHOLD, seed, plan)
 
 
 def _run_pipeline(variant, default_gamma, threshold, inst, delta, gamma, seed):
     """One LP branch; a threshold of None partitions at delta."""
-    gamma = check_gamma(getattr(default_gammas(), default_gamma) if gamma is None else gamma)
-    delta_lp = None if variant == "lp1" else delta
-    tour = catalog = lpsol = None
-    if gamma != 0:
-        tour, catalog, lpsol = _catalog_lp(inst, variant, delta_lp)
-    sol, report = lp_itp_pipeline(inst, variant, gamma, threshold or delta, seed, tour,
-                                  delta_lp, catalog, lpsol)
-    return sol, report, _lp_extra(report, catalog, lpsol)
+    gamma = getattr(default_gammas(), default_gamma) if gamma is None else gamma
+    return lp_itp_pipeline(inst, variant, gamma, threshold or delta, seed, delta_lp=delta)
 
 
 def _run_alg1(inst, delta, gamma, seed):
-    return _alg1(inst, seed, gamma)
+    return alg1(inst, seed, gamma)
 
 
 def _run_alg2(inst, delta, gamma, seed):
-    return _alg2(inst, delta, seed)
+    return alg2(inst, delta, seed)
 
 
 _NO_LP = "rounds no LP"

@@ -54,7 +54,7 @@ def cmd_solve(args) -> int:
         print(f"--trace does not apply to {args.alg}, which keeps no trace", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     inst = validate_instance(load_json(args.instance))
-    sol, report, extras = solver.run(inst, args.delta, args.gamma, args.seed)
+    sol, report = solver.run(inst, args.delta, args.gamma, args.seed)
     # The report holds the bound and the check; a failed check reruns for its violations.
     violations = [] if report.feasible else list(check_feasible(inst, sol).violations)
     out = {
@@ -69,9 +69,9 @@ def cmd_solve(args) -> int:
         "report": report.to_json_dict(),
     }
     if args.trace:
-        out["trace"] = extras["trace"]
-    if args.dump_lp and "lp" in extras:
-        catalog, lpsol = extras["lp"]
+        out["trace"] = report.trace.to_json_dict()
+    if args.dump_lp and report.lp:
+        catalog, lpsol = report.lp
         out["lp"] = {"catalog": catalog.to_json_dict(), "solution": lpsol.to_json_dict()}
     # A non-finite value, such as a NaN gamma that no rounding saw, is not JSON.
     print(json.dumps(out, sort_keys=True, allow_nan=False))
@@ -182,7 +182,7 @@ def cmd_bench(args) -> int:
             opt = oracle.exact_cvrp(inst).opt_cost
             for alg in algs:
                 t0 = time.perf_counter()
-                sol, rep, _ = algorithms.SOLVERS[alg].run(inst, None, None, seed)
+                sol, rep = algorithms.SOLVERS[alg].run(inst, None, None, seed)
                 wall = time.perf_counter() - t0
                 rows.append({
                     "instance": inst.name,

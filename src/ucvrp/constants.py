@@ -123,11 +123,14 @@ class FWitness:
     zeta: float
 
 
-def _f_objective(eps: float, theta: float, tau: float, rho: float) -> float:
+def _zeta(eps: float, tau: float, rho: float) -> float:
     a = (3.0 * rho + tau - 4.0 * tau * rho) / (1.0 - rho)
-    zeta = a + eps / (tau * rho) * (1.0 - tau * rho - a)
+    return a + eps / (tau * rho) * (1.0 - tau * rho - a)
+
+
+def _f_objective(eps: float, theta: float, tau: float, rho: float) -> float:
     return (
-        (1.0 + zeta) / theta
+        (1.0 + _zeta(eps, tau, rho)) / theta
         + (1.0 - tau - theta) / (theta * (1.0 - tau))
         + 3.0 * eps / (1.0 - theta)
         + 3.0 * rho / ((1.0 - rho) * (1.0 - tau))
@@ -154,12 +157,15 @@ def f_epsilon(eps: float) -> FWitness:
     # Imported here: scipy.optimize costs ~0.4 s to load, and only the constants report needs it.
     from scipy.optimize import minimize
 
-    def obj2(p: np.ndarray) -> float:
-        tau, rho = p
-        theta = 1.0 - tau
+    def obj3(p: np.ndarray) -> float:
+        theta, tau, rho = p
         if not _f_in_box(theta, tau, rho):
             return 1e6
         return _f_objective(eps, theta, tau, rho)
+
+    def obj2(p: np.ndarray) -> float:
+        tau, rho = p
+        return obj3((1.0 - tau, tau, rho))
 
     best_val, best_p = math.inf, None
     taus = np.linspace(0.01, 1 / 6, 12)
@@ -176,13 +182,6 @@ def f_epsilon(eps: float) -> FWitness:
             best_val, best_p = float(res.fun), res.x
 
     tau0, rho0 = best_p
-
-    def obj3(p: np.ndarray) -> float:
-        theta, tau, rho = p
-        if not _f_in_box(theta, tau, rho):
-            return 1e6
-        return _f_objective(eps, theta, tau, rho)
-
     res = minimize(
         obj3, np.array([1.0 - tau0, tau0, rho0]), method="Nelder-Mead",
         options={"xatol": 1e-13, "fatol": 1e-15, "maxiter": 4000},
@@ -195,10 +194,7 @@ def f_epsilon(eps: float) -> FWitness:
 
     if not _f_in_box(theta, tau, rho):
         raise DomainViolation(f"witness ({theta}, {tau}, {rho}) left the box")
-    a = (3.0 * rho + tau - 4.0 * tau * rho) / (1.0 - rho)
-    zeta = a + eps / (tau * rho) * (1.0 - tau * rho - a)
-    value = _f_objective(eps, theta, tau, rho)
-    return FWitness(value, theta, tau, rho, zeta)
+    return FWitness(_f_objective(eps, theta, tau, rho), theta, tau, rho, _zeta(eps, tau, rho))
 
 
 @dataclass(frozen=True)

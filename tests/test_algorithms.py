@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -149,6 +150,53 @@ def test_rejects_catalog_of_another_branch(solve):
     cat = enumerate_tours(inst, "lp2", FIFTH)
     with pytest.raises(ValueError, match=r"lp2\(1/5\) catalog for"):
         solve(inst, cat, solve_covering_lp(cat))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda inst, lp: alg1(inst, seed=1, lpsol=lp("lp1")),
+    lambda inst, lp: alg2(inst, FIFTH, seed=1, lpsol=lp("lp2", FIFTH)),
+    lambda inst, lp: lp_itp_pipeline(inst, "lp1", 1.0, THIRD, 1, lpsol=lp("lp1")),
+], ids=["alg1", "alg2", "pipeline-lp1"])
+def test_rejects_lp_solution_without_its_catalog(solve):
+    # The reversed metric has catalogs of the same sizes, so its LP could be
+    # rounded against the other instance's catalog without an error.
+    inst = gen_instance("euclidean", 9, 3, seed=1)
+    other = replace(inst, metric=inst.metric[::-1, ::-1], coords=None)
+    with pytest.raises(ValueError, match="without the catalog"):
+        solve(inst, lambda *variant: solve_covering_lp(enumerate_tours(other, *variant)))
+
+
+def test_lp1_pipeline_drops_delta_lp():
+    inst = gen_instance("euclidean", 9, 3, seed=1)
+    cat = enumerate_tours(inst, "lp1")
+    reports = [
+        lp_itp_pipeline(inst, "lp1", 1.0, THIRD, 0, delta_lp=FIFTH, **given)[1]
+        for given in ({}, {"catalog": cat, "lpsol": solve_covering_lp(cat)})
+    ]
+    assert [rep.params["delta_lp"] for rep in reports] == [None, None]
+    assert reports[0].to_json() == reports[1].to_json()
+
+
+# n = 10, k = 4: every LP row solves its LP here.
+REPORT_CASE = gen_instance("euclidean", 10, 4, seed=1)
+LP_ROWS = {"subalg2", "subalg3", "subalg4", "alg1", "alg2"}
+
+
+@pytest.mark.parametrize("name", list(algorithms.SOLVERS))
+def test_report_holds_trace_and_lp_outside_its_json(name):
+    solver = algorithms.SOLVERS[name]
+    sol, rep = solver.run(REPORT_CASE, FIFTH if solver.needs_delta else None, None, 0)
+    assert rep.feasible and rep.cost == sol.cost
+    assert not {"trace", "lp"} & set(rep.to_json_dict())
+    assert rep.lp_solved == (name in LP_ROWS)
+    assert (rep.lp is not None) == rep.lp_solved
+    if rep.lp is not None:
+        catalog, lpsol = rep.lp
+        assert len(lpsol.values) == len(catalog.tours)
+    assert (rep.trace is not None) == solver.traces
+    bare = replace(rep, trace=None, lp=None)
+    assert bare == rep
+    assert bare.to_json() == rep.to_json()
 
 
 @pytest.mark.parametrize("solve", [
