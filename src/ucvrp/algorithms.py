@@ -94,7 +94,8 @@ def _catalog_lp(inst, variant, delta_lp, tour=None, catalog=None, lpsol=None):
     it.  A solve given neither tour nor catalog, whose tour is exact
     (2 <= n <= ``HELDKARP_CAP``), reads both off one Held-Karp table; the
     catalog equals ``enumerate_tours``'.  A catalog that covers nobody
-    gets no LP, and an LP solution comes with the catalog it solved."""
+    gets no LP, and an LP solution comes with the catalog it solved: one
+    that records another catalog raises ``ValueError``."""
     if lpsol is not None and catalog is None:
         raise ValueError("lpsol given without the catalog it solved")
     if catalog is None and tour is None and 2 <= inst.n <= HELDKARP_CAP:
@@ -107,6 +108,8 @@ def _catalog_lp(inst, variant, delta_lp, tour=None, catalog=None, lpsol=None):
         raise ValueError(f"{catalog.variant}({catalog.delta}) catalog for {variant}({delta_lp})")
     if lpsol is None and catalog.cover_set:
         lpsol = solve_covering_lp(catalog)
+    elif lpsol is not None and lpsol.catalog not in (None, catalog):  # `is` first, then ==
+        raise ValueError("lpsol solved another catalog")
     return tour, catalog, lpsol
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -82,6 +82,9 @@ class LpSolution:
     values: tuple[float, ...]  # x*_T, aligned with catalog.tours
     objective: float
     duals: Optional[tuple[float, ...]] = None  # per cover-set customer
+    # The catalog solved, kept out of equality, repr and JSON, so that a
+    # solve can refuse an LP solution of another catalog.
+    catalog: Optional[TourCatalog] = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -183,10 +186,11 @@ def feasible_masks(demands: Sequence[int], capacity: int) -> list[int]:
 
 
 def solve_covering_lp(catalog: TourCatalog) -> LpSolution:
-    """Optimal fractional cover of the catalog's cover set."""
+    """Optimal fractional cover of the catalog's cover set; the solution
+    records the catalog it solved."""
     cover = sorted(catalog.cover_set)
     if not cover:
-        return LpSolution((0.0,) * len(catalog.tours), 0.0, ())
+        return LpSolution((0.0,) * len(catalog.tours), 0.0, (), catalog)
     covered = set()
     for t in catalog.tours:
         covered |= t.customers
@@ -214,7 +218,7 @@ def solve_covering_lp(catalog: TourCatalog) -> LpSolution:
     duals = None
     if res.ineqlin is not None and res.ineqlin.marginals is not None:
         duals = tuple(-float(y) for y in res.ineqlin.marginals)
-    return LpSolution(tuple(float(v) for v in x), float(res.fun), duals)
+    return LpSolution(tuple(float(v) for v in x), float(res.fun), duals, catalog)
 
 
 def _mix64(z: int) -> int:

@@ -9,11 +9,15 @@ customers.  The DP is numpy, by popcount layers, and forms the same
 sums and mins as the scalar recurrence, so its tours and costs match
 it bit for bit.  Its table is column-major, one row per end vertex and
 one column per set, so each step reduces across rows over long
-contiguous arrays.  The steps of the full family of s customers, which
-an exact tour fills, are built once per s and kept: s 2^(s-1) int64
-predecessor columns, 0.43 MB at s = 13 and 19 MB at the cap.  There a
-set's column is its predecessor's plus 1 << b, so each step scatters
-through the row view past that offset, at the predecessor columns.
+contiguous arrays.  The full family of s customers, which an exact
+tour fills, runs a chunk of a layer at a time: every bit is in as
+many sets of a layer, so a layer's predecessor columns form one
+s x C block, cut into chunks of consecutive bits whose gathered paths
+take at most ``CHUNK_BYTES`` (whole layers at s <= 11, single bits in
+the middle layers from s = 14), and each chunk is one gather, one
+broadcast add, one min and one flat scatter.  These chunks are built
+once per s and kept: s 2^(s-1) - s int64 predecessor columns, 0.43 MB
+at s = 13 and 19 MB at the cap.  Other families run one bit a step.
 The table takes 2^s (s+1) 8 bytes for all subsets of s customers,
 about 40 MB at the cap.  Every tour, the exact depot tour and each set
 of a family alike, is walked off the table by one scalar Python walk
@@ -21,10 +25,10 @@ of a family alike, is walked off the table by one scalar Python walk
 read.  A set's column does not depend on the family it is priced in,
 so ``exact_tsp_and_tours`` reads an exact depot tour and a whole
 catalog off one table in one walk.  ``exact_tsp`` over every customer
-took ~2 ms at s = 13 and ~0.16-0.2 s at the cap on 2 shared vCPUs.
-The approximate solver doubles a minimum spanning tree and shortcuts
-the resulting Euler walk, guaranteeing cost at most twice the
-optimum."""
+took ~1.9-2.8 ms at s = 13 and ~0.17-0.21 s at the cap on 2 shared
+vCPUs.  The approximate solver doubles a minimum spanning tree and
+shortcuts the resulting Euler walk, guaranteeing cost at most twice
+the optimum."""
 
 from __future__ import annotations
 
@@ -258,32 +262,39 @@ def _held_karp(sub: np.ndarray, masks: np.ndarray) -> np.ndarray:
     path that visits exactly the members of masks[r] and ends at vertex
     j.  It is inf for the depot and for non-members, so a min down a
     whole column only picks members.  Columns are filled layer by layer
-    in popcount, one member bit b at a time, as whole rows: gather the
-    predecessor columns (masks[r] minus bit b), add c(x_i, x_{b+1}) to
-    row i >= 1, and reduce across rows into row b + 1.  These are the
-    scalar DP's sums and mins, so the table matches it bit for bit.  The
-    steps of the full family 1..2^s - 1, as for an exact tour, are built
-    once per s (``_full_schedule``); other families build theirs per
-    call (``_steps``).  The table takes len(masks) * (s+1) * 8 bytes,
-    about 40 MB for every subset of 18 customers.
+    in popcount, a chunk of member bits b0..b1 - 1 at a time: gather the
+    predecessor columns (masks[r] minus bit b) of every bit of the
+    chunk, add c(x_i, x_{b+1}) to row i >= 1 by broadcasting, reduce
+    across rows, and scatter each bit's mins into row b + 1 of the flat
+    table.  These are the scalar DP's sums and mins, so the table
+    matches it bit for bit.  The full family 1..2^s - 1, as for an exact
+    tour, runs the chunks built once per s (``_full_schedule``); other
+    families run one-bit chunks built per call (``_steps``).  The table
+    takes len(masks) * (s+1) * 8 bytes, about 40 MB for every subset of
+    18 customers.
     """
     s = len(sub) - 1
     if (masks[1:] <= masks[:-1]).any():
         raise ValueError("Held-Karp masks must be increasing")
     _check_sets(masks, s)
-    table = np.full((s + 1, len(masks)), INF)
+    n = len(masks)
+    table = np.full((s + 1, n), INF)
     ones = np.flatnonzero((masks & (masks - 1)) == 0)
     first = _bits(masks[ones], s) @ np.arange(1, s + 1)  # row b + 1 of set 1 << b
     table[first, ones] = sub[0, first]
-    if len(masks) == (1 << s) - 1:  # increasing and in range: every subset
-        steps = ((b, prev, 1 << b, prev) for b, prev in _full_schedule(s))
+    if n == (1 << s) - 1:  # increasing and in range: every subset
+        # Set m sits in column m - 1, so a set holding bit b sits 1 << b
+        # past its predecessor: flat index (b + 1) n + (1 << b) + prev.
+        past = (np.arange(1, s + 1) * n + (1 << np.arange(s)))[:, None]
+        steps = ((b, prev, past[b:b + len(prev)] + prev) for b, prev in _full_schedule(s))
     else:
         steps = _steps(masks, s)
-    ends = table[1:]  # a path over a non-empty set never ends at the depot
-    for b, prev, offset, cols in steps:
-        paths = ends.take(prev, axis=1)
-        paths += sub[1:, b + 1, None]
-        table[b + 1, offset:][cols] = np.minimum.reduce(paths, axis=0)
+    # A path over a non-empty set never ends at the depot: rows 1..s only.
+    ends, flat, into = table[1:], table.reshape(-1), sub[1:, 1:, None]
+    for b, prev, dest in steps:
+        paths = ends.take(prev, axis=1)  # [i, j, r]: ends at i + 1, bit b + j
+        paths += into[:, b:b + len(prev)]
+        flat[dest] = np.minimum.reduce(paths, axis=0)
     return table
 
 
@@ -296,15 +307,15 @@ def _check_sets(masks: np.ndarray, s: int) -> None:
 
 
 def _steps(masks: np.ndarray, s: int):
-    """The DP's steps above the singletons, in order: (b, predecessor
-    columns, offset, columns - offset) of the sets of each popcount
-    layer that hold bit b.  In a prefix family 1..M mask m sits in column
-    m - 1, and every subset of m precedes it, so a set's column is its
-    predecessor's plus 1 << b: the offset is 1 << b and the DP scatters
-    through the row view past it at the predecessor columns.  Any other
-    family finds predecessors by binary search, with offset 0, and raises
+    """The DP's steps above the singletons, in order, as one-bit chunks:
+    (b, predecessor columns, flat table indices in row b + 1), each a
+    1 x C array over the C sets of a popcount layer that hold bit b.  In
+    a prefix family 1..M mask m sits in column m - 1, and every subset
+    of m precedes it, so a set's column is its predecessor's plus 1 << b.
+    Any other family finds predecessors by binary search, and raises
     ``ValueError`` at one that is missing."""
-    prefix = len(masks) and masks[-1] == len(masks)  # increasing from 1: 1..M
+    n = len(masks)
+    prefix = n and masks[-1] == n  # increasing from 1: 1..M
     bits = _bits(masks, s)
     layers = bits.sum(axis=1)
     for size in range(2, int(layers.max(initial=0)) + 1):
@@ -316,26 +327,47 @@ def _steps(masks: np.ndarray, s: int):
                 continue
             if prefix:
                 prev = cols - (1 << b)
-                yield b, prev, 1 << b, prev
-                continue
-            prev = masks[cols] ^ (1 << b)
-            prev_cols = masks.searchsorted(prev)
-            if (masks[prev_cols] != prev).any():
-                raise ValueError("Held-Karp masks must be downward closed")
-            yield b, prev_cols, 0, cols
+            else:
+                wanted = masks[cols] ^ (1 << b)
+                prev = masks.searchsorted(wanted)
+                if (masks[prev] != wanted).any():
+                    raise ValueError("Held-Karp masks must be downward closed")
+            yield b, prev[None], (cols + (b + 1) * n)[None]
+
+
+# The most bytes one chunk of the full family gathers, s x bits x sets
+# float64 paths: a chunk's gather, add and min stay within an L2 cache,
+# while one call each covers several bits of a small layer.  Whole
+# layers run at s <= 11 and one bit a chunk in the middle layers from
+# s = 14; whole layers or budgets of a few MB measured slower at s = 13.
+CHUNK_BYTES = 256 * 1024
 
 
 @functools.cache
 def _full_schedule(s: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """``_steps`` of the full family 1..2^s - 1, kept read-only for reuse:
-    (b, predecessor columns) per step, the offset being 1 << b.  It
-    holds s 2^(s-1) - s int64 indices, 8 bytes each: 0.43 MB at s = 13,
-    19 MB at the cap.  The DP never tours more than the cap, so at most
-    one schedule per s <= 18 is kept, ~38 MB were each used."""
-    schedule = tuple((b, prev) for b, prev, *_ in _steps(np.arange(1, 1 << s), s))
-    for _, prev in schedule:
-        prev.flags.writeable = False
-    return schedule
+    """The steps of the full family 1..2^s - 1, kept read-only for reuse:
+    (b0, prev) per chunk, in popcount order, where prev[j] holds the
+    predecessor columns of the layer's sets that hold bit b0 + j.  Mask m
+    sits in column m - 1, so a set's predecessor over bit b sits 1 << b
+    before it.  Every bit is in C(s-1, l-1) sets of layer l, so a layer
+    stacks into one s x C block, cut into chunks of consecutive bits
+    with at most ``CHUNK_BYTES`` of gathered paths.  It holds
+    s 2^(s-1) - s int64 indices, 8 bytes each: 0.43 MB at s = 13, 19 MB
+    at the cap.  The DP never tours more than the cap, so at most one
+    schedule per s <= 18 is kept, ~38 MB were each used."""
+    bits = _bits(np.arange(1, 1 << s), s)
+    sizes = bits.sum(axis=1)
+    schedule = []
+    for size in range(2, s + 1):
+        layer = np.flatnonzero(sizes == size)  # the layer's columns, increasing
+        members = bits[layer].T
+        # Row b: the columns of the layer's sets that hold bit b, less 1 << b.
+        block = np.broadcast_to(layer, members.shape)[members].reshape(s, -1)
+        block -= 1 << np.arange(s)[:, None]
+        block.flags.writeable = False
+        width = max(1, CHUNK_BYTES // (8 * block.size))
+        schedule += [(b, block[b:b + width]) for b in range(0, s, width)]
+    return tuple(schedule)
 
 
 def _prefix_column(mask: int) -> int:

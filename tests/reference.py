@@ -175,8 +175,19 @@ def held_karp_tours(
     family of masks of ``ground``, by the scalar Held-Karp DP over Python
     lists and the same greedy reconstruction; ``tsp.optimal_tours`` must
     return the same vertices and bit-identical costs."""
+    into, paths = held_karp_paths(inst, ground, masks)
+    return {mask: held_karp_tour(into, paths, ground, mask) for mask in paths}
+
+
+def held_karp_paths(
+    inst: Instance, ground: Sequence[int], masks: Iterable[int]
+) -> tuple[list[list[float]], dict[int, list[float]]]:
+    """The scalar Held-Karp DP: into[j][i] = c(x_i, x_j) over x = (depot,
+    *ground), and per mask the cheapest depot-rooted path over its
+    members by end vertex, inf at the depot and at non-members, which is
+    the mask's column of ``tsp._held_karp``'s table."""
     idx = [0, *ground]
-    into = inst.metric[np.ix_(idx, idx)].T.tolist()  # into[j][i] = c(x_i, x_j)
+    into = inst.metric[np.ix_(idx, idx)].T.tolist()
     paths: dict[int, list[float]] = {}
     for mask in masks:
         row = [INF] * len(into)
@@ -188,10 +199,11 @@ def held_karp_tours(
             prev = mask ^ low
             row[j] = min(map(add, paths[prev], into[j])) if prev else into[j][0]
         paths[mask] = row
-    return {mask: _held_karp_tour(into, paths, ground, mask) for mask in paths}
+    return into, paths
 
 
-def _held_karp_tour(into, paths, ground: Sequence[int], mask: int) -> Tour:
+def held_karp_tour(into, paths, ground: Sequence[int], mask: int) -> Tour:
+    """The tour of ``mask`` read off ``held_karp_paths``' table."""
     best = min(map(add, paths[mask], into[0]))
     seq = [0]
     last, target = 0, best

@@ -11,7 +11,8 @@ from ucvrp import oracle, tsp
 from ucvrp.algorithms import alg1, alg2, default_tour, lp_itp_pipeline
 from ucvrp.big_matching import serve_big_by_matching
 from ucvrp.constants import default_gammas
-from ucvrp.instance import METRIC_TOL, Instance, gen_instance, validate_instance
+from ucvrp.instance import (METRIC_TOL, Instance, _euclidean, gen_instance,
+                            validate_instance)
 from ucvrp.lp_round import enumerate_tours, round_tours, solve_covering_lp
 from ucvrp.oracle import exact_cvrp
 from ucvrp.solution import check_feasible
@@ -164,6 +165,47 @@ def test_rejects_lp_solution_without_its_catalog(solve):
     other = replace(inst, metric=inst.metric[::-1, ::-1], coords=None)
     with pytest.raises(ValueError, match="without the catalog"):
         solve(inst, lambda *variant: solve_covering_lp(enumerate_tours(other, *variant)))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda inst, cat, lp: alg1(inst, seed=1, catalog=cat("lp1"), lpsol=lp("lp1")),
+    lambda inst, cat, lp: alg2(inst, FIFTH, seed=1, catalog=cat("lp2", FIFTH),
+                               lpsol=lp("lp2", FIFTH)),
+    lambda inst, cat, lp: lp_itp_pipeline(inst, "lp1", 1.0, THIRD, 1, catalog=cat("lp1"),
+                                          lpsol=lp("lp1")),
+], ids=["alg1", "alg2", "pipeline-lp1"])
+def test_rejects_lp_solution_of_another_catalog(solve):
+    # Both instances' catalogs hold as many tours, so the other LP was once
+    # rounded silently: alg1 returned 8.8586 for 8.4276, alg2 8.2746 for 7.9083.
+    inst = gen_instance("euclidean", 9, 3, seed=1)
+    other = replace(inst, metric=inst.metric[::-1, ::-1], coords=None)
+    with pytest.raises(ValueError, match="another catalog"):
+        solve(inst, lambda *variant: enumerate_tours(inst, *variant),
+              lambda *variant: solve_covering_lp(enumerate_tours(other, *variant)))
+
+
+def test_takes_lp_solution_of_an_equal_catalog():
+    inst = gen_instance("euclidean", 9, 3, seed=1)
+    cat, lp = enumerate_tours(inst, "lp1"), solve_covering_lp(enumerate_tours(inst, "lp1"))
+    assert lp.catalog is not cat and lp.catalog == cat
+    assert alg1(inst, seed=1, catalog=cat, lpsol=lp) == alg1(inst, seed=1)
+    # The catalog is kept out of the LP solution's equality, repr and JSON.
+    assert lp == replace(lp, catalog=None)
+    assert "catalog" not in repr(lp) and "catalog" not in lp.to_json_dict()
+
+
+# Coordinates in metres over a few thousand km: the walk's absolute
+# COST_TOL is below the rounding of costs near 1e7.  Mending the walk's
+# tolerance flips the marker.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the walk's absolute COST_TOL does not scale with the metric")
+def test_alg1_at_coordinates_scaled_by_1e7():
+    inst = gen_instance("euclidean", 10, 3, seed=4)
+    pts = np.array(inst.coords) * 1e7
+    inst = validate_instance(replace(inst, metric=_euclidean(pts),
+                                     coords=tuple(map(tuple, pts.tolist()))))
+    sol, report = alg1(inst, seed=0)
+    assert report.feasible and check_feasible(inst, sol).ok
 
 
 def test_lp1_pipeline_drops_delta_lp():
