@@ -17,6 +17,10 @@ exceed the Held-Karp cap, every entry holds its MST-doubling tour
 instead and the catalog is flagged ``exact_priced = False``.  An entry's
 cost is its tour's, so a selected entry is served by the tour the LP
 priced.
+The covering LP goes to HiGHS through the bindings scipy ships, as the
+model ``scipy.optimize.linprog(method="highs")`` would build, so it
+returns linprog's bits without linprog's per-call overhead; it never
+holds a dense matrix.
 Rounding selects each tour independently with probability
 min{1, gamma * x*_T}; draws are keyed by (seed, tour content) so the
 outcome does not depend on enumeration order.
@@ -25,6 +29,7 @@ outcome does not depend on enumeration order.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -187,38 +192,74 @@ def feasible_masks(demands: Sequence[int], capacity: int) -> list[int]:
 
 def solve_covering_lp(catalog: TourCatalog) -> LpSolution:
     """Optimal fractional cover of the catalog's cover set; the solution
-    records the catalog it solved."""
+    records the catalog it solved.
+
+    min c.x subject to -A x <= -1, x >= 0, where column j of the 0/1
+    matrix A marks the cover-set customers of tour j.  The model goes to
+    HiGHS exactly as ``scipy.optimize.linprog(method="highs")`` builds
+    it (the CSC of -A with ascending rows, the same bounds and options),
+    so HiGHS takes the same path and returns the same bits, without
+    linprog's per-call input cleaning and option checks.  A non-finite
+    cost raises ``ValueError``, as linprog does; a status other than
+    optimal, such as a negative cost's unbounded LP, raises
+    ``LpInfeasible``."""
     cover = sorted(catalog.cover_set)
     if not cover:
         return LpSolution((0.0,) * len(catalog.tours), 0.0, (), catalog)
-    covered = set()
-    for t in catalog.tours:
-        covered |= t.customers
-    missing = [v for v in cover if v not in covered]
-    if missing:
-        raise LpInfeasible(f"customers {missing} appear in no catalog tour")
-
     m, n = len(cover), len(catalog.tours)
-    a = np.zeros((m, n))
     row = {v: i for i, v in enumerate(cover)}
-    for j, t in enumerate(catalog.tours):
-        for v in t.customers:
-            if v in row:
-                a[row[v], j] = 1.0
-    c = np.array([t.cost for t in catalog.tours])
-    # Imported here: scipy.optimize costs ~0.4 s to load, and most solves build no LP.
-    from scipy.optimize import linprog
-    res = linprog(c, A_ub=-a, b_ub=-np.ones(m), bounds=(0, None), method="highs")
-    if not res.success:
-        raise LpInfeasible(f"LP solver failed: {res.message}")
-    x = np.asarray(res.x)
-    residual = a @ x - 1.0
+    cols = [sorted(row[v] for v in t.customers if v in row) for t in catalog.tours]
+    sizes = [len(col) for col in cols]
+    start = np.zeros(n + 1, np.int32)
+    np.cumsum(sizes, out=start[1:])
+    index = np.fromiter(itertools.chain.from_iterable(cols), np.int32, int(start[-1]))
+    hits = np.bincount(index, minlength=m)
+    if not hits.all():
+        missing = [cover[i] for i in np.flatnonzero(hits == 0)]
+        raise LpInfeasible(f"customers {missing} appear in no catalog tour")
+    c = np.array([t.cost for t in catalog.tours], dtype=float)
+    if not np.isfinite(c).all():
+        raise ValueError(f"tour costs must be finite, got {c[~np.isfinite(c)][0]}")
+
+    # Imported here: scipy.optimize costs ~0.4 s to load, and most solves
+    # build no LP.  These are the HiGHS bindings linprog itself calls.
+    from scipy.optimize._highspy import _core as highs
+
+    lp = highs.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = n
+    lp.num_row_ = lp.a_matrix_.num_row_ = m
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_ = start
+    lp.a_matrix_.index_ = index
+    lp.a_matrix_.value_ = np.full(len(index), -1.0)
+    lp.col_cost_ = c
+    lp.col_lower_ = np.zeros(n)
+    lp.col_upper_ = np.full(n, highs.kHighsInf)
+    lp.row_lower_ = np.full(m, -highs.kHighsInf)
+    lp.row_upper_ = np.full(m, -1.0)
+    # The options linprog sets, and no other: presolve on, no debug checks,
+    # no output (it would corrupt ``ucvrp solve``'s JSON), dual simplex.
+    options = highs.HighsOptions()
+    options.presolve = "on"
+    options.highs_debug_level = 0  # kHighsDebugLevelNone
+    options.log_to_console = False
+    options.output_flag = False
+    options.simplex_strategy = 1  # kSimplexStrategyDual
+    solver = highs._Highs()
+    solver.passOptions(options)
+    solver.passModel(lp)
+    solver.run()
+    status = solver.getModelStatus()
+    if status != highs.HighsModelStatus.kOptimal:
+        raise LpInfeasible(f"LP solver failed: {solver.modelStatusToString(status)}")
+    solution = solver.getSolution()
+    x = np.array(solution.col_value)
+    residual = np.bincount(index, x.repeat(sizes), m) - 1.0
     if residual.min() < -1e-7:
         raise LpInfeasible(f"coverage residual {residual.min():.3g}")
-    duals = None
-    if res.ineqlin is not None and res.ineqlin.marginals is not None:
-        duals = tuple(-float(y) for y in res.ineqlin.marginals)
-    return LpSolution(tuple(float(v) for v in x), float(res.fun), duals, catalog)
+    duals = tuple(-float(y) for y in solution.row_dual)
+    objective = float(solver.getInfo().objective_function_value)
+    return LpSolution(tuple(float(v) for v in x), objective, duals, catalog)
 
 
 def _mix64(z: int) -> int:

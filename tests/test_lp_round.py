@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -6,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
 from ucvrp import lp_round, tsp
 from ucvrp.algorithms import alg1, default_tour, lp_itp_pipeline
-from ucvrp.instance import gen_instance
+from ucvrp.instance import Instance, gen_instance, line3
 from ucvrp.lp_round import (
+    CatalogEntry,
     CatalogTooLarge,
     LpInfeasible,
     LpSolution,
@@ -20,7 +23,7 @@ from ucvrp.lp_round import (
     solve_covering_lp,
 )
 from ucvrp.oracle import exact_cvrp
-from ucvrp.tsp import approx_tsp, exact_tsp
+from ucvrp.tsp import Tour, approx_tsp, exact_tsp
 
 from reference import rounding_monte_carlo
 from test_instance import line_instance
@@ -178,6 +181,102 @@ class TestCoveringLp:
         )
         with pytest.raises(LpInfeasible):
             solve_covering_lp(crippled)
+
+    @pytest.mark.parametrize("cost", [float("nan"), float("inf"), float("-inf"), -1.0])
+    def test_cost_contract_of_linprog(self, cost):
+        # linprog rejects a non-finite cost; a negative finite one makes
+        # the LP unbounded.  HiGHS itself returns a NaN objective for a
+        # NaN cost, and an unknown status for an infinite one.
+        cat = two_singletons(cost)
+        if math.isfinite(cost):
+            assert linprog_reference(cat).status == 3  # unbounded
+            with pytest.raises(LpInfeasible, match="LP solver failed"):
+                solve_covering_lp(cat)
+        else:
+            with pytest.raises(ValueError, match="c must not contain values inf, nan"):
+                linprog_reference(cat)
+            with pytest.raises(ValueError, match="must be finite"):
+                solve_covering_lp(cat)
+
+    def test_bit_identical_to_linprog(self):
+        # solve_covering_lp hands HiGHS the model linprog builds through
+        # scipy's private bindings; this catches drift in those bindings.
+        solved = 0
+        for cat in parity_catalogs():
+            res = linprog_reference(cat)
+            assert res.success
+            got = solve_covering_lp(cat)
+            assert [v.hex() for v in got.values] == [float(v).hex() for v in res.x]
+            assert got.objective.hex() == float(res.fun).hex()
+            assert [y.hex() for y in got.duals] == [(-float(y)).hex() for y in res.ineqlin.marginals]
+            solved += 1
+        assert solved == 6 * 3 * 2 + 4
+
+    def test_silent(self, capfd):
+        # ``ucvrp solve`` prints its JSON to stdout, which a HiGHS banner
+        # or log line would corrupt.
+        cat = enumerate_tours(gen_instance("euclidean", 8, 3, seed=2), "lp1")
+        capfd.readouterr()
+        solve_covering_lp(cat)
+        with pytest.raises(LpInfeasible):
+            solve_covering_lp(two_singletons(-1.0))
+        assert capfd.readouterr() == ("", "")
+
+
+def two_singletons(cost):
+    """A hand-made catalog covering customers 1 and 2 by one tour each, the
+    first at ``cost`` and the second at 1."""
+    return TourCatalog("lp1", None, (
+        CatalogEntry(frozenset({1}), Tour((0, 1, 0), cost, "external"), 1),
+        CatalogEntry(frozenset({2}), Tour((0, 2, 0), 1.0, "external"), 2),
+    ), frozenset({1, 2}))
+
+
+# perfbench's exact-lp instance specs: (kind, n, k, demand law).
+EXACT_LP_SPECS = (
+    ("euclidean", 11, 3, "uniform"),
+    ("random_metric", 11, 4, "uniform"),
+    ("euclidean", 12, 4, "uniform"),
+    ("random_metric", 12, 3, "uniform"),
+    ("euclidean", 13, 3, "uniform"),
+    ("random_metric", 13, 4, "uniform"),
+)
+
+
+def tie_metric(n, lengths, seed):
+    """A symmetric metric on n customers and the depot whose distances
+    are drawn from ``lengths``; any values in [1, 2] satisfy the triangle
+    inequality."""
+    upper = np.random.default_rng(seed).choice(lengths, size=n * (n + 1) // 2)
+    m = np.zeros((n + 1, n + 1))
+    m[np.triu_indices(n + 1, 1)] = upper
+    return m + m.T
+
+
+def parity_catalogs():
+    """The exact-lp specs over three seeds, each with its lp1 and lp2(1/5)
+    catalog; line3; the tie-heavy all-equal and 1-or-2 metrics; and
+    demands of k each, whose catalog holds singletons only."""
+    for seed in range(3):
+        for kind, n, k, law in EXACT_LP_SPECS:
+            inst = gen_instance(kind, n, k, law, seed=seed)
+            yield enumerate_tours(inst, "lp1")
+            yield enumerate_tours(inst, "lp2", Fraction(1, 5))
+    yield enumerate_tours(line3(), "lp1")
+    yield enumerate_tours(Instance("equal", 3, (1,) * 8, tie_metric(8, [1.0], 0)), "lp1")
+    yield enumerate_tours(Instance("one_two", 4, (1, 2) * 4, tie_metric(8, [1.0, 2.0], 1)), "lp1")
+    singletons = enumerate_tours(Instance("full", 4, (4,) * 9, tie_metric(9, [1.0, 2.0], 2)), "lp1")
+    assert all(len(t.customers) == 1 for t in singletons.tours)
+    yield singletons
+
+
+def linprog_reference(cat):
+    """``linprog``'s result for the covering LP of ``cat``, from the dense
+    0/1 cover matrix a: min c.x subject to -a x <= -1, x >= 0."""
+    cover = sorted(cat.cover_set)
+    a = np.array([[v in t.customers for t in cat.tours] for v in cover], dtype=float)
+    c = np.array([t.cost for t in cat.tours])
+    return linprog(c, A_ub=-a, b_ub=-np.ones(len(cover)), bounds=(0, None), method="highs")
 
 
 class TestRounding:
