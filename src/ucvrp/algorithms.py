@@ -8,8 +8,9 @@ serve the leftover customers by the threshold partition) and the
 report, which checks feasibility once per solve.
 ``lp_itp_pipeline`` runs one LP branch, ``alg1`` one and ``alg2`` two
 over a shared catalog.  A solve given neither tour nor catalog, whose
-depot tour is exact (2 <= n <= ``HELDKARP_CAP``), reads both off one
-Held-Karp table.
+depot tour is exact (n <= ``tsp.HELDKARP_CAP``), reads both off one
+Held-Karp table.  Every catalog holds optimal tours: one whose sets
+Held-Karp cannot tour is refused (``CatalogTooLarge``).
 
 ``alg1`` (fixed capacity) runs the matching branch and the full-catalog
 branch with threshold 1/3, keeping the cheaper solution; its default
@@ -39,6 +40,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional, Union
 
+from ucvrp import tsp
 from ucvrp.big_matching import BIG_THRESHOLD, MatchingPlan, serve_big_by_matching, subalg1
 from ucvrp.constants import default_gammas
 from ucvrp.instance import Instance, radial_lower_bound
@@ -47,8 +49,7 @@ from ucvrp.lp_round import (CatalogTooLarge, LpSolution, TourCatalog, catalog_se
                              check_gamma, enumerate_tours, priced_catalog, round_tours,
                              solve_covering_lp)
 from ucvrp.solution import Solution, check_feasible, merge
-from ucvrp.tsp import (HELDKARP_CAP, SubsetTooLarge, Tour, approx_tsp, exact_tsp,
-                       exact_tsp_and_tours)
+from ucvrp.tsp import SubsetTooLarge, Tour, approx_tsp, exact_tsp, exact_tsp_and_tours
 
 THIRD = Fraction(1, 3)
 
@@ -92,13 +93,16 @@ def _catalog_lp(inst, variant, delta_lp, tour=None, catalog=None, lpsol=None):
     """The depot tour, tour catalog and covering-LP solution of a solve,
     each as passed in or built; the tour stays None unless a table gives
     it.  A solve given neither tour nor catalog, whose tour is exact
-    (2 <= n <= ``HELDKARP_CAP``), reads both off one Held-Karp table; the
-    catalog equals ``enumerate_tours``'.  A catalog that covers nobody
-    gets no LP, and an LP solution comes with the catalog it solved: one
-    that records another catalog raises ``ValueError``."""
+    (n <= ``tsp.HELDKARP_CAP``, read at call time), reads both off one
+    Held-Karp table; the catalog equals ``enumerate_tours``'.  A catalog
+    that covers nobody gets no LP, and an LP solution comes with the
+    catalog it solved: one that records another catalog raises
+    ``ValueError``."""
     if lpsol is not None and catalog is None:
         raise ValueError("lpsol given without the catalog it solved")
-    if catalog is None and tour is None and 2 <= inst.n <= HELDKARP_CAP:
+    # Past the cap a cold catalog goes through enumerate_tours, where
+    # perfbench's tracer counts refusals.
+    if catalog is None and tour is None and inst.n <= tsp.HELDKARP_CAP:
         sets = catalog_sets(inst, variant, delta_lp)
         tour, tours = exact_tsp_and_tours(inst, sets.ground, sets.masks)
         catalog = priced_catalog(sets, tours)
@@ -186,7 +190,7 @@ def lp_itp_pipeline(
     delta_itp_threshold = Fraction(delta_itp_threshold)
     delta_lp = None if lp_variant == "lp1" else delta_lp
     notes = ()
-    if lp_variant == "lp2" and delta_lp is not None and Fraction(delta_lp) >= THIRD:
+    if lp_variant == "lp2" and delta_lp is not None and not 0 < Fraction(delta_lp) < THIRD:
         notes = (f"delta_lp={delta_lp} outside the (0, 1/3) analysis regime",)
 
     if gamma != 0:

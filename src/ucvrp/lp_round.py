@@ -9,14 +9,13 @@ Catalog variants:
 
 Only the demand-feasible sets are enumerated (``catalog_sets``), each
 with the optimal tour of its set, so the LP optimum is a valid lower
-bound on the optimal solution cost.  ``enumerate_tours`` prices them by
-a Held-Karp pass over these sets alone; a solve that builds an exact
-depot tour prices them off that tour's table instead and wraps the tours
-with ``priced_catalog``, to the same entries.  Should a feasible set
-exceed the Held-Karp cap, every entry holds its MST-doubling tour
-instead and the catalog is flagged ``exact_priced = False``.  An entry's
-cost is its tour's, so a selected entry is served by the tour the LP
-priced.
+bound on the optimal solution cost.  A catalog whose largest feasible
+set is beyond the Held-Karp cap is refused before it is enumerated.
+``enumerate_tours`` prices the sets by a Held-Karp pass over them
+alone; a solve that builds an exact depot tour prices them off that
+tour's table instead and wraps the tours with ``priced_catalog``, to
+the same entries.  An entry's cost is its tour's, so a selected entry
+is served by the tour the LP priced.
 The covering LP goes to HiGHS through the bindings scipy ships, as the
 model ``scipy.optimize.linprog(method="highs")`` would build, so it
 returns linprog's bits without linprog's per-call overhead; it never
@@ -37,8 +36,9 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from ucvrp import tsp
 from ucvrp.instance import Instance
-from ucvrp.tsp import SubsetTooLarge, Tour, approx_tsp, optimal_tours
+from ucvrp.tsp import Tour, optimal_tours
 
 SIZE_CAP = 5_000_000  # most tours a catalog may hold
 
@@ -68,7 +68,6 @@ class TourCatalog:
     delta: Optional[Fraction]
     tours: tuple[CatalogEntry, ...]
     cover_set: frozenset[int]
-    exact_priced: bool = True
 
     def to_json_dict(self) -> dict:
         return {
@@ -124,7 +123,9 @@ class CatalogSets:
 
 def catalog_sets(inst: Instance, variant: str, delta: Optional[Fraction] = None) -> CatalogSets:
     """The ground set and demand-feasible sets of a catalog variant; an
-    lp1 catalog takes no delta and stores None."""
+    lp1 catalog takes no delta and stores None.  A ground over 24
+    customers, or a feasible set larger than ``tsp.HELDKARP_CAP``, raises
+    ``CatalogTooLarge`` before any set is enumerated."""
     if variant == "lp1":
         ground, delta = tuple(inst.customers), None
     elif variant == "lp2":
@@ -138,16 +139,22 @@ def catalog_sets(inst: Instance, variant: str, delta: Optional[Fraction] = None)
     s = len(ground)
     if s > 24:
         raise CatalogTooLarge(f"ground set of {s} customers exceeds the limit of 24")
-    masks = feasible_masks([inst.demand(v) for v in ground], inst.capacity)
+    demands = [inst.demand(v) for v in ground]
+    # The largest feasible set holds the smallest demands that fit together.
+    largest = sum(load <= inst.capacity for load in itertools.accumulate(sorted(demands)))
+    if largest > tsp.HELDKARP_CAP:
+        raise CatalogTooLarge(f"a feasible set of {largest} customers exceeds "
+                              f"the Held-Karp cap of {tsp.HELDKARP_CAP}")
+    masks = feasible_masks(demands, inst.capacity)
     return CatalogSets(variant, delta, ground, masks)
 
 
-def priced_catalog(sets: CatalogSets, tours: Iterable[Tour], exact: bool = True) -> TourCatalog:
-    """The catalog of ``sets`` whose entries are ``tours``, one per mask;
-    ``exact`` says whether each is its set's optimal tour."""
+def priced_catalog(sets: CatalogSets, tours: Iterable[Tour]) -> TourCatalog:
+    """The catalog of ``sets`` whose entries are ``tours``, one per mask,
+    each its set's optimal tour."""
     entries = [CatalogEntry(t.customers, t, _digest(t.customers)) for t in tours]
     entries.sort(key=lambda e: (len(e.customers), sorted(e.customers)))
-    return TourCatalog(sets.variant, sets.delta, tuple(entries), frozenset(sets.ground), exact)
+    return TourCatalog(sets.variant, sets.delta, tuple(entries), frozenset(sets.ground))
 
 
 def enumerate_tours(
@@ -159,14 +166,7 @@ def enumerate_tours(
     with its optimal tour from a Held-Karp pass over these sets alone,
     in deterministic order."""
     sets = catalog_sets(inst, variant, delta)
-    try:
-        tours, exact = optimal_tours(inst, sets.ground, sets.masks).values(), True
-    except SubsetTooLarge:
-        # A feasible set is out of Held-Karp's reach; tour greedily and flag it.
-        members = ([v for i, v in enumerate(sets.ground) if (mask >> i) & 1]
-                   for mask in sets.masks)
-        tours, exact = [approx_tsp(inst, m) for m in members], False
-    return priced_catalog(sets, tours, exact)
+    return priced_catalog(sets, optimal_tours(inst, sets.ground, sets.masks).values())
 
 
 def feasible_masks(demands: Sequence[int], capacity: int) -> list[int]:

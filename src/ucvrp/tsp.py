@@ -89,18 +89,7 @@ def exact_tsp(inst: Instance, subset: Iterable[int]) -> Tour:
     (comparing the tour against its reversal as well) so results are
     reproducible across runs.
     """
-    subset = _customers(inst, subset)
-    if not subset:
-        return empty_tour()
-    if len(subset) > HELDKARP_CAP:
-        raise SubsetTooLarge(f"{len(subset)} customers exceeds cap {HELDKARP_CAP}")
-    if len(subset) == 1:
-        v = subset[0]
-        return Tour((0, v, 0), 2.0 * inst.depot_cost(v), "exact")
-
-    sub = _submetric(inst, subset)
-    full = (1 << len(subset)) - 1
-    return _tours(sub, _held_karp(sub, np.arange(1, full + 1)), _prefix_column, [full], subset)[0]
+    return _exact_tours(inst, _customers(inst, subset), [])[0]
 
 
 def approx_tsp(inst: Instance, subset: Iterable[int]) -> Tour:
@@ -195,8 +184,7 @@ def optimal_tours(
     customers, and ``masks`` downward closed and increasing, like the
     demand-feasible sets of a catalog, naming non-empty sets of
     ``ground``; any other ground or family raises ``ValueError``.  Each
-    tour is ``exact_tsp``'s, except that a singleton costs c(r,v) + c(v,r)
-    where ``exact_tsp`` takes 2 c(r,v)."""
+    tour is ``exact_tsp``'s."""
     _check_ground(inst, ground)
     masks = list(map(int, masks))
     largest = max(map(int.bit_count, masks), default=0)
@@ -214,24 +202,31 @@ def exact_tsp_and_tours(
     """``exact_tsp(inst, inst.customers)`` and the tour of every set in
     ``masks``, which name sets of ``ground`` as in ``optimal_tours``, all
     read off one Held-Karp table over every subset of the customers.
-    Needs 2 <= n <= ``HELDKARP_CAP`` and ``ground`` increasing customers;
-    each tour is then the one ``optimal_tours`` gives, bit for bit.  A
-    mask that names no non-empty set of ``ground`` raises ``ValueError``."""
-    customers = list(inst.customers)
-    if len(customers) < 2:
-        raise ValueError("an exact tour over fewer than 2 customers needs no table")
-    if len(customers) > HELDKARP_CAP:
-        raise SubsetTooLarge(f"{len(customers)} customers exceeds cap {HELDKARP_CAP}")
+    Needs n <= ``HELDKARP_CAP`` and ``ground`` increasing customers; each
+    tour is then the one ``optimal_tours`` gives, bit for bit.  A mask
+    that names no non-empty set of ``ground`` raises ``ValueError``."""
     _check_ground(inst, ground)
     family = np.array(masks, dtype=np.int64)
     _check_sets(family, len(ground))
     # Bit deposit: bit i of a mask moves to the bit of customer ground[i].
     wanted = _bits(family, len(ground)) @ (1 << (np.array(ground, dtype=np.int64) - 1))
-    full = (1 << len(customers)) - 1
-    sub = _submetric(inst, customers)
-    table = _held_karp(sub, np.arange(1, full + 1, dtype=np.int64))
-    tour, *tours = _tours(sub, table, _prefix_column, [full, *wanted.tolist()], customers)
+    tour, *tours = _exact_tours(inst, list(inst.customers), wanted.tolist())
     return tour, tours
+
+
+def _exact_tours(inst: Instance, subset: list[int], wanted: list[int]) -> list[Tour]:
+    """The exact tour over the sorted customers ``subset``, then the tour
+    of each mask in ``wanted`` over them, off one Held-Karp table over
+    every subset of ``subset``.  A singleton is toured like any other
+    set, at c(r,v) + c(v,r)."""
+    if not subset:  # no table to read, and no mask in ``wanted`` can name a set
+        return [empty_tour()]
+    if len(subset) > HELDKARP_CAP:
+        raise SubsetTooLarge(f"{len(subset)} customers exceeds cap {HELDKARP_CAP}")
+    full = (1 << len(subset)) - 1
+    sub = _submetric(inst, subset)
+    table = _held_karp(sub, np.arange(1, full + 1, dtype=np.int64))
+    return _tours(sub, table, _prefix_column, [full, *wanted], subset)
 
 
 def tour_costs_all_subsets(inst: Instance, ground: Sequence[int]) -> list[float]:
@@ -309,13 +304,10 @@ def _check_sets(masks: np.ndarray, s: int) -> None:
 def _steps(masks: np.ndarray, s: int):
     """The DP's steps above the singletons, in order, as one-bit chunks:
     (b, predecessor columns, flat table indices in row b + 1), each a
-    1 x C array over the C sets of a popcount layer that hold bit b.  In
-    a prefix family 1..M mask m sits in column m - 1, and every subset
-    of m precedes it, so a set's column is its predecessor's plus 1 << b.
-    Any other family finds predecessors by binary search, and raises
-    ``ValueError`` at one that is missing."""
+    1 x C array over the C sets of a popcount layer that hold bit b.
+    Predecessors are found by binary search; a missing one raises
+    ``ValueError``."""
     n = len(masks)
-    prefix = n and masks[-1] == n  # increasing from 1: 1..M
     bits = _bits(masks, s)
     layers = bits.sum(axis=1)
     for size in range(2, int(layers.max(initial=0)) + 1):
@@ -325,13 +317,10 @@ def _steps(masks: np.ndarray, s: int):
             cols = layer[members[:, b]]
             if not cols.size:
                 continue
-            if prefix:
-                prev = cols - (1 << b)
-            else:
-                wanted = masks[cols] ^ (1 << b)
-                prev = masks.searchsorted(wanted)
-                if (masks[prev] != wanted).any():
-                    raise ValueError("Held-Karp masks must be downward closed")
+            wanted = masks[cols] ^ (1 << b)
+            prev = masks.searchsorted(wanted)
+            if (masks[prev] != wanted).any():
+                raise ValueError("Held-Karp masks must be downward closed")
             yield b, prev[None], (cols + (b + 1) * n)[None]
 
 

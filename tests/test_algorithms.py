@@ -101,6 +101,15 @@ class TestAlg1:
         assert not rep.lp_solved
         assert any("catalog" in n for n in rep.notes)
 
+    def test_solves_past_a_patched_cap(self, monkeypatch):
+        # n = 9 is past a cap of 2, but no feasible set at k = 2 is: the
+        # depot tour is MST doubling and the catalog is priced alone.
+        monkeypatch.setattr(tsp, "HELDKARP_CAP", 2)
+        inst = gen_instance("euclidean", 9, 2, seed=1)
+        for sol, rep in (alg1(inst, seed=1), alg2(inst, FIFTH, seed=1)):
+            assert rep.alpha_tag == "two_approx" and rep.lp_solved
+            assert rep.feasible and check_feasible(inst, sol).ok
+
 
 class TestAlg2:
     def test_feasible_and_reported(self):
@@ -241,6 +250,33 @@ def test_report_holds_trace_and_lp_outside_its_json(name):
     assert bare.to_json() == rep.to_json()
 
 
+@pytest.mark.parametrize("name", list(algorithms.SOLVERS))
+def test_zero_customers(name):
+    inst = Instance("z", 3, (), np.zeros((1, 1)))
+    solver = algorithms.SOLVERS[name]
+    sol, rep = solver.run(inst, FIFTH if solver.needs_delta else None, None, 0)
+    assert sol.cost == rep.cost == 0.0
+    assert rep.feasible and check_feasible(inst, sol).ok
+    assert not rep.lp_solved and rep.lp is None
+
+
+# An lp2 catalog outside (0, 1/3) is noted, whichever side it falls on;
+# subalg4 also partitions at delta, which must lie in [0, 1/2).
+@pytest.mark.parametrize("name, delta, noted", [
+    ("subalg3", Fraction(-1, 5), True),
+    ("subalg3", Fraction(0), True),
+    ("subalg4", Fraction(0), True),
+    ("subalg3", FIFTH, False),
+    ("subalg4", FIFTH, False),
+    ("subalg3", THIRD, True),
+    ("subalg4", Fraction(2, 5), True),
+])
+def test_lp2_outside_the_analysis_regime_is_noted(name, delta, noted):
+    _, rep = algorithms.SOLVERS[name].run(REPORT_CASE, delta, None, 0)
+    note = f"delta_lp={delta} outside the (0, 1/3) analysis regime"
+    assert rep.notes == ((note,) if noted else ())
+
+
 @pytest.mark.parametrize("solve", [
     lambda inst: alg1(inst, seed=3),
     lambda inst: alg2(inst, FIFTH, seed=3),
@@ -298,8 +334,8 @@ def tie_heavy(n, k, seed, lengths):
 
 def skewed(inst):
     """``inst`` with every c(r, v) from the depot raised by half the
-    asymmetry ``validate_instance`` forgives: a catalog singleton then
-    costs c(r,v) + c(v,r), not ``exact_tsp``'s 2 c(r,v)."""
+    asymmetry ``validate_instance`` forgives: a singleton's tour then
+    costs c(r,v) + c(v,r), not 2 c(r,v)."""
     m = inst.metric.copy()
     m[0, 1:] += 0.5 * METRIC_TOL
     return validate_instance(Instance("skewed", inst.capacity, inst.demands, m))
@@ -330,14 +366,11 @@ def test_catalog_from_the_depot_table_equals_enumerated(variant, delta):
     for inst in CATALOG_CASES:
         tour, catalog, _ = algorithms._catalog_lp(inst, variant, delta)
         want = enumerate_tours(inst, variant, delta)
-        if inst.n < 2:
-            assert tour is None and catalog_rows(catalog) == catalog_rows(want)
-            continue
         assert tour == exact_tsp(inst, inst.customers)
         assert tour.cost.hex() == exact_tsp(inst, inst.customers).cost.hex()
         assert catalog_rows(catalog) == catalog_rows(want)
-        assert (catalog.variant, catalog.delta, catalog.cover_set, catalog.exact_priced) == (
-            want.variant, want.delta, want.cover_set, want.exact_priced)
+        assert (catalog.variant, catalog.delta, catalog.cover_set) == (
+            want.variant, want.delta, want.cover_set)
         proper += 0 < len(catalog.cover_set) < inst.n
     if variant == "lp2":
         assert proper  # some ground set is a proper, non-empty subset
@@ -362,12 +395,16 @@ def test_cold_solve_equals_solve_given_its_tour(solve):
         assert a_rep.to_json() == b_rep.to_json()
 
 
-@pytest.mark.parametrize("n, built", [(1, 1), (2, 0)])
-def test_depot_tour_of_one_customer_is_exact_tsps(monkeypatch, n, built):
-    # At n = 1 no table is built and default_tour runs exact_tsp: a catalog
-    # singleton's c(r,v) + c(v,r) differs from its 2 c(r,v) when skewed.
+@pytest.mark.parametrize("n", [1, 2])
+def test_depot_tour_of_one_customer_is_exact_tsps(monkeypatch, n):
+    # At n = 1 as at n = 2 the depot tour comes off the catalog's table,
+    # so default_tour never runs.  exact_tsp tours a singleton like the
+    # catalog does, at its route cost c(r,v) + c(v,r), even when skewed.
     inst = skewed(gen_instance("euclidean", n, 3, seed=3))
-    assert exact_tsp(inst, [1]).cost != enumerate_tours(inst, "lp1").tours[0].cost
+    want = inst.route_cost((0, 1, 0))
+    assert want != 2 * inst.metric[0, 1]
+    assert exact_tsp(inst, [1]).cost.hex() == want.hex()
+    assert enumerate_tours(inst, "lp1").tours[0].cost.hex() == want.hex()
     calls = []
     real = algorithms.default_tour
 
@@ -378,10 +415,10 @@ def test_depot_tour_of_one_customer_is_exact_tsps(monkeypatch, n, built):
     monkeypatch.setattr(algorithms, "default_tour", counting)
     alg1(inst)
     alg2(inst, FIFTH)
-    assert len(calls) == 2 * built
+    assert calls == []
 
 
-@pytest.mark.parametrize("n", [2, 9, 18])
+@pytest.mark.parametrize("n", [1, 2, 9, 18])
 def test_one_table_per_cold_solve(monkeypatch, n):
     inst = gen_instance("euclidean", n, 4, seed=n)
     tour = default_tour(inst)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -183,9 +184,9 @@ class TestSolve:
         assert payload["lp"] == json.loads(own)["lp"]
 
     def test_lp_dump_builds_catalog_and_lp_once(self, tmp_path, capsys, monkeypatch):
-        # One catalog, by either pricing path (its own pass, or the depot
-        # tour's table at 2 <= n <= 18), and one LP.  enumerate_tours calls
-        # lp_round.priced_catalog, which is not wrapped.
+        # One catalog, read off the depot tour's table at n <= 18, and one
+        # LP.  enumerate_tours calls lp_round.priced_catalog, which is not
+        # wrapped.
         calls = []
         for name, modules in (("enumerate_tours", (lp_round, algorithms)),
                               ("priced_catalog", (algorithms,)),
@@ -199,13 +200,13 @@ class TestSolve:
             for module in modules:
                 monkeypatch.setattr(module, name, counting)
         path = tmp_path / "i.json"
-        for n, pricing in ((1, "enumerate_tours"), (6, "priced_catalog")):
+        for n in (1, 6):
             calls.clear()
             run(capsys, "gen", "-n", str(n), "-k", "3", "--seed", "7", "--out", str(path))
             code, out = run(capsys, "solve", str(path), "--alg", "subalg2", "--dump-lp")
             assert code == 0
             assert json.loads(out)["report"]["lp_solved"]
-            assert sorted(calls) == [pricing, "solve_covering_lp"]
+            assert sorted(calls) == ["priced_catalog", "solve_covering_lp"]
 
     @pytest.mark.parametrize("gen, solve", [
         (["-n", "200", "-k", "10", "--seed", "1"], ["--alg", "subalg2", "--gamma", "0"]),
@@ -264,6 +265,63 @@ class TestSolve:
         report = payload["report"]
         for key in ("cost", "feasible", "alpha_tag", "lower_bounds", "seed"):
             assert report[key] == payload[key], key
+
+
+# Each solver's outcome on an instance whose catalog is refused: it answers
+# without a catalog, alg1 falls back to gamma = 0, or the solve exits 2.
+REFUSED_OUTCOMES = {
+    "itp": "answers", "ditp": "answers", "ditp+": "answers", "subalg1": "answers",
+    "subalg2": "refused", "subalg3": "refused", "subalg4": "refused",
+    "alg1": "falls back", "alg2": "refused",
+}
+
+
+class TestRefusedCatalogs:
+    """Both refusal rules: a ground over 24 customers, and a largest
+    feasible set past the Held-Karp cap (20 unit demands at k = 20, every
+    customer in the lp2 ground at delta = 1/25).  Neither enumerates a
+    single set."""
+
+    @pytest.fixture(scope="class")
+    def refused_files(self, tmp_path_factory):
+        wide = gen_instance("euclidean", 25, 3, seed=2)
+        unit = replace(gen_instance("euclidean", 20, 20, seed=1), demands=(1,) * 20)
+        paths = {}
+        for rule, inst in (("wide-ground", wide), ("large-set", unit)):
+            paths[rule] = tmp_path_factory.mktemp(rule) / "i.json"
+            save_json(inst, str(paths[rule]))
+        return paths
+
+    @pytest.fixture(autouse=True)
+    def no_enumeration(self, monkeypatch):
+        def boom(*args):
+            raise AssertionError("a refused catalog must not be enumerated")
+
+        monkeypatch.setattr(lp_round, "feasible_masks", boom)
+
+    def test_every_solver_has_an_outcome(self):
+        assert set(REFUSED_OUTCOMES) == set(algorithms.SOLVERS)
+
+    @pytest.mark.parametrize("rule", ["wide-ground", "large-set"])
+    @pytest.mark.parametrize("alg", list(algorithms.SOLVERS))
+    def test_outcome(self, refused_files, capsys, rule, alg):
+        delta = ["--delta", "1/25"] if algorithms.SOLVERS[alg].needs_delta else []
+        code, out = run(capsys, "solve", str(refused_files[rule]), "--alg", alg, *delta)
+        payload = json.loads(out)
+        if REFUSED_OUTCOMES[alg] == "refused":
+            assert code == 2
+            assert payload["error"] == "CatalogTooLarge"
+            return
+        assert code == 0 and payload["feasible"]
+        assert not payload["report"]["lp_solved"]
+        fallback = ["catalog too large; gamma forced to 0"]
+        assert payload["report"]["notes"] == (fallback if alg == "alg1" else [])
+
+    @pytest.mark.parametrize("rule", ["wide-ground", "large-set"])
+    def test_no_rounding_builds_no_catalog(self, refused_files, capsys, rule):
+        code, out = run(capsys, "solve", str(refused_files[rule]), "--alg", "subalg2",
+                        "--gamma", "0")
+        assert code == 0 and json.loads(out)["feasible"]
 
 
 class TestLibraryErrors:

@@ -23,7 +23,7 @@ from ucvrp.lp_round import (
     solve_covering_lp,
 )
 from ucvrp.oracle import exact_cvrp
-from ucvrp.tsp import Tour, approx_tsp, exact_tsp
+from ucvrp.tsp import Tour, exact_tsp
 
 from reference import rounding_monte_carlo
 from test_instance import line_instance
@@ -41,7 +41,6 @@ class TestCatalog:
         assert by_set[frozenset({1})] == pytest.approx(2.0)
         assert by_set[frozenset({2, 3})] == pytest.approx(6.0)
         assert cat.cover_set == frozenset({1, 2, 3})
-        assert cat.exact_priced
 
     def test_capacity_filters_pairs(self):
         inst = line_instance([1.0, 2.0], capacity=2, demands=(2, 2))
@@ -83,19 +82,22 @@ class TestCatalog:
         # 20 customers, but no demand-feasible set holds more than 3 of them.
         inst = gen_instance("euclidean", 20, 3, seed=1)
         cat = enumerate_tours(inst, "lp1")
-        assert cat.exact_priced
         for entry in cat.tours:
             assert entry.tour == exact_tsp(inst, entry.customers)
 
     def test_mst_priced_catalog_serves_its_tours(self, monkeypatch):
         # Four customers of demand 1 make 3-customer sets feasible, which a
-        # cap of 2 puts out of Held-Karp's reach.
-        monkeypatch.setattr(tsp, "HELDKARP_CAP", 2)
+        # cap of 2 puts out of Held-Karp's reach: that catalog is refused,
+        # not priced by MST doubling.  Under the real cap every entry holds
+        # its optimal tour, and a selected entry is served by it.
         inst = gen_instance("euclidean", 6, 3, seed=1)
+        monkeypatch.setattr(tsp, "HELDKARP_CAP", 2)
+        with pytest.raises(CatalogTooLarge, match="set of 3 customers exceeds the Held-Karp cap"):
+            enumerate_tours(inst, "lp1")
+        monkeypatch.undo()
         cat = enumerate_tours(inst, "lp1")
-        assert not cat.exact_priced
         for entry in cat.tours:
-            assert entry.tour == approx_tsp(inst, entry.customers)
+            assert entry.tour == exact_tsp(inst, entry.customers)
         lp = solve_covering_lp(cat)
         tour = default_tour(inst)
         catalog_tours = {entry.tour for entry in cat.tours}
@@ -130,7 +132,6 @@ class TestCatalog:
             if sum(inst.demand(v) for v in members) <= inst.capacity
         ]
         assert [sorted(t.customers) for t in cat.tours] == expected
-        assert cat.exact_priced
         for entry in cat.tours:
             assert entry.tour == exact_tsp(inst, entry.customers)
 

@@ -317,8 +317,9 @@ class TestExactTspAndTours:
             tsp.exact_tsp_and_tours(inst_line3, [2, 1], [1])
         with pytest.raises(NotACustomer):
             tsp.exact_tsp_and_tours(inst_line3, [0, 1], [1])
-        with pytest.raises(ValueError, match="fewer than 2"):
-            tsp.exact_tsp_and_tours(gen_instance("euclidean", 1, 3, seed=1), [1], [1])
+        one = gen_instance("euclidean", 1, 3, seed=1)
+        tour = exact_tsp(one, [1])
+        assert tsp.exact_tsp_and_tours(one, [1], [1]) == (tour, [tour])
         monkeypatch.setattr(tsp, "HELDKARP_CAP", 2)
         with pytest.raises(SubsetTooLarge):
             tsp.exact_tsp_and_tours(inst_line3, [1], [1])
