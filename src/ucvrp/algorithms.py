@@ -44,7 +44,7 @@ from ucvrp import tsp
 from ucvrp.big_matching import BIG_THRESHOLD, MatchingPlan, serve_big_by_matching, subalg1
 from ucvrp.constants import default_gammas
 from ucvrp.instance import Instance, radial_lower_bound
-from ucvrp.itp import PartitionTrace, delta_itp, delta_itp_plus
+from ucvrp.itp import PartitionTrace, check_delta, delta_itp, delta_itp_plus
 from ucvrp.lp_round import (CatalogTooLarge, LpSolution, TourCatalog, catalog_sets,
                              check_gamma, enumerate_tours, priced_catalog, round_tours,
                              solve_covering_lp)
@@ -180,7 +180,9 @@ def lp_itp_pipeline(
     With gamma = 0 the LP is never built: everything falls to the
     partition stage.  For the restricted catalog ("lp2"), small customers
     are never covered by the LP and always go to the partition stage; the
-    full catalog ("lp1") takes no ``delta_lp`` and drops one given.
+    full catalog ("lp1") takes no ``delta_lp`` and drops one given.  An
+    lp2 ``delta_lp`` outside [0, 1/2) raises ``ValueError``; one outside
+    the analysis regime (0, 1/3) is noted in the report.
     ``tour``/``catalog``/``lpsol`` may be passed in to amortize their
     construction across seeds.
     """
@@ -190,7 +192,8 @@ def lp_itp_pipeline(
     delta_itp_threshold = Fraction(delta_itp_threshold)
     delta_lp = None if lp_variant == "lp1" else delta_lp
     notes = ()
-    if lp_variant == "lp2" and delta_lp is not None and not 0 < Fraction(delta_lp) < THIRD:
+    # An lp2 delta takes the partition's domain, as subalg4 partitions at it.
+    if lp_variant == "lp2" and delta_lp is not None and not 0 < check_delta(delta_lp) < THIRD:
         notes = (f"delta_lp={delta_lp} outside the (0, 1/3) analysis regime",)
 
     if gamma != 0:

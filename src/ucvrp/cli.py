@@ -20,6 +20,8 @@ from ucvrp.solution import check_feasible
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
+# The LP solver stopped on a limit or an unknown status: no verdict on the input.
+EXIT_SOLVER_FAILED = 3
 # The library's typed errors and unreadable or malformed input: a usage
 # error, not a violation.
 USAGE_ERRORS = (ValueError, KeyError, OSError, lp_round.LpInfeasible,
@@ -261,9 +263,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except USAGE_ERRORS as exc:
+    except (*USAGE_ERRORS, lp_round.LpSolverFailed) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}))
-        return EXIT_USAGE
+        return EXIT_SOLVER_FAILED if isinstance(exc, lp_round.LpSolverFailed) else EXIT_USAGE
 
 
 if __name__ == "__main__":

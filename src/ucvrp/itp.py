@@ -108,14 +108,21 @@ def _trace(order, oversize, unit, offset, cuts, first, last, sides, candidate_co
     )
 
 
+def check_delta(delta: Fraction) -> Fraction:
+    """``delta`` as a ``Fraction``, if it lies in [0, 1/2), the thresholds
+    the partition and its bounds take."""
+    delta = Fraction(delta)
+    if not 0 <= 2 * delta.numerator < delta.denominator:
+        raise ValueError(f"delta must lie in [0, 1/2), got {delta}")
+    return delta
+
+
 def _partition(
     inst: Instance, full_order: Sequence[int], delta: Fraction
 ) -> tuple[Solution, Callable[[], PartitionTrace]]:
     """The cheapest offset's solution over ``full_order``, and its trace thunk."""
-    delta = Fraction(delta)
+    delta = check_delta(delta)
     p, q = delta.numerator, delta.denominator
-    if not 0 <= 2 * p < q:
-        raise ValueError(f"delta must lie in [0, 1/2), got {delta}")
     k, demands = inst.capacity, inst.demands
     for v in full_order:
         if demands[v - 1] > k:
@@ -280,9 +287,7 @@ def itp_bound(
     delta: Fraction,
     variant: str,
 ) -> float:
-    delta = Fraction(delta)
-    if not 0 <= delta < HALF:
-        raise ValueError(f"delta must lie in [0, 1/2), got {delta}")
+    delta = check_delta(delta)
     subset = set(subset)
     scale = 1.0 / (1.0 - float(delta))
     total = tour_cost

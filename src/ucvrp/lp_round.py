@@ -19,7 +19,11 @@ is served by the tour the LP priced.
 The covering LP goes to HiGHS through the bindings scipy ships, as the
 model ``scipy.optimize.linprog(method="highs")`` would build, so it
 returns linprog's bits without linprog's per-call overhead; it never
-holds a dense matrix.
+holds a dense matrix.  Those bindings are loaded from their extension
+file alone, so solving an LP never runs scipy.optimize's package
+``__init__`` (~0.4 s and ~40 MB).  A status HiGHS ends on other than
+optimal is typed: ``LpInfeasible`` for an infeasible or unbounded LP,
+``LpSolverFailed`` for any other, such as a memory limit.
 Rounding selects each tour independently with probability
 min{1, gamma * x*_T}; draws are keyed by (seed, tour content) so the
 outcome does not depend on enumeration order.
@@ -28,8 +32,12 @@ outcome does not depend on enumeration order.
 from __future__ import annotations
 
 import hashlib
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -48,7 +56,14 @@ class CatalogTooLarge(ValueError):
 
 
 class LpInfeasible(RuntimeError):
-    pass
+    """No usable optimum of the covering LP: a customer no tour covers,
+    an LP HiGHS found infeasible or unbounded, or an answer that leaves a
+    customer uncovered."""
+
+
+class LpSolverFailed(RuntimeError):
+    """HiGHS stopped on a status that says nothing of the LP, such as a
+    memory, time or iteration limit; the message names the status."""
 
 
 @dataclass(frozen=True)
@@ -190,6 +205,38 @@ def feasible_masks(demands: Sequence[int], capacity: int) -> list[int]:
     return out
 
 
+_HIGHS_CORE = "scipy.optimize._highspy._core"
+
+
+def _highs_core():
+    """scipy's HiGHS bindings, ``scipy.optimize._highspy._core``, loaded
+    from their extension file under that name without running
+    scipy.optimize's package ``__init__``.  The module is registered in
+    ``sys.modules``, so a later ``import scipy.optimize`` (linprog,
+    ``constants.f_epsilon``) uses this same object.  Where no such file
+    sits in scipy's tree, or it does not load, the plain import serves."""
+    if _HIGHS_CORE in sys.modules:
+        return sys.modules[_HIGHS_CORE]
+    scipy = importlib.util.find_spec("scipy")  # finds the package, imports nothing
+    roots = scipy.submodule_search_locations if scipy else None
+    paths = [os.path.join(roots[0], "optimize", "_highspy", "_core" + suffix)
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES] if roots else []
+    for path in filter(os.path.isfile, paths):
+        spec = importlib.util.spec_from_file_location(_HIGHS_CORE, path)
+        try:
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[_HIGHS_CORE] = module
+            spec.loader.exec_module(module)
+        except BaseException as exc:
+            sys.modules.pop(_HIGHS_CORE, None)
+            if isinstance(exc, ImportError):
+                break
+            raise
+        return module
+    from scipy.optimize._highspy import _core
+    return _core
+
+
 def solve_covering_lp(catalog: TourCatalog) -> LpSolution:
     """Optimal fractional cover of the catalog's cover set; the solution
     records the catalog it solved.
@@ -200,9 +247,10 @@ def solve_covering_lp(catalog: TourCatalog) -> LpSolution:
     it (the CSC of -A with ascending rows, the same bounds and options),
     so HiGHS takes the same path and returns the same bits, without
     linprog's per-call input cleaning and option checks.  A non-finite
-    cost raises ``ValueError``, as linprog does; a status other than
-    optimal, such as a negative cost's unbounded LP, raises
-    ``LpInfeasible``."""
+    cost raises ``ValueError``, as linprog does.  An infeasible or
+    unbounded status, such as a negative cost's unbounded LP, raises
+    ``LpInfeasible``; any other status but optimal, such as a memory
+    limit, raises ``LpSolverFailed``."""
     cover = sorted(catalog.cover_set)
     if not cover:
         return LpSolution((0.0,) * len(catalog.tours), 0.0, (), catalog)
@@ -221,9 +269,9 @@ def solve_covering_lp(catalog: TourCatalog) -> LpSolution:
     if not np.isfinite(c).all():
         raise ValueError(f"tour costs must be finite, got {c[~np.isfinite(c)][0]}")
 
-    # Imported here: scipy.optimize costs ~0.4 s to load, and most solves
-    # build no LP.  These are the HiGHS bindings linprog itself calls.
-    from scipy.optimize._highspy import _core as highs
+    # Loaded here, and without scipy.optimize (~0.4 s and ~40 MB to import):
+    # the HiGHS bindings linprog itself calls.
+    highs = _highs_core()
 
     lp = highs.HighsLp()
     lp.num_col_ = lp.a_matrix_.num_col_ = n
@@ -251,7 +299,11 @@ def solve_covering_lp(catalog: TourCatalog) -> LpSolution:
     solver.run()
     status = solver.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
-        raise LpInfeasible(f"LP solver failed: {solver.modelStatusToString(status)}")
+        statuses = highs.HighsModelStatus
+        error = (LpInfeasible if status in (statuses.kInfeasible, statuses.kUnbounded,
+                                            statuses.kUnboundedOrInfeasible)
+                 else LpSolverFailed)
+        raise error(f"LP solver failed: {solver.modelStatusToString(status)}")
     solution = solver.getSolution()
     x = np.array(solution.col_value)
     residual = np.bincount(index, x.repeat(sizes), m) - 1.0

@@ -2,6 +2,7 @@ import hashlib
 import json
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -260,19 +261,29 @@ def test_zero_customers(name):
     assert not rep.lp_solved and rep.lp is None
 
 
-# An lp2 catalog outside (0, 1/3) is noted, whichever side it falls on;
-# subalg4 also partitions at delta, which must lie in [0, 1/2).
+# An lp2 catalog outside (0, 1/3) is noted, whichever side it falls on.
+# subalg4 also partitions at delta, which must lie in [0, 1/2), and
+# subalg3's catalog takes the same domain: outside it (noted None) both refuse.
 @pytest.mark.parametrize("name, delta, noted", [
-    ("subalg3", Fraction(-1, 5), True),
+    ("subalg3", Fraction(-1, 5), None),
     ("subalg3", Fraction(0), True),
     ("subalg4", Fraction(0), True),
     ("subalg3", FIFTH, False),
     ("subalg4", FIFTH, False),
     ("subalg3", THIRD, True),
     ("subalg4", Fraction(2, 5), True),
+    ("subalg3", Fraction(2, 5), True),
+    ("subalg3", Fraction(1, 2), None),
+    ("subalg4", Fraction(-1, 5), None),
+    ("subalg4", Fraction(1, 2), None),
 ])
 def test_lp2_outside_the_analysis_regime_is_noted(name, delta, noted):
-    _, rep = algorithms.SOLVERS[name].run(REPORT_CASE, delta, None, 0)
+    solve = partial(algorithms.SOLVERS[name].run, REPORT_CASE, delta, None, 0)
+    if noted is None:
+        with pytest.raises(ValueError, match=r"delta must lie in \[0, 1/2\)"):
+            solve()
+        return
+    _, rep = solve()
     note = f"delta_lp={delta} outside the (0, 1/3) analysis regime"
     assert rep.notes == ((note,) if noted else ())
 

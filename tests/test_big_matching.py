@@ -202,7 +202,7 @@ def _probe(script: str, *args: str) -> str:
     return probe.stdout.splitlines()[-1]
 
 
-@pytest.mark.parametrize("module", ["networkx", "scipy.optimize"])
+@pytest.mark.parametrize("module", ["networkx", "scipy.optimize", "scipy.optimize._highspy._core"])
 def test_package_import_leaves_out(module):
     # Every ucvrp module, imported at once: none may pull ``module`` in at
     # module level.
@@ -214,7 +214,9 @@ def test_package_import_leaves_out(module):
 
 
 def test_scipy_optimize_loads_on_first_lp_or_constants(tmp_path):
-    # gen, exact and n = 200 solves (whose catalogs are refused) build no LP.
+    # gen, exact and n = 200 solves (whose catalogs are refused) build no LP;
+    # an LP, as the n = 6 solve's, loads HiGHS's bindings alone.  Only the
+    # constants report needs scipy.optimize.
     assert _probe(
         "import sys\n"
         "from ucvrp.cli import main\n"
@@ -225,6 +227,7 @@ def test_scipy_optimize_loads_on_first_lp_or_constants(tmp_path):
         "             ['gen', '-n', '6', '-k', '3', '--seed', '1', '--out', d + '/s.json'],\n"
         "             ['solve', d + '/e.json', '--alg', 'alg1'],\n"
         "             ['solve', d + '/r.json', '--alg', 'alg1'],\n"
+        "             ['solve', d + '/s.json', '--alg', 'alg1', '--dump-lp'],\n"
         "             ['exact', d + '/s.json']):\n"
         "    assert main(argv) == 0, argv\n"
         "print('scipy.optimize' in sys.modules)", str(tmp_path)) == "False"
@@ -235,7 +238,7 @@ def test_scipy_optimize_loads_on_first_lp_or_constants(tmp_path):
         "catalog = enumerate_tours(line3(), 'lp1')\n"
         "print('scipy.optimize' in sys.modules, end=' ')\n"
         "solve_covering_lp(catalog)\n"
-        "print('scipy.optimize' in sys.modules)") == "False True"
+        "print('scipy.optimize' in sys.modules)") == "False False"
     assert _probe(
         "import sys\n"
         "from ucvrp.constants import constants_report\n"

@@ -355,7 +355,9 @@ class TestLibraryErrors:
         ["solve", "{inst}", "--alg", "alg1", "--gamma", "inf"],
         ["bench", "--seeds", "0", "--format", "csv"],
         ["constants", "--eps-fixed", "nan"],
-    ], ids=["zero-denominator", "nan-gamma", "inf-gamma", "no-seeds", "nan-eps"])
+        ["solve", "{inst}", "--alg", "subalg3", "--delta", "1/2"],
+    ], ids=["zero-denominator", "nan-gamma", "inf-gamma", "no-seeds", "nan-eps",
+            "subalg3-delta-half"])
     def test_bad_values_are_usage_errors(self, instance_file, capsys, argv):
         code, out = run(capsys, *(a.format(inst=instance_file) for a in argv))
         assert code == 2

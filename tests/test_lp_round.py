@@ -1,6 +1,10 @@
+import importlib.machinery
 import itertools
+import json
 import math
 import random
+import sys
+import types
 from fractions import Fraction
 
 import numpy as np
@@ -11,12 +15,14 @@ from scipy.optimize import linprog
 
 from ucvrp import lp_round, tsp
 from ucvrp.algorithms import alg1, default_tour, lp_itp_pipeline
-from ucvrp.instance import Instance, gen_instance, line3
+from ucvrp.cli import main
+from ucvrp.instance import Instance, gen_instance, line3, save_json
 from ucvrp.lp_round import (
     CatalogEntry,
     CatalogTooLarge,
     LpInfeasible,
     LpSolution,
+    LpSolverFailed,
     TourCatalog,
     enumerate_tours,
     round_tours,
@@ -26,6 +32,7 @@ from ucvrp.oracle import exact_cvrp
 from ucvrp.tsp import Tour, exact_tsp
 
 from reference import rounding_monte_carlo
+from test_big_matching import _probe
 from test_instance import line_instance
 
 
@@ -222,6 +229,94 @@ class TestCoveringLp:
         with pytest.raises(LpInfeasible):
             solve_covering_lp(two_singletons(-1.0))
         assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("order, loads", [
+        ("bindings-first", False),  # scipy.optimize imported after the LPs
+        ("scipy-first", True),
+        ("fallback", True),  # no extension file is found: the plain import serves
+    ])
+    def test_load_orders_in_a_fresh_process(self, order, loads):
+        # Whatever loads HiGHS's bindings, the LP is linprog's bit for bit, and
+        # the loader's module is the one scipy.optimize imports.
+        assert _probe(LOAD_PROBE, order) == f"{loads} True True"
+
+    def test_failed_load_falls_back(self, monkeypatch):
+        # An extension file that raises ImportError is not left registered,
+        # and the plain import serves.
+        real = lp_round._highs_core()
+        monkeypatch.delitem(sys.modules, real.__name__)
+        failed = []
+
+        def unloadable(loader, module):
+            failed.append(module.__name__ in sys.modules)
+            raise ImportError(f"cannot load {loader.path}")
+
+        monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "exec_module", unloadable)
+        assert lp_round._highs_core() is real
+        assert failed == [True]
+        assert real.__name__ not in sys.modules
+
+    def test_solver_failure_is_not_infeasibility(self, memory_limited):
+        with pytest.raises(LpSolverFailed, match="^LP solver failed: Memory limit reached$") as err:
+            solve_covering_lp(enumerate_tours(line3(), "lp1"))
+        assert not isinstance(err.value, LpInfeasible)
+
+    def test_solver_failure_exits_3(self, memory_limited, tmp_path, capsys):
+        path = tmp_path / "i.json"
+        save_json(gen_instance("euclidean", 6, 3, seed=1), str(path))
+        assert main(["solve", str(path), "--alg", "alg1"]) == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "LpSolverFailed", "message": "LP solver failed: Memory limit reached"}
+
+
+# Solves the covering LPs of four catalogs in a fresh interpreter, loading
+# HiGHS's bindings in the order argv[1] names, then compares them with
+# linprog's.  Prints whether the LPs loaded scipy.optimize, whether the
+# loader's module is scipy's, and whether every bit matched.
+LOAD_PROBE = """
+import importlib.machinery, sys
+from fractions import Fraction
+import numpy as np
+from ucvrp import lp_round
+from ucvrp.instance import gen_instance, line3
+if sys.argv[1] == 'scipy-first':
+    import scipy.optimize
+elif sys.argv[1] == 'fallback':
+    importlib.machinery.EXTENSION_SUFFIXES = []
+inst = gen_instance('random_metric', 12, 3, seed=1)
+cats = [lp_round.enumerate_tours(line3(), 'lp1'),
+        lp_round.enumerate_tours(gen_instance('euclidean', 11, 3, seed=0), 'lp1'),
+        lp_round.enumerate_tours(inst, 'lp1'),
+        lp_round.enumerate_tours(inst, 'lp2', Fraction(1, 5))]
+sols = [lp_round.solve_covering_lp(cat) for cat in cats]
+loads, core = 'scipy.optimize' in sys.modules, lp_round._highs_core()
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
+same = True
+for cat, sol in zip(cats, sols):
+    cover = sorted(cat.cover_set)
+    a = np.array([[v in t.customers for t in cat.tours] for v in cover], dtype=float)
+    res = linprog(np.array([t.cost for t in cat.tours]), A_ub=-a, b_ub=-np.ones(len(cover)),
+                  bounds=(0, None), method='highs')
+    same &= ([v.hex() for v in sol.values] == [float(v).hex() for v in res.x]
+             and sol.objective.hex() == float(res.fun).hex()
+             and [y.hex() for y in sol.duals] == [(-float(y)).hex() for y in res.ineqlin.marginals])
+print(loads, core is _core, same)
+"""
+
+
+@pytest.fixture
+def memory_limited(monkeypatch):
+    """HiGHS's bindings with a solver that reports running out of memory."""
+    real = lp_round._highs_core()
+
+    class MemoryLimited(real._Highs):
+        def getModelStatus(self):
+            return real.HighsModelStatus.kMemoryLimit
+
+    stand_in = types.ModuleType(real.__name__)
+    vars(stand_in).update(vars(real), _Highs=MemoryLimited)
+    monkeypatch.setattr(lp_round, "_highs_core", lambda: stand_in)
 
 
 def two_singletons(cost):
