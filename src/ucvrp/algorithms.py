@@ -9,7 +9,8 @@ report, which checks feasibility once per solve.
 ``lp_itp_pipeline`` runs one LP branch, ``alg1`` one and ``alg2`` two
 over a shared catalog.  A solve given neither tour nor catalog, whose
 depot tour is exact (n <= ``tsp.HELDKARP_CAP``), reads both off one
-Held-Karp table.  Every catalog holds optimal tours: one whose sets
+Held-Karp table; the catalog keeps its own columns of it, and of its
+tours only those rounding selects are ever walked.  Every catalog holds optimal tours: one whose sets
 Held-Karp cannot tour is refused (``CatalogTooLarge``).
 
 ``alg1`` (fixed capacity) runs the matching branch and the full-catalog

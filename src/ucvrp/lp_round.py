@@ -13,8 +13,12 @@ bound on the optimal solution cost.  A catalog whose largest feasible
 set is beyond the Held-Karp cap is refused before it is enumerated.
 ``enumerate_tours`` prices the sets by a Held-Karp pass over them
 alone; a solve that builds an exact depot tour prices them off that
-tour's table instead and wraps the tours with ``priced_catalog``, to
-the same entries.  An entry's cost is its tour's, so a selected entry
+tour's table instead and orders them with ``priced_catalog``, to the
+same entries.  A ``TourCatalog`` is columnar: its set masks and costs
+are arrays in entry order, and it keeps its sets' own Held-Karp
+columns.  The LP reads the arrays alone, and rounding draws only for
+the tours in the LP's support, so an entry's tour is walked only when
+a solve serves it.  An entry's cost is its tour's, so a selected entry
 is served by the tour the LP priced.
 The covering LP goes to HiGHS through the bindings scipy ships, as the
 model ``scipy.optimize.linprog(method="highs")`` would build, so it
@@ -31,6 +35,7 @@ outcome does not depend on enumeration order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import importlib.machinery
 import importlib.util
@@ -46,7 +51,7 @@ import numpy as np
 
 from ucvrp import tsp
 from ucvrp.instance import Instance
-from ucvrp.tsp import Tour, optimal_tours
+from ucvrp.tsp import Tour, set_tours
 
 SIZE_CAP = 5_000_000  # most tours a catalog may hold
 
@@ -77,12 +82,95 @@ class CatalogEntry:
         return self.tour.cost
 
 
-@dataclass(frozen=True)
 class TourCatalog:
-    variant: str  # "lp1" | "lp2"
-    delta: Optional[Fraction]
-    tours: tuple[CatalogEntry, ...]
-    cover_set: frozenset[int]
+    """The sets of a catalog variant with their optimal tours, held by
+    columns in entry order: ``masks``, where bit i stands for
+    ``ground[i]``, and ``costs``, which the covering LP and rounding
+    read.  ``tours`` is a sequence view of the ``CatalogEntry``s: an entry,
+    with its walked tour and its digest, is built when it is indexed and
+    then kept, so its length, equality, ``to_json_dict`` and the LP walk
+    no tour.  Two catalogs are equal when they hold the same sets at the
+    same costs, in the same order, for the same variant, delta and cover
+    set: an LP solution of one is then an LP solution of the other."""
+
+    def __init__(self, variant: str, delta: Optional[Fraction],
+                 tours: Iterable[CatalogEntry], cover_set: Iterable[int]):
+        """A catalog hand-built from its entries, kept in the order given,
+        whose masks and costs are read off them here."""
+        entries = tuple(tours)
+        cover_set = frozenset(cover_set)
+        ground = sorted(cover_set.union(*(e.customers for e in entries)))
+        if len(ground) > 63:  # an int64 mask holds 63 members
+            raise ValueError(f"a catalog spans at most 63 customers, not {len(ground)}")
+        bit = {v: 1 << i for i, v in enumerate(ground)}
+        self._columns(variant, delta, cover_set, ground,
+                      [sum(bit[v] for v in e.customers) for e in entries],
+                      [e.cost for e in entries])
+        self._entries.update(enumerate(entries))
+        self._customers.update((j, e.customers) for j, e in enumerate(entries))
+        self._digests.update((j, e.digest) for j, e in enumerate(entries))
+
+    @classmethod
+    def _priced(cls, sets: CatalogSets, tours: tsp.SetTours, order: np.ndarray) -> TourCatalog:
+        """The catalog of ``sets`` whose entry j is set ``order[j]`` of
+        ``tours``, walked when it is indexed."""
+        self = cls.__new__(cls)
+        self._columns(sets.variant, sets.delta, frozenset(sets.ground), sets.ground,
+                      tours.masks[order], tours.costs[order])
+        self._walks, self._order = tours, order
+        return self
+
+    def _columns(self, variant, delta, cover_set, ground, masks, costs) -> None:
+        self.variant = variant  # "lp1" | "lp2"
+        self.delta = delta
+        self.cover_set = cover_set
+        self.ground = tuple(ground)
+        self.masks = np.asarray(masks, dtype=np.int64)
+        self.costs = np.asarray(costs, dtype=float)
+        self.masks.setflags(write=False)
+        self.costs.setflags(write=False)
+        # Built on demand: entry j, its customers and its digest.
+        self._entries, self._customers, self._digests = {}, {}, {}
+
+    @property
+    def tours(self) -> Sequence[CatalogEntry]:
+        """The entries, in order, each built when it is first indexed."""
+        return _Entries(self)
+
+    def customers(self, j: int) -> frozenset[int]:
+        """The customers of entry j, read off its mask."""
+        members = self._customers.get(j)
+        if members is None:
+            mask, ground = int(self.masks[j]), self.ground
+            members = self._customers[j] = frozenset(
+                ground[i] for i in range(mask.bit_length()) if mask >> i & 1)
+        return members
+
+    def digest(self, j: int) -> int:
+        """The stable 64-bit hash of entry j's customer set."""
+        digest = self._digests.get(j)
+        if digest is None:
+            digest = self._digests[j] = _digest(self.customers(j))
+        return digest
+
+    def _entry(self, j: int) -> CatalogEntry:
+        entry = self._entries.get(j)
+        if entry is None:
+            tour = self._walks[int(self._order[j])]
+            entry = self._entries[j] = CatalogEntry(self.customers(j), tour, self.digest(j))
+        return entry
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TourCatalog):
+            return NotImplemented
+        return ((self.variant, self.delta, self.cover_set, self.ground)
+                == (other.variant, other.delta, other.cover_set, other.ground)
+                and np.array_equal(self.masks, other.masks)
+                and np.array_equal(self.costs, other.costs))
+
+    def __repr__(self) -> str:
+        return (f"TourCatalog({self.variant!r}, {self.delta!r}, "
+                f"{len(self.masks)} sets of {list(self.ground)})")
 
     def to_json_dict(self) -> dict:
         return {
@@ -90,10 +178,26 @@ class TourCatalog:
             "delta": None if self.delta is None else str(self.delta),
             "cover_set": sorted(self.cover_set),
             "tours": [
-                {"customers": sorted(t.customers), "cost": t.cost}
-                for t in self.tours
+                {"customers": sorted(self.customers(j)), "cost": cost}
+                for j, cost in enumerate(self.costs.tolist())
             ],
         }
+
+
+class _Entries(Sequence):
+    """``TourCatalog.tours``: entry j is built, its tour walked, when it
+    is first indexed."""
+
+    def __init__(self, catalog: TourCatalog):
+        self._catalog = catalog
+
+    def __len__(self) -> int:
+        return len(self._catalog.masks)
+
+    def __getitem__(self, j: int) -> CatalogEntry:
+        if not -len(self) <= j < len(self):
+            raise IndexError(f"catalog entry {j} of {len(self)}")
+        return self._catalog._entry(j % len(self))
 
 
 @dataclass(frozen=True)
@@ -104,6 +208,11 @@ class LpSolution:
     # The catalog solved, kept out of equality, repr and JSON, so that a
     # solve can refuse an LP solution of another catalog.
     catalog: Optional[TourCatalog] = field(default=None, compare=False, repr=False)
+
+    @functools.cached_property
+    def support(self) -> tuple[int, ...]:
+        """The indices of the tours with x*_T > 0, ascending."""
+        return tuple(j for j, x in enumerate(self.values) if x > 0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -164,12 +273,16 @@ def catalog_sets(inst: Instance, variant: str, delta: Optional[Fraction] = None)
     return CatalogSets(variant, delta, ground, masks)
 
 
-def priced_catalog(sets: CatalogSets, tours: Iterable[Tour]) -> TourCatalog:
-    """The catalog of ``sets`` whose entries are ``tours``, one per mask,
-    each its set's optimal tour."""
-    entries = [CatalogEntry(t.customers, t, _digest(t.customers)) for t in tours]
-    entries.sort(key=lambda e: (len(e.customers), sorted(e.customers)))
-    return TourCatalog(sets.variant, sets.delta, tuple(entries), frozenset(sets.ground))
+def priced_catalog(sets: CatalogSets, tours: tsp.SetTours) -> TourCatalog:
+    """The catalog of ``sets``, whose tours ``tours`` holds in mask order,
+    each its set's optimal tour.  Entries go by size, then by sorted
+    members: of two sets of one size, the one holding their least
+    differing member comes first, so one lexsort orders the masks by
+    popcount, then by their bit-reversed value, larger first."""
+    s = len(sets.ground)
+    members = tsp.mask_bits(tours.masks, s)
+    reversed_bits = members @ (1 << np.arange(s - 1, -1, -1))
+    return TourCatalog._priced(sets, tours, np.lexsort((-reversed_bits, members.sum(axis=1))))
 
 
 def enumerate_tours(
@@ -179,9 +292,9 @@ def enumerate_tours(
 ) -> TourCatalog:
     """All demand-feasible customer sets of the relevant ground set, each
     with its optimal tour from a Held-Karp pass over these sets alone,
-    in deterministic order."""
+    in deterministic order; a tour is walked when its entry is indexed."""
     sets = catalog_sets(inst, variant, delta)
-    return priced_catalog(sets, optimal_tours(inst, sets.ground, sets.masks).values())
+    return priced_catalog(sets, set_tours(inst, sets.ground, sets.masks))
 
 
 def feasible_masks(demands: Sequence[int], capacity: int) -> list[int]:
@@ -237,6 +350,17 @@ def _highs_core():
     return _core
 
 
+def cover_columns(catalog: TourCatalog) -> tuple[np.ndarray, np.ndarray]:
+    """The cover matrix A in CSC form, (start, index) as int32: column j
+    lists, ascending, the rows of tour j's customers in the sorted cover
+    set, read off the set bits of its mask at the cover set's positions."""
+    rows = [i for i, v in enumerate(catalog.ground) if v in catalog.cover_set]
+    tour, index = np.nonzero(tsp.mask_bits(catalog.masks, len(catalog.ground))[:, rows])
+    start = np.zeros(len(catalog.masks) + 1, np.int32)
+    np.cumsum(np.bincount(tour, minlength=len(catalog.masks)), out=start[1:])
+    return start, index.astype(np.int32)
+
+
 def solve_covering_lp(catalog: TourCatalog) -> LpSolution:
     """Optimal fractional cover of the catalog's cover set; the solution
     records the catalog it solved.
@@ -255,17 +379,13 @@ def solve_covering_lp(catalog: TourCatalog) -> LpSolution:
     if not cover:
         return LpSolution((0.0,) * len(catalog.tours), 0.0, (), catalog)
     m, n = len(cover), len(catalog.tours)
-    row = {v: i for i, v in enumerate(cover)}
-    cols = [sorted(row[v] for v in t.customers if v in row) for t in catalog.tours]
-    sizes = [len(col) for col in cols]
-    start = np.zeros(n + 1, np.int32)
-    np.cumsum(sizes, out=start[1:])
-    index = np.fromiter(itertools.chain.from_iterable(cols), np.int32, int(start[-1]))
+    start, index = cover_columns(catalog)
+    sizes = np.diff(start)
     hits = np.bincount(index, minlength=m)
     if not hits.all():
         missing = [cover[i] for i in np.flatnonzero(hits == 0)]
         raise LpInfeasible(f"customers {missing} appear in no catalog tour")
-    c = np.array([t.cost for t in catalog.tours], dtype=float)
+    c = catalog.costs
     if not np.isfinite(c).all():
         raise ValueError(f"tour costs must be finite, got {c[~np.isfinite(c)][0]}")
 
@@ -287,14 +407,13 @@ def solve_covering_lp(catalog: TourCatalog) -> LpSolution:
     lp.row_upper_ = np.full(m, -1.0)
     # The options linprog sets, and no other: presolve on, no debug checks,
     # no output (it would corrupt ``ucvrp solve``'s JSON), dual simplex.
-    options = highs.HighsOptions()
-    options.presolve = "on"
-    options.highs_debug_level = 0  # kHighsDebugLevelNone
-    options.log_to_console = False
-    options.output_flag = False
-    options.simplex_strategy = 1  # kSimplexStrategyDual
+    # Each is set on the solver, which starts from HiGHS's defaults.
     solver = highs._Highs()
-    solver.passOptions(options)
+    solver.setOptionValue("presolve", "on")
+    solver.setOptionValue("highs_debug_level", 0)  # kHighsDebugLevelNone
+    solver.setOptionValue("log_to_console", False)
+    solver.setOptionValue("output_flag", False)
+    solver.setOptionValue("simplex_strategy", 1)  # kSimplexStrategyDual
     solver.passModel(lp)
     solver.run()
     status = solver.getModelStatus()
@@ -338,7 +457,8 @@ def round_tours(
     gamma: float,
     seed: int,
 ) -> RoundingOutcome:
-    """Independent per-tour selection with probability min{1, gamma x*}."""
+    """Independent per-tour selection with probability min{1, gamma x*},
+    drawn only for the tours with x* > 0; it walks no tour."""
     check_gamma(gamma)
     if len(lpsol.values) != len(catalog.tours):
         raise ValueError(f"{len(lpsol.values)} LP values for {len(catalog.tours)} tours")
@@ -346,11 +466,11 @@ def round_tours(
     covered: set[int] = set()
     cost = 0.0
     if gamma > 0:
-        for j, (t, x) in enumerate(zip(catalog.tours, lpsol.values)):
-            p = min(1.0, gamma * x)
-            if p > 0 and _uniform_draw(seed, t.digest) < p:
+        for j in lpsol.support:
+            p = min(1.0, gamma * lpsol.values[j])
+            if p > 0 and _uniform_draw(seed, catalog.digest(j)) < p:
                 selected.append(j)
-                covered |= t.customers
-                cost += t.cost
+                covered |= catalog.customers(j)
+                cost += float(catalog.costs[j])
     uncovered = frozenset(catalog.cover_set - covered)
     return RoundingOutcome(tuple(selected), uncovered, cost)

@@ -20,21 +20,25 @@ once per s and kept: s 2^(s-1) - s int64 predecessor columns, 0.43 MB
 at s = 13 and 19 MB at the cap.  Other families run one bit a step.
 The table takes 2^s (s+1) 8 bytes for all subsets of s customers,
 about 40 MB at the cap.  Every tour, the exact depot tour and each set
-of a family alike, is walked off the table by one scalar Python walk
-(``_tours``), one step per member of a few list reads and one column
-read.  A set's column does not depend on the family it is priced in,
-so ``exact_tsp_and_tours`` reads an exact depot tour and a whole
-catalog off one table in one walk.  ``exact_tsp`` over every customer
-took ~1.9-2.8 ms at s = 13 and ~0.17-0.21 s at the cap on 2 shared
-vCPUs.  The approximate solver doubles a minimum spanning tree and
+of a family alike, is walked off a table by one scalar Python walk
+(``_walk``), one step per member of a few list reads and one column
+read, taking ties within a tolerance that scales with the metric and
+its skew (``_walk_tol``).  A family's tours are kept as a ``SetTours``:
+the family's own columns and every cost, read off them at once, while
+a tour is walked only when it is asked for.  A set's column does not
+depend on the family it is priced in, so ``exact_tsp_and_tours`` walks
+the exact depot tour off the table over every subset and keeps the
+columns of a catalog's sets, not the table.  ``exact_tsp`` over every
+customer took ~1.9-2.8 ms at s = 13 and ~0.17-0.21 s at the cap on 2
+shared vCPUs.  The approximate solver doubles a minimum spanning tree and
 shortcuts the resulting Euler walk, guaranteeing cost at most twice
 the optimum."""
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -82,6 +86,42 @@ def empty_tour(tag: str = "exact") -> Tour:
     return Tour((0, 0), 0.0, tag)
 
 
+class SetTours(Sequence[Tour]):
+    """The optimal tours of a family of sets, mask m standing for
+    {ground[i] : bit i of m set}, kept as the family's own Held-Karp
+    columns, (s + 1) x 8 bytes a set, in ``masks``' order: ``costs`` holds
+    every tour's cost, read off the columns at once, and a set's tour is
+    walked when it is indexed, each time.  A walk reads the column of
+    every set it leaves behind, so the family must be downward closed, as
+    a catalog's sets are: a walk that misses one raises ``ValueError``."""
+
+    def __init__(self, sub: np.ndarray, columns: np.ndarray, ground: Sequence[int],
+                 masks: np.ndarray, tol: float):
+        self.ground = tuple(ground)
+        self.masks = masks
+        self.costs = _costs(sub, columns)
+        self._sub, self._columns, self._tol = sub, columns, tol
+        self._walker = None
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, i: int) -> Tour:
+        mask = int(self.masks[i])
+        if self._walker is None:  # the walk's lists, built for the first tour
+            c = self._sub.tolist()
+            self._walker = c, [row[0] for row in c], dict(zip(self.masks.tolist(), range(len(self))))
+        c, back, _ = self._walker
+        return _walk(c, back, self._columns, self._column, mask, float(self.costs[i]),
+                     self.ground, self._tol)
+
+    def _column(self, mask: int) -> int:
+        try:
+            return self._walker[2][mask]
+        except KeyError:
+            raise ValueError("Held-Karp masks must be downward closed") from None
+
+
 def exact_tsp(inst: Instance, subset: Iterable[int]) -> Tour:
     """Minimum-cost tour through the depot and every vertex of ``subset``.
 
@@ -89,7 +129,10 @@ def exact_tsp(inst: Instance, subset: Iterable[int]) -> Tour:
     (comparing the tour against its reversal as well) so results are
     reproducible across runs.
     """
-    return _exact_tours(inst, _customers(inst, subset), [])[0]
+    subset = _customers(inst, subset)
+    if not subset:
+        return empty_tour()
+    return _exact_tour(inst, subset, _walk_tol(inst.metric))[0]
 
 
 def approx_tsp(inst: Instance, subset: Iterable[int]) -> Tour:
@@ -180,61 +223,75 @@ def optimal_tours(
     inst: Instance, ground: Sequence[int], masks: Sequence[int]
 ) -> dict[int, Tour]:
     """Optimal tour of every set in ``masks``, where ``mask`` stands for
-    {ground[i] : bit i of mask set}.  ``ground`` must be increasing
-    customers, and ``masks`` downward closed and increasing, like the
-    demand-feasible sets of a catalog, naming non-empty sets of
-    ``ground``; any other ground or family raises ``ValueError``.  Each
-    tour is ``exact_tsp``'s."""
+    {ground[i] : bit i of mask set}, each walked now: ``set_tours``' tours
+    keyed by mask.  Each tour is ``exact_tsp``'s."""
+    tours = set_tours(inst, ground, masks)
+    return dict(zip(tours.masks.tolist(), tours))
+
+
+def set_tours(inst: Instance, ground: Sequence[int], masks: Sequence[int]) -> SetTours:
+    """The optimal tours of the sets in ``masks``, which name sets of
+    ``ground`` as in ``optimal_tours``, priced by a Held-Karp pass over
+    these sets alone.  ``ground`` must be increasing customers, and
+    ``masks`` downward closed and increasing, like the demand-feasible
+    sets of a catalog, naming non-empty sets of ``ground``; any other
+    ground or family raises ``ValueError``."""
     _check_ground(inst, ground)
     masks = list(map(int, masks))
     largest = max(map(int.bit_count, masks), default=0)
     if largest > HELDKARP_CAP:
         raise SubsetTooLarge(f"{largest} customers exceeds cap {HELDKARP_CAP}")
     sub = _submetric(inst, ground)
-    table = _held_karp(sub, np.array(masks, dtype=np.int64))
-    column = {mask: i for i, mask in enumerate(masks)}.__getitem__
-    return dict(zip(masks, _tours(sub, table, column, masks, ground)))
+    family = np.array(masks, dtype=np.int64)
+    return SetTours(sub, _held_karp(sub, family), ground, family, _walk_tol(inst.metric))
 
 
 def exact_tsp_and_tours(
     inst: Instance, ground: Sequence[int], masks: Sequence[int]
-) -> tuple[Tour, list[Tour]]:
-    """``exact_tsp(inst, inst.customers)`` and the tour of every set in
+) -> tuple[Tour, SetTours]:
+    """``exact_tsp(inst, inst.customers)`` and the tours of the sets in
     ``masks``, which name sets of ``ground`` as in ``optimal_tours``, all
     read off one Held-Karp table over every subset of the customers.
     Needs n <= ``HELDKARP_CAP`` and ``ground`` increasing customers; each
     tour is then the one ``optimal_tours`` gives, bit for bit.  A mask
-    that names no non-empty set of ``ground`` raises ``ValueError``."""
+    that names no non-empty set of ``ground`` raises ``ValueError``.  The
+    sets keep their own columns of the table, not the table, so they must
+    be downward closed for their tours to be walked (``SetTours``)."""
     _check_ground(inst, ground)
     family = np.array(masks, dtype=np.int64)
     _check_sets(family, len(ground))
-    # Bit deposit: bit i of a mask moves to the bit of customer ground[i].
-    wanted = _bits(family, len(ground)) @ (1 << (np.array(ground, dtype=np.int64) - 1))
-    tour, *tours = _exact_tours(inst, list(inst.customers), wanted.tolist())
-    return tour, tours
+    tol = _walk_tol(inst.metric)
+    subset = list(inst.customers)
+    sub = _submetric(inst, ground)
+    if not subset:  # no table to read, and no mask can name a set
+        return empty_tour(), SetTours(sub, np.full((1, 0), INF), ground, family, tol)
+    tour, table = _exact_tour(inst, subset, tol)
+    # Bit deposit: bit i of a mask moves to the bit of customer ground[i],
+    # whose row in the table is ground[i]; set m sits in column m - 1.
+    wanted = mask_bits(family, len(ground)) @ (1 << (np.array(ground, dtype=np.int64) - 1))
+    columns = table[np.ix_([0, *ground], wanted - 1)]
+    return tour, SetTours(sub, columns, ground, family, tol)
 
 
-def _exact_tours(inst: Instance, subset: list[int], wanted: list[int]) -> list[Tour]:
-    """The exact tour over the sorted customers ``subset``, then the tour
-    of each mask in ``wanted`` over them, off one Held-Karp table over
-    every subset of ``subset``.  A singleton is toured like any other
-    set, at c(r,v) + c(v,r)."""
-    if not subset:  # no table to read, and no mask in ``wanted`` can name a set
-        return [empty_tour()]
+def _exact_tour(inst: Instance, subset: list[int], tol: float) -> tuple[Tour, np.ndarray]:
+    """The exact tour over the non-empty sorted customers ``subset``, and
+    the Held-Karp table over every subset of ``subset`` it is read off.
+    A singleton is toured like any other set, at c(r,v) + c(v,r)."""
     if len(subset) > HELDKARP_CAP:
         raise SubsetTooLarge(f"{len(subset)} customers exceeds cap {HELDKARP_CAP}")
     full = (1 << len(subset)) - 1
     sub = _submetric(inst, subset)
     table = _held_karp(sub, np.arange(1, full + 1, dtype=np.int64))
-    return _tours(sub, table, _prefix_column, [full, *wanted], subset)
+    c = sub.tolist()
+    cost = float(_costs(sub, table[:, -1:])[0])
+    return _walk(c, [row[0] for row in c], table, _prefix_column, full, cost, subset, tol), table
 
 
 def tour_costs_all_subsets(inst: Instance, ground: Sequence[int]) -> list[float]:
     """Optimal tour cost for every subset of ``ground``; entry ``mask``
     prices {ground[i] : bit i of mask set}.  No solve calls it: it is
     kept only because the benchmark's tracer names it."""
-    tours = optimal_tours(inst, ground, range(1, 1 << len(ground)))
-    return [0.0, *(t.cost for t in tours.values())]
+    return [0.0, *set_tours(inst, ground, range(1, 1 << len(ground))).costs.tolist()]
 
 
 def _submetric(inst: Instance, ground: Sequence[int]) -> np.ndarray:
@@ -243,7 +300,7 @@ def _submetric(inst: Instance, ground: Sequence[int]) -> np.ndarray:
     return inst.metric[np.ix_(idx, idx)]
 
 
-def _bits(masks: np.ndarray, s: int) -> np.ndarray:
+def mask_bits(masks: np.ndarray, s: int) -> np.ndarray:
     """bits[r, i] is bit i of masks[r]."""
     as_bytes = masks.astype("<u8").view(np.uint8).reshape(-1, 8)
     return np.unpackbits(as_bytes, axis=1, count=s, bitorder="little").view(bool)
@@ -275,7 +332,7 @@ def _held_karp(sub: np.ndarray, masks: np.ndarray) -> np.ndarray:
     n = len(masks)
     table = np.full((s + 1, n), INF)
     ones = np.flatnonzero((masks & (masks - 1)) == 0)
-    first = _bits(masks[ones], s) @ np.arange(1, s + 1)  # row b + 1 of set 1 << b
+    first = mask_bits(masks[ones], s) @ np.arange(1, s + 1)  # row b + 1 of set 1 << b
     table[first, ones] = sub[0, first]
     if n == (1 << s) - 1:  # increasing and in range: every subset
         # Set m sits in column m - 1, so a set holding bit b sits 1 << b
@@ -308,7 +365,7 @@ def _steps(masks: np.ndarray, s: int):
     Predecessors are found by binary search; a missing one raises
     ``ValueError``."""
     n = len(masks)
-    bits = _bits(masks, s)
+    bits = mask_bits(masks, s)
     layers = bits.sum(axis=1)
     for size in range(2, int(layers.max(initial=0)) + 1):
         layer = np.flatnonzero(layers == size)
@@ -344,7 +401,7 @@ def _full_schedule(s: int) -> tuple[tuple[int, np.ndarray], ...]:
     s 2^(s-1) - s int64 indices, 8 bytes each: 0.43 MB at s = 13, 19 MB
     at the cap.  The DP never tours more than the cap, so at most one
     schedule per s <= 18 is kept, ~38 MB were each used."""
-    bits = _bits(np.arange(1, 1 << s), s)
+    bits = mask_bits(np.arange(1, 1 << s), s)
     sizes = bits.sum(axis=1)
     schedule = []
     for size in range(2, s + 1):
@@ -364,41 +421,58 @@ def _prefix_column(mask: int) -> int:
     return mask - 1
 
 
-def _tours(sub, table, column, wanted: Sequence[int], ground: Sequence[int]) -> list[Tour]:
-    """The optimal tour of each mask in ``wanted`` from a ``_held_karp``
-    table over a family that holds their subsets, where mask m sits in
-    column ``column(m)``.  Greedy front-to-back reconstruction, one set at
-    a time in scalar Python: each step takes the first member j, in
-    ascending position, with c(at, j) + finish[j] within ``COST_TOL`` of
-    the cost left, which yields the lexicographically smallest sequence.
-    finish[j] is table[j, left], the cheapest depot-rooted path over the
-    members left that ends at j, read reversed as j -> rest -> depot (c
-    is symmetric); once j is all that is left it is c(x_j, x_0).  A set's
-    cost is the min over its own column plus c(x_j, x_0), so a singleton
-    costs c(r,v) + c(v,r)."""
-    c = sub.tolist()
-    back = [row[0] for row in c]  # c(x_j, x_0)
-    tours = []
-    for mask, own in zip(wanted, table[:, [column(m) for m in wanted]].T.tolist()):
-        best = target = min(map(add, own, back))
-        finish = own if mask & (mask - 1) else back
-        seq, at, left = [0], 0, mask
-        while left:
-            limit = target + COST_TOL
-            rest = left
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                j = low.bit_length()
-                if c[at][j] + finish[j] <= limit:
-                    break
-            else:
-                raise AssertionError("tour reconstruction failed")
-            seq.append(ground[j - 1])
-            target -= c[at][j]
-            at = j
-            left ^= low
-            finish = table[:, column(left)].tolist() if left & (left - 1) else back
-        seq.append(0)
-        tours.append(Tour(tuple(seq), best, "exact"))
-    return tours
+def _walk_tol(metric: np.ndarray) -> float:
+    """The walk's tie tolerance on an instance's ``metric``:
+    ``COST_TOL`` S + (n + 1) skew, with S = max(1, 2^floor(log2 max|m|))
+    and skew = max|m - m^T|.  A step weighs c(at, j) + finish[j] against
+    the cost left, sums of at most n + 1 entries each, whose float
+    rounding grows with their size: S scales ``COST_TOL`` with it, and as
+    a power of two it is exact and 1 below 2, so the tolerance of a
+    unit-scale symmetric metric is ``COST_TOL`` itself.  finish[j] is a
+    Held-Karp path read reversed, and each of its at most n + 1 edges
+    differs from its reversal by at most the skew, which
+    ``validate_instance`` lets reach ``METRIC_TOL``.  Every walk on one
+    instance takes this one value, whichever table it reads."""
+    top = float(np.abs(metric).max())
+    scale = 2.0 ** (math.frexp(top)[1] - 1) if top >= 2 else 1.0
+    return COST_TOL * scale + len(metric) * float(np.abs(metric - metric.T).max())
+
+
+def _costs(sub: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """Each column's tour cost: the min over end vertices j of its path
+    to j plus c(x_j, x_0), the float sums and min the walk starts from.
+    A singleton {v} costs c(r,v) + c(v,r)."""
+    return np.minimum.reduce(columns + sub[:, :1], axis=0, initial=INF)
+
+
+def _walk(c, back, table, column, mask: int, cost: float, ground: Sequence[int],
+          tol: float) -> Tour:
+    """The optimal tour of ``mask``, at ``cost``, from a ``_held_karp``
+    table whose columns hold each of its subsets, mask m in column
+    ``column(m)``; c is the submetric as lists and back[j] = c(x_j, x_0).
+    Greedy front-to-back reconstruction in scalar Python: each step takes
+    the first member j, in ascending position, with c(at, j) + finish[j]
+    within ``tol`` of the cost left, which yields the lexicographically
+    smallest sequence.  finish[j] is table[j, left], the cheapest
+    depot-rooted path over the members left that ends at j, read reversed
+    as j -> rest -> depot; once j is all that is left it is c(x_j, x_0)."""
+    finish = table[:, column(mask)].tolist() if mask & (mask - 1) else back
+    seq, at, left, target = [0], 0, mask, cost
+    while left:
+        limit = target + tol
+        rest = left
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            j = low.bit_length()
+            if c[at][j] + finish[j] <= limit:
+                break
+        else:
+            raise AssertionError("tour reconstruction failed")
+        seq.append(ground[j - 1])
+        target -= c[at][j]
+        at = j
+        left ^= low
+        finish = table[:, column(left)].tolist() if left & (left - 1) else back
+    seq.append(0)
+    return Tour(tuple(seq), cost, "exact")

@@ -176,7 +176,21 @@ def held_karp_tours(
     lists and the same greedy reconstruction; ``tsp.optimal_tours`` must
     return the same vertices and bit-identical costs."""
     into, paths = held_karp_paths(inst, ground, masks)
-    return {mask: held_karp_tour(into, paths, ground, mask) for mask in paths}
+    tol = walk_tolerance(inst)
+    return {mask: held_karp_tour(into, paths, ground, mask, tol) for mask in paths}
+
+
+def walk_tolerance(inst: Instance) -> float:
+    """The reconstruction's tie tolerance, ``COST_TOL`` S + (n + 1) skew,
+    where S is the largest power of two at most max|m|, or 1 below 2, and
+    skew = max|m - m^T|, by a scan over the matrix's entries."""
+    rows = inst.metric.tolist()
+    top = max(abs(x) for row in rows for x in row)
+    scale = 1.0
+    while 2 * scale <= top:
+        scale *= 2
+    skew = max(abs(x - y) for row, col in zip(rows, zip(*rows)) for x, y in zip(row, col))
+    return COST_TOL * scale + (inst.n + 1) * skew
 
 
 def held_karp_paths(
@@ -202,8 +216,9 @@ def held_karp_paths(
     return into, paths
 
 
-def held_karp_tour(into, paths, ground: Sequence[int], mask: int) -> Tour:
-    """The tour of ``mask`` read off ``held_karp_paths``' table."""
+def held_karp_tour(into, paths, ground: Sequence[int], mask: int, tol: float) -> Tour:
+    """The tour of ``mask`` read off ``held_karp_paths``' table, taking
+    ties within ``tol``."""
     best = min(map(add, paths[mask], into[0]))
     seq = [0]
     last, target = 0, best
@@ -216,7 +231,7 @@ def held_karp_tour(into, paths, ground: Sequence[int], mask: int) -> Tour:
             rest = mask ^ low
             finish = min(map(add, paths[rest], into[j])) if rest else into[0][j]
             step = into[j][last]
-            if step + finish <= target + COST_TOL:
+            if step + finish <= target + tol:
                 seq.append(ground[j - 1])
                 target -= step
                 last = j

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from ucvrp import lp_round, tsp
-from ucvrp.algorithms import alg1, default_tour, lp_itp_pipeline
+from ucvrp.algorithms import _catalog_lp, alg1, default_tour, lp_itp_pipeline
 from ucvrp.cli import main
 from ucvrp.instance import Instance, gen_instance, line3, save_json
 from ucvrp.lp_round import (
@@ -29,11 +29,12 @@ from ucvrp.lp_round import (
     solve_covering_lp,
 )
 from ucvrp.oracle import exact_cvrp
-from ucvrp.tsp import Tour, exact_tsp
+from ucvrp.tsp import Tour, exact_tsp, optimal_tours
 
 from reference import rounding_monte_carlo
 from test_big_matching import _probe
 from test_instance import line_instance
+from test_tsp import tour_instances
 
 
 class TestCatalog:
@@ -146,6 +147,81 @@ class TestCatalog:
         a = enumerate_tours(inst_line3, "lp1")
         b = enumerate_tours(inst_line3, "lp1")
         assert [t.customers for t in a.tours] == [t.customers for t in b.tours]
+
+
+def eager_catalog(inst, variant, delta):
+    """The catalog as it is defined, one entry built per set: its
+    ``optimal_tours`` tour and digest, in order of size, then sorted
+    members."""
+    sets = lp_round.catalog_sets(inst, variant, delta)
+    entries = [CatalogEntry(t.customers, t, lp_round._digest(t.customers))
+               for t in optimal_tours(inst, sets.ground, sets.masks).values()]
+    entries.sort(key=lambda e: (len(e.customers), sorted(e.customers)))
+    return TourCatalog(sets.variant, sets.delta, entries, sets.ground)
+
+
+def entry_columns(catalog):
+    """The covering LP's CSC built tour by tour from the entries'
+    customers: (start, index), as int32."""
+    row = {v: i for i, v in enumerate(sorted(catalog.cover_set))}
+    cols = [sorted(row[v] for v in e.customers if v in row) for e in catalog.tours]
+    start = np.cumsum([0, *map(len, cols)]).astype(np.int32)
+    return start, np.array(list(itertools.chain.from_iterable(cols)), np.int32)
+
+
+class TestColumnarCatalog:
+    # Both ways of building a catalog, off a table over its sets alone and
+    # off the depot tour's, against entries built one set at a time.
+    @given(inst=tour_instances(),
+           delta=st.sampled_from([None, Fraction(1, 10), Fraction(1, 5), Fraction(2, 5)]))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_eager_entries(self, inst, delta):
+        variant = "lp1" if delta is None else "lp2"
+        want = eager_catalog(inst, variant, delta)
+        for cat in (enumerate_tours(inst, variant, delta),
+                    _catalog_lp(inst, variant, delta)[1]):
+            assert len(cat.tours) == len(want.tours)
+            for got, entry in zip(cat.tours, want.tours):
+                assert got.customers == entry.customers
+                assert got.cost.hex() == entry.cost.hex()
+                assert got.digest == entry.digest
+                assert got.tour.vertices == entry.tour.vertices
+                assert got.tour.quality_tag == "exact"
+            assert cat.to_json_dict() == want.to_json_dict()
+            assert cat == want
+            for got, ref in zip(lp_round.cover_columns(cat), entry_columns(want)):
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    def test_length_equality_json_and_lp_walk_nothing(self, walks):
+        inst = gen_instance("euclidean", 11, 3, seed=0)
+        cat = enumerate_tours(inst, "lp1")
+        tour, same, lp = _catalog_lp(inst, "lp1", None)
+        assert walks == [frozenset(inst.customers)]  # the depot tour alone
+        walks.clear()
+        assert len(cat.tours) == len(same.tours) > 10
+        assert cat == same and lp.catalog == cat
+        assert cat.to_json_dict() == same.to_json_dict()
+        assert solve_covering_lp(cat) == lp
+        outcome = round_tours(cat, lp, 1.5, seed=3)
+        assert outcome.selected and walks == []
+        # An entry is walked once, when first indexed.
+        entries = [cat.tours[j] for j in outcome.selected]
+        assert [cat.tours[j] for j in outcome.selected] == entries
+        assert walks == [e.customers for e in entries]
+
+    def test_hand_built_catalog_derives_its_columns(self):
+        cat = two_singletons(3.0)
+        assert cat.ground == (1, 2) and cat.masks.tolist() == [1, 2]
+        assert cat.costs.tolist() == [3.0, 1.0]
+        assert [cat.digest(j) for j in range(2)] == [1, 2]  # the entries' own
+        # Entries may reach beyond the cover set; the LP covers it alone.
+        wide = TourCatalog("lp1", None, (
+            CatalogEntry(frozenset({1, 3}), Tour((0, 1, 3, 0), 2.0, "external"), 7),
+            CatalogEntry(frozenset({2}), Tour((0, 2, 0), 1.0, "external"), 8),
+        ), frozenset({2, 3}))
+        assert wide.ground == (1, 2, 3)
+        assert [a.tolist() for a in lp_round.cover_columns(wide)] == [[0, 1, 2], [1, 0]]
+        assert solve_covering_lp(wide).values == (1.0, 1.0)
 
 
 class TestCoveringLp:

@@ -22,7 +22,8 @@ from ucvrp.tsp import (
 )
 
 from conftest import instance_mix
-from reference import held_karp_paths, held_karp_tour, held_karp_tours, mst_doubling_tour
+from reference import (held_karp_paths, held_karp_tour, held_karp_tours, mst_doubling_tour,
+                       walk_tolerance)
 
 
 def brute_force_tour_cost(inst, subset):
@@ -78,13 +79,16 @@ class TestExactTsp:
         with pytest.raises(SubsetTooLarge):
             exact_tsp(inst_line3, [1, 2, 3])
 
-    # A metric asymmetric within METRIC_TOL validates, but the walk reads
-    # each finish path reversed, so the skew adds up once per edge past
-    # the absolute COST_TOL.  Mending the walk's tolerance flips the marker.
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the walk's absolute COST_TOL ignores the metric's skew")
+    # A metric asymmetric within METRIC_TOL validates, and the walk reads
+    # each finish path reversed, so its tolerance takes in the skew once
+    # per edge.  A tour's cost is still the DP's, summed in the reversed
+    # orientation, while route_cost sums the forward one: the two differ
+    # by up to (n + 1) skew, past this test's 1e-9 on the second case.
     @pytest.mark.parametrize("kind, n, k, seed", [
-        ("random_metric", 7, 10, 7), ("euclidean", 9, 4, 9),
+        ("random_metric", 7, 10, 7),
+        pytest.param("euclidean", 9, 4, 9, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="Tour.cost sums the reversed orientation, route_cost the forward one")),
     ])
     def test_metric_skewed_within_tolerance(self, kind, n, k, seed):
         inst = gen_instance(kind, n, k, seed=seed)
@@ -257,13 +261,13 @@ class TestHeldKarpKernel:
             bits = np.arange(b0, b0 + len(prev))[:, None]
             assert bits[-1, 0] < s
             sets = (prev + (1 << bits) + 1).ravel()  # column m - 1 holds mask m
-            sizes = set(tsp._bits(sets, s).sum(axis=1).tolist())
+            sizes = set(tsp.mask_bits(sets, s).sum(axis=1).tolist())
             assert len(sizes) == 1
             layers += sizes
             pairs.append(sets * 32 + np.broadcast_to(bits, prev.shape).ravel())
         assert layers == sorted(layers)
         masks = np.arange(1, 1 << s)
-        members = tsp._bits(masks, s)
+        members = tsp.mask_bits(masks, s)
         rows, bits = np.nonzero((members.sum(axis=1) >= 2)[:, None] & members)
         got = np.concatenate([np.zeros(0, np.int64), *pairs])
         assert np.array_equal(np.sort(got), masks[rows] * 32 + bits)  # each (set, bit) once
@@ -279,10 +283,10 @@ class TestHeldKarpKernel:
         into, paths = held_karp_paths(inst, ground, range(1, full + 1))
         table = tsp._held_karp(tsp._submetric(inst, ground), np.arange(1, full + 1))
         assert_same_table(table, np.array(list(paths.values())).T)
-        wanted = list(range(1, full + 1, 29))
-        tour, tours = tsp.exact_tsp_and_tours(inst, ground, wanted)
-        want = [held_karp_tour(into, paths, ground, m) for m in [full, *wanted]]
-        assert_same_tours([tour, *tours], want)
+        wanted = [full, *range(1, full + 1, 29)]
+        tours = optimal_tours(inst, ground, range(1, full + 1))
+        want = [held_karp_tour(into, paths, ground, m, walk_tolerance(inst)) for m in wanted]
+        assert_same_tours([tours[m] for m in wanted], want)
 
     @pytest.mark.parametrize("kind", ["random_metric", "one_two_jitter"])
     @pytest.mark.parametrize("s", [13, 14])
@@ -319,7 +323,8 @@ class TestExactTspAndTours:
             tsp.exact_tsp_and_tours(inst_line3, [0, 1], [1])
         one = gen_instance("euclidean", 1, 3, seed=1)
         tour = exact_tsp(one, [1])
-        assert tsp.exact_tsp_and_tours(one, [1], [1]) == (tour, [tour])
+        got, tours = tsp.exact_tsp_and_tours(one, [1], [1])
+        assert (got, list(tours)) == (tour, [tour])
         monkeypatch.setattr(tsp, "HELDKARP_CAP", 2)
         with pytest.raises(SubsetTooLarge):
             tsp.exact_tsp_and_tours(inst_line3, [1], [1])
