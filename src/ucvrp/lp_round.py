@@ -25,7 +25,12 @@ model ``scipy.optimize.linprog(method="highs")`` would build, so it
 returns linprog's bits without linprog's per-call overhead; it never
 holds a dense matrix.  Those bindings are loaded from their extension
 file alone, so solving an LP never runs scipy.optimize's package
-``__init__`` (~0.4 s and ~40 MB).  A status HiGHS ends on other than
+``__init__`` (~0.4 s and ~40 MB).  Each thread keeps one HiGHS solver
+from LP to LP, cleared of the last LP's basis and solution before the
+next, so the bits are a fresh solver's.  It holds the buffers of the
+largest LP it has solved, which no clear frees, so it is dropped after
+an LP of more than ``KEEP_COLUMNS`` = 4096 columns, which leaves it
+holding at most ~2.6 MB, and after a solve that raises.  A status HiGHS ends on other than
 optimal is typed: ``LpInfeasible`` for an infeasible or unbounded LP,
 ``LpSolverFailed`` for any other, such as a memory limit.
 Rounding selects each tour independently with probability
@@ -43,6 +48,7 @@ import itertools
 import math
 import os
 import sys
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
@@ -405,15 +411,9 @@ def solve_covering_lp(catalog: TourCatalog) -> LpSolution:
     lp.col_upper_ = np.full(n, highs.kHighsInf)
     lp.row_lower_ = np.full(m, -highs.kHighsInf)
     lp.row_upper_ = np.full(m, -1.0)
-    # The options linprog sets, and no other: presolve on, no debug checks,
-    # no output (it would corrupt ``ucvrp solve``'s JSON), dual simplex.
-    # Each is set on the solver, which starts from HiGHS's defaults.
-    solver = highs._Highs()
-    solver.setOptionValue("presolve", "on")
-    solver.setOptionValue("highs_debug_level", 0)  # kHighsDebugLevelNone
-    solver.setOptionValue("log_to_console", False)
-    solver.setOptionValue("output_flag", False)
-    solver.setOptionValue("simplex_strategy", 1)  # kSimplexStrategyDual
+    solver = _take_solver(highs)
+    # No basis or solution of the last LP carries over.
+    solver.clearSolver()
     solver.passModel(lp)
     solver.run()
     status = solver.getModelStatus()
@@ -424,13 +424,44 @@ def solve_covering_lp(catalog: TourCatalog) -> LpSolution:
                  else LpSolverFailed)
         raise error(f"LP solver failed: {solver.modelStatusToString(status)}")
     solution = solver.getSolution()
-    x = np.array(solution.col_value)
-    residual = np.bincount(index, x.repeat(sizes), m) - 1.0
+    values = tuple(solution.col_value)
+    residual = np.bincount(index, np.repeat(values, sizes), m) - 1.0
     if residual.min() < -1e-7:
         raise LpInfeasible(f"coverage residual {residual.min():.3g}")
-    duals = tuple(-float(y) for y in solution.row_dual)
+    duals = tuple([-y for y in solution.row_dual])
     objective = float(solver.getInfo().objective_function_value)
-    return LpSolution(tuple(float(v) for v in x), objective, duals, catalog)
+    if n <= KEEP_COLUMNS:
+        _kept.solver = solver
+    return LpSolution(values, objective, duals, catalog)
+
+
+# The most columns an LP may have for its solver to be kept for the next.
+# The solver keeps ~0.6 KB a column of buffers, which no clear frees
+# (~81 MB after 110,055 columns); from ~4,000 columns a fresh solver
+# costs nothing measurable beside the LP's ~16 ms.
+KEEP_COLUMNS = 4096
+
+# This thread's HiGHS solver, kept between covering LPs (``_take_solver``).
+_kept = threading.local()
+
+
+def _take_solver(highs):
+    """This thread's kept HiGHS solver, taken from it: a solve that
+    raises, or whose LP has more than ``KEEP_COLUMNS`` columns, does not
+    put it back, and the next LP makes a new one.  A new solver gets the
+    options linprog sets, and no other: presolve on, no debug checks, no
+    output (it would corrupt ``ucvrp solve``'s JSON), dual simplex.  A
+    solver is kept for the bindings' ``_Highs`` class, so bindings with
+    another class, such as a stand-in, make their own."""
+    solver, _kept.solver = getattr(_kept, "solver", None), None
+    if type(solver) is not highs._Highs:
+        solver = highs._Highs()
+        solver.setOptionValue("presolve", "on")
+        solver.setOptionValue("highs_debug_level", 0)  # kHighsDebugLevelNone
+        solver.setOptionValue("log_to_console", False)
+        solver.setOptionValue("output_flag", False)
+        solver.setOptionValue("simplex_strategy", 1)  # kSimplexStrategyDual
+    return solver
 
 
 def _mix64(z: int) -> int:

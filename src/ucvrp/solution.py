@@ -10,7 +10,12 @@ from operator import add
 from typing import Mapping, Sequence
 
 from ucvrp.instance import Instance
-from ucvrp.tsp import Tour
+from ucvrp.tsp import Tour, metric_scale
+
+# A stated tour cost may differ from its recomputation by COST_TOL S, with
+# S = ``metric_scale``: two float sums of costs near 1e10 can differ by
+# more than 1e-6 on a correct tour.
+COST_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -43,7 +48,8 @@ def check_feasible(inst: Instance, sol: Solution) -> FeasibilityReport:
     actually visits the customer; per-tour assigned demand at most the
     capacity; then, tour by tour, every vertex is the depot or a customer,
     the tour starts and ends at the depot, and only then its stated cost
-    equals its recomputed cost.  Violations are reported, not raised.
+    equals its recomputed cost within ``COST_TOL`` times the metric's
+    scale.  Violations are reported, not raised.
     """
     problems: list[str] = []
     assignment = sol.assignment
@@ -77,6 +83,7 @@ def check_feasible(inst: Instance, sol: Solution) -> FeasibilityReport:
         if load > inst.capacity:
             problems.append(f"CapacityExceeded({ti}:{load}>{inst.capacity})")
     vertices = frozenset(range(inst.n + 1))
+    scaled_tol = None  # COST_TOL S, read off the metric when a cost needs it
     integral = _indices(chain.from_iterable(t.vertices for t in sol.tours))
     for ti, t in enumerate(sol.tours):
         known = vertices.issuperset(t.vertices) and (integral or _indices(t.vertices))
@@ -87,9 +94,15 @@ def check_feasible(inst: Instance, sol: Solution) -> FeasibilityReport:
             )
         if len(t.vertices) < 2 or t.vertices[0] != 0 or t.vertices[-1] != 0:
             problems.append(f"NotRooted({ti})")
-        # "not <=", so a NaN cost, which fails every comparison, is a mismatch.
-        elif known and not abs(t.cost - t.recompute_cost(inst)) <= 1e-6:
-            problems.append(f"CostMismatch({ti})")
+        elif known:
+            # "not <=", so a NaN cost, which fails every comparison, is a
+            # mismatch.  S >= 1, so a cost within COST_TOL needs no S.
+            off = abs(t.cost - t.recompute_cost(inst))
+            if not off <= COST_TOL:
+                if scaled_tol is None:
+                    scaled_tol = COST_TOL * metric_scale(inst.metric)
+                if not off <= scaled_tol:
+                    problems.append(f"CostMismatch({ti})")
     return FeasibilityReport(not problems, tuple(problems))
 
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -132,6 +132,7 @@ def exact_tsp(inst: Instance, subset: Iterable[int]) -> Tour:
     subset = _customers(inst, subset)
     if not subset:
         return empty_tour()
+    _check_cap(len(subset))  # before the tolerance's pass over the metric
     return _exact_tour(inst, subset, _walk_tol(inst.metric))[0]
 
 
@@ -238,9 +239,7 @@ def set_tours(inst: Instance, ground: Sequence[int], masks: Sequence[int]) -> Se
     ground or family raises ``ValueError``."""
     _check_ground(inst, ground)
     masks = list(map(int, masks))
-    largest = max(map(int.bit_count, masks), default=0)
-    if largest > HELDKARP_CAP:
-        raise SubsetTooLarge(f"{largest} customers exceeds cap {HELDKARP_CAP}")
+    _check_cap(max(map(int.bit_count, masks), default=0))
     sub = _submetric(inst, ground)
     family = np.array(masks, dtype=np.int64)
     return SetTours(sub, _held_karp(sub, family), ground, family, _walk_tol(inst.metric))
@@ -260,8 +259,9 @@ def exact_tsp_and_tours(
     _check_ground(inst, ground)
     family = np.array(masks, dtype=np.int64)
     _check_sets(family, len(ground))
-    tol = _walk_tol(inst.metric)
     subset = list(inst.customers)
+    _check_cap(len(subset))
+    tol = _walk_tol(inst.metric)
     sub = _submetric(inst, ground)
     if not subset:  # no table to read, and no mask can name a set
         return empty_tour(), SetTours(sub, np.full((1, 0), INF), ground, family, tol)
@@ -276,15 +276,20 @@ def exact_tsp_and_tours(
 def _exact_tour(inst: Instance, subset: list[int], tol: float) -> tuple[Tour, np.ndarray]:
     """The exact tour over the non-empty sorted customers ``subset``, and
     the Held-Karp table over every subset of ``subset`` it is read off.
-    A singleton is toured like any other set, at c(r,v) + c(v,r)."""
-    if len(subset) > HELDKARP_CAP:
-        raise SubsetTooLarge(f"{len(subset)} customers exceeds cap {HELDKARP_CAP}")
+    A singleton is toured like any other set, at c(r,v) + c(v,r).  The
+    caller checks the cap."""
     full = (1 << len(subset)) - 1
     sub = _submetric(inst, subset)
-    table = _held_karp(sub, np.arange(1, full + 1, dtype=np.int64))
+    table = _held_karp(sub, _full_family(len(subset)).masks)
     c = sub.tolist()
     cost = float(_costs(sub, table[:, -1:])[0])
     return _walk(c, [row[0] for row in c], table, _prefix_column, full, cost, subset, tol), table
+
+
+def _check_cap(size: int) -> None:
+    """``SubsetTooLarge`` if a set of ``size`` customers is past the cap."""
+    if size > HELDKARP_CAP:
+        raise SubsetTooLarge(f"{size} customers exceeds cap {HELDKARP_CAP}")
 
 
 def tour_costs_all_subsets(inst: Instance, ground: Sequence[int]) -> list[float]:
@@ -320,27 +325,27 @@ def _held_karp(sub: np.ndarray, masks: np.ndarray) -> np.ndarray:
     across rows, and scatter each bit's mins into row b + 1 of the flat
     table.  These are the scalar DP's sums and mins, so the table
     matches it bit for bit.  The full family 1..2^s - 1, as for an exact
-    tour, runs the chunks built once per s (``_full_schedule``); other
+    tour, runs the chunks and reads the constants built once per s
+    (``_full_schedule``, ``_full_family``); other
     families run one-bit chunks built per call (``_steps``).  The table
     takes len(masks) * (s+1) * 8 bytes, about 40 MB for every subset of
     18 customers.
     """
-    s = len(sub) - 1
-    if (masks[1:] <= masks[:-1]).any():
-        raise ValueError("Held-Karp masks must be increasing")
-    _check_sets(masks, s)
-    n = len(masks)
+    s, n = len(sub) - 1, len(masks)
+    full = _full_family(s) if n == (1 << s) - 1 else None
+    if full is None or masks is not full.masks:  # the kept family needs no check
+        if (masks[1:] <= masks[:-1]).any():
+            raise ValueError("Held-Karp masks must be increasing")
+        _check_sets(masks, s)
     table = np.full((s + 1, n), INF)
-    ones = np.flatnonzero((masks & (masks - 1)) == 0)
-    first = mask_bits(masks[ones], s) @ np.arange(1, s + 1)  # row b + 1 of set 1 << b
-    table[first, ones] = sub[0, first]
-    if n == (1 << s) - 1:  # increasing and in range: every subset
-        # Set m sits in column m - 1, so a set holding bit b sits 1 << b
-        # past its predecessor: flat index (b + 1) n + (1 << b) + prev.
-        past = (np.arange(1, s + 1) * n + (1 << np.arange(s)))[:, None]
+    if full is not None:  # increasing and in range: every subset
+        ones, first, past = full.ones, full.first, full.past
         steps = ((b, prev, past[b:b + len(prev)] + prev) for b, prev in _full_schedule(s))
     else:
+        ones = np.flatnonzero((masks & (masks - 1)) == 0)
+        first = mask_bits(masks[ones], s) @ np.arange(1, s + 1)  # row b + 1 of set 1 << b
         steps = _steps(masks, s)
+    table[first, ones] = sub[0, first]
     # A path over a non-empty set never ends at the depot: rows 1..s only.
     ends, flat, into = table[1:], table.reshape(-1), sub[1:, 1:, None]
     for b, prev, dest in steps:
@@ -416,6 +421,33 @@ def _full_schedule(s: int) -> tuple[tuple[int, np.ndarray], ...]:
     return tuple(schedule)
 
 
+class _FullFamily(NamedTuple):
+    """The full family 1..2^s - 1 and its constants in ``_held_karp``:
+    ``masks`` in column order, the columns ``ones`` of the singletons
+    1 << b and their rows ``first`` = b + 1, and ``past``, an s x 1 block
+    whose row b is the flat table offset (b + 1) n + (1 << b).  Set m
+    sits in column m - 1, so a set holding bit b sits 1 << b past its
+    predecessor prev, at flat index past[b] + prev."""
+
+    masks: np.ndarray
+    ones: np.ndarray
+    first: np.ndarray
+    past: np.ndarray
+
+
+@functools.cache
+def _full_family(s: int) -> _FullFamily:
+    """The full family of s customers and its constants, read-only, kept
+    like ``_full_schedule``; its 2^s - 1 masks take 2 MB at the cap."""
+    bit = 1 << np.arange(s, dtype=np.int64)
+    first = np.arange(1, s + 1)
+    family = _FullFamily(np.arange(1, 1 << s, dtype=np.int64), bit - 1, first,
+                         (first * ((1 << s) - 1) + bit)[:, None])
+    for array in family:
+        array.flags.writeable = False
+    return family
+
+
 def _prefix_column(mask: int) -> int:
     """The column of ``mask`` in a table over a prefix family 1..M."""
     return mask - 1
@@ -433,9 +465,15 @@ def _walk_tol(metric: np.ndarray) -> float:
     differs from its reversal by at most the skew, which
     ``validate_instance`` lets reach ``METRIC_TOL``.  Every walk on one
     instance takes this one value, whichever table it reads."""
-    top = float(np.abs(metric).max())
-    scale = 2.0 ** (math.frexp(top)[1] - 1) if top >= 2 else 1.0
-    return COST_TOL * scale + len(metric) * float(np.abs(metric - metric.T).max())
+    return COST_TOL * metric_scale(metric) + len(metric) * float(np.abs(metric - metric.T).max())
+
+
+def metric_scale(metric: np.ndarray) -> float:
+    """S = max(1, 2^floor(log2 max|m|)), the power of two that scales a
+    cost tolerance with the size of the metric's entries: exact, and 1
+    below 2.  max|m| is read from the max and min, with no temporary."""
+    top = float(max(metric.max(), -metric.min()))
+    return 2.0 ** (math.frexp(top)[1] - 1) if top >= 2 else 1.0
 
 
 def _costs(sub: np.ndarray, columns: np.ndarray) -> np.ndarray:

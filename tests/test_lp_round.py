@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+import threading
 import types
 from fractions import Fraction
 
@@ -285,11 +286,13 @@ class TestCoveringLp:
     def test_bit_identical_to_linprog(self):
         # solve_covering_lp hands HiGHS the model linprog builds through
         # scipy's private bindings; this catches drift in those bindings.
+        # The catalogs are solved in one sequence, on one kept solver.
+        cats = list(parity_catalogs())
+        sols = [solve_covering_lp(cat) for cat in cats]
         solved = 0
-        for cat in parity_catalogs():
+        for cat, got in zip(cats, sols):
             res = linprog_reference(cat)
             assert res.success
-            got = solve_covering_lp(cat)
             assert [v.hex() for v in got.values] == [float(v).hex() for v in res.x]
             assert got.objective.hex() == float(res.fun).hex()
             assert [y.hex() for y in got.duals] == [(-float(y)).hex() for y in res.ineqlin.marginals]
@@ -343,6 +346,106 @@ class TestCoveringLp:
         assert main(["solve", str(path), "--alg", "alg1"]) == 3
         assert json.loads(capsys.readouterr().out) == {
             "error": "LpSolverFailed", "message": "LP solver failed: Memory limit reached"}
+
+
+class TestKeptSolver:
+    """Each thread keeps one HiGHS solver across its covering LPs; an LP
+    solved on it has the bits of the same LP on a fresh solver."""
+
+    @pytest.fixture(scope="class")
+    def sweep(self):
+        """The exact-lp specs over seeds 0-7, each with its lp1 and
+        lp2(1/5) catalog, and each catalog's LP on a fresh solver."""
+        cats = []
+        for seed in range(8):
+            for kind, n, k, law in EXACT_LP_SPECS:
+                inst = gen_instance(kind, n, k, law, seed=seed)
+                cats += [enumerate_tours(inst, "lp1"), enumerate_tours(inst, "lp2", Fraction(1, 5))]
+        return cats, [lp_bits(fresh_solve(cat)) for cat in cats]
+
+    def test_back_to_back_matches_fresh(self, sweep):
+        cats, fresh = sweep
+        lp_round._kept.solver = None
+        solve_covering_lp(cats[0])
+        kept = lp_round._kept.solver
+        assert [lp_bits(solve_covering_lp(cat)) for cat in cats] == fresh
+        assert lp_round._kept.solver is kept
+
+    def test_after_an_infeasible_lp(self, sweep):
+        cats, fresh = sweep
+        for j in range(0, len(cats), 7):
+            solve_covering_lp(cats[j - 1])
+            with pytest.raises(LpInfeasible):
+                solve_covering_lp(two_singletons(-1.0))
+            assert lp_round._kept.solver is None  # a failed solve drops it
+            assert lp_bits(solve_covering_lp(cats[j])) == fresh[j]
+
+    def test_after_a_solver_failure(self, sweep, memory_limited, monkeypatch):
+        cats, fresh = sweep
+        stand_in = lp_round._highs_core()
+        monkeypatch.undo()
+        solve_covering_lp(cats[0])
+        real = lp_round._kept.solver
+        # The kept solver is the real bindings' class, so the stand-in's
+        # bindings get a solver of their own.
+        monkeypatch.setattr(lp_round, "_highs_core", lambda: stand_in)
+        with pytest.raises(LpSolverFailed, match="Memory limit reached"):
+            solve_covering_lp(cats[1])
+        assert lp_round._kept.solver is None
+        monkeypatch.undo()
+        assert lp_bits(solve_covering_lp(cats[1])) == fresh[1]
+        assert lp_round._kept.solver is not real
+
+    def test_solver_of_a_large_lp_is_dropped(self, sweep, monkeypatch):
+        # An LP past KEEP_COLUMNS leaves no solver, and its buffers, behind.
+        cats, fresh = sweep
+        columns = len(cats[0].masks)
+        for keep, kept in ((columns, True), (columns - 1, False)):
+            monkeypatch.setattr(lp_round, "KEEP_COLUMNS", keep)
+            assert lp_bits(solve_covering_lp(cats[0])) == fresh[0]
+            assert (lp_round._kept.solver is not None) == kept
+
+    def test_threads_keep_their_own(self, sweep):
+        # More threads than the two cores CI has, switching often: each
+        # thread solves every third LP, in turn with the others.
+        cats, fresh = sweep
+        turns = threading.Barrier(3, timeout=60)
+        solvers, bits = [[], [], []], [[], [], []]
+
+        def solve(t):
+            for j in range(t, len(cats), 3):  # 96 LPs, 32 a thread
+                turns.wait()
+                bits[t].append(lp_bits(solve_covering_lp(cats[j])))
+                solvers[t].append(lp_round._kept.solver)
+
+        threads = [threading.Thread(target=solve, args=(t,)) for t in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert bits == [fresh[t::3] for t in range(3)]
+        kept = [set(map(id, own)) for own in solvers]
+        assert all(len(ids) == 1 for ids in kept) and len(set.union(*kept)) == 3
+
+
+def fresh_solve(cat):
+    """``solve_covering_lp(cat)`` on a solver made for this LP alone."""
+    lp_round._kept.solver = None
+    try:
+        return solve_covering_lp(cat)
+    finally:
+        lp_round._kept.solver = None
+
+
+def lp_bits(sol):
+    """Every bit of an LP solution: its values, objective and duals in hex."""
+    return ([v.hex() for v in sol.values], sol.objective.hex(), [y.hex() for y in sol.duals])
 
 
 # Solves the covering LPs of four catalogs in a fresh interpreter, loading

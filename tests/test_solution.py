@@ -1,14 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from ucvrp.instance import gen_instance
+from ucvrp.algorithms import alg1
+from ucvrp.instance import from_json_dict, gen_instance
 from ucvrp.solution import (
+    COST_TOL,
     Solution,
     check_feasible,
     merge,
     trivial_solution,
 )
-from ucvrp.tsp import Tour
+from ucvrp.tsp import Tour, metric_scale
 
 
 def tour(inst, *vertices):
@@ -54,6 +58,31 @@ class TestCheckFeasible:
         )
         rep = check_feasible(inst_line3, sol)
         assert any(v.startswith("CostMismatch") for v in rep.violations)
+
+    @pytest.mark.parametrize("scale", [1e10, 1e11])
+    def test_cost_check_scales_with_the_metric(self, scale):
+        # At costs near 1e11 a correct tour's stated and recomputed costs
+        # differ by more than 1e-6; the tolerance grows with the metric.
+        for seed in range(40):
+            data = gen_instance("euclidean", 10, 3, seed=seed).to_json_dict()
+            data["metric"]["coords"] = [[scale * x, scale * y]
+                                        for x, y in data["metric"]["coords"]]
+            inst = from_json_dict(data)
+            sol, report = alg1(inst)
+            assert report.feasible, seed
+            assert check_feasible(inst, sol).ok, seed
+
+    @pytest.mark.parametrize("scale", [1.0, 1e10, 1e11])
+    def test_scaled_cost_check_still_catches_a_mismatch(self, scale):
+        data = gen_instance("euclidean", 10, 3, seed=30).to_json_dict()
+        data["metric"]["coords"] = [[scale * x, scale * y] for x, y in data["metric"]["coords"]]
+        inst = from_json_dict(data)
+        sol, _ = alg1(inst)
+        assert (metric_scale(inst.metric) == 1.0) == (scale == 1.0)
+        off = 10 * COST_TOL * metric_scale(inst.metric)
+        bad = replace(sol.tours[0], cost=sol.tours[0].cost + off)
+        rep = check_feasible(inst, replace(sol, tours=(bad, *sol.tours[1:])))
+        assert rep.violations == ("CostMismatch(0)",)
 
     def test_nan_cost_is_a_mismatch(self):
         inst = gen_instance("euclidean", 3, 3, seed=1)

@@ -79,6 +79,18 @@ class TestExactTsp:
         with pytest.raises(SubsetTooLarge):
             exact_tsp(inst_line3, [1, 2, 3])
 
+    def test_cap_refused_before_the_tolerance(self, monkeypatch):
+        # A tour past the cap costs no pass over its metric.
+        def unreached(metric):
+            raise AssertionError("tolerance computed for a refused tour")
+
+        monkeypatch.setattr(tsp, "_walk_tol", unreached)
+        inst = gen_instance("euclidean", tsp.HELDKARP_CAP + 1, 10, seed=1)
+        with pytest.raises(SubsetTooLarge, match=f"^{tsp.HELDKARP_CAP + 1} customers exceeds cap"):
+            exact_tsp(inst, inst.customers)
+        with pytest.raises(SubsetTooLarge):
+            tsp.exact_tsp_and_tours(inst, [1], [1])
+
     # A metric asymmetric within METRIC_TOL validates, and the walk reads
     # each finish path reversed, so its tolerance takes in the skew once
     # per edge.  A tour's cost is still the DP's, summed in the reversed
@@ -247,6 +259,28 @@ class TestHeldKarpKernel:
         # s 2^(s-1) - s predecessor columns, one per member of each set
         # above the singletons, as int64.
         assert sum(prev.nbytes for _, prev in schedule) == 8 * (7 * 2 ** 6 - 7)
+
+    @pytest.mark.parametrize("s", [0, 1, 2, 7, 13])
+    def test_full_family_constants_are_kept(self, s):
+        # The full family's masks, singleton seeds and flat offsets are built
+        # once per size, read-only, and equal what any family of every
+        # subset would derive.
+        family = tsp._full_family(s)
+        assert tsp._full_family(s) is family
+        assert all(not array.flags.writeable for array in family)
+        masks, n = np.arange(1, 1 << s), (1 << s) - 1
+        assert np.array_equal(family.masks, masks) and family.masks.dtype == np.int64
+        ones = np.flatnonzero((masks & (masks - 1)) == 0)
+        assert np.array_equal(family.ones, ones)
+        assert np.array_equal(family.first, tsp.mask_bits(masks[ones], s) @ np.arange(1, s + 1))
+        assert np.array_equal(family.past, (np.arange(1, s + 1) * n + (1 << np.arange(s)))[:, None])
+
+    @pytest.mark.parametrize("s", [7, 11, 13])
+    def test_kept_full_family_fills_the_same_table(self, s):
+        inst = layer_instance("random_metric", s)
+        sub = tsp._submetric(inst, list(inst.customers))
+        kept = tsp._held_karp(sub, tsp._full_family(s).masks)
+        assert_same_table(kept, tsp._held_karp(sub, np.arange(1, 1 << s)))
 
     # ``tour_instances`` draws n <= 10, where every popcount layer of the
     # full family is one chunk.  At s = 12 and 13 the middle layers split
