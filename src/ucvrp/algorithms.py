@@ -10,8 +10,9 @@ report, which checks feasibility once per solve.
 over a shared catalog.  A solve given neither tour nor catalog, whose
 depot tour is exact (n <= ``tsp.HELDKARP_CAP``), reads both off one
 Held-Karp table; the catalog keeps its own columns of it, and of its
-tours only those rounding selects are ever walked.  Every catalog holds optimal tours: one whose sets
-Held-Karp cannot tour is refused (``CatalogTooLarge``).
+tours only those rounding selects are ever walked.  Every catalog holds
+optimal tours: one whose sets Held-Karp cannot tour is refused
+(``CatalogTooLarge``).
 
 ``alg1`` (fixed capacity) runs the matching branch and the full-catalog
 branch with threshold 1/3, keeping the cheaper solution; its default
@@ -126,24 +127,24 @@ def _round_then_partition(
     (catalog, LP solution) rounded, or None if the LP went unused; with
     gamma = 0 the catalog is ignored and may be None."""
     lp_used = gamma != 0 and bool(catalog.cover_set)
-    selected_entries = []
+    selected = ()
     rounded_cost = 0.0
     leftover = set(inst.customers)
     if lp_used:
         outcome = round_tours(catalog, lpsol, gamma, seed)
-        selected_entries = [catalog.tours[j] for j in outcome.selected]
+        selected = outcome.selected
         rounded_cost = outcome.cost
         # Catalog tours hold cover-set customers only: the partition serves
         # the customers outside the cover set and those rounding missed.
         leftover = leftover.difference(catalog.cover_set) | outcome.uncovered
 
     assignment = {}
-    for i, entry in enumerate(selected_entries):
-        for v in entry.customers:
+    for i, j in enumerate(selected):
+        for v in catalog.customers(j):
             # First selected tour containing v wins; later tours keep
             # their vertices with slack capacity.
             assignment.setdefault(v, i)
-    rounded_sol = Solution(tuple(e.tour for e in selected_entries), assignment)
+    rounded_sol = Solution(tuple(catalog.tours[j] for j in selected), assignment)
 
     itp_sol = delta_itp_plus(inst, leftover, tour, threshold)
     lp = (catalog, lpsol) if lp_used else None

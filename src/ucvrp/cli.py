@@ -15,7 +15,8 @@ from pathlib import Path
 from ucvrp import algorithms, big_matching, constants, itp, lp_round, oracle
 from ucvrp.instance import (Instance, f_integral, gen_instance, load_json,
                             radial_lower_bound, save_json, validate_instance)
-from ucvrp.solution import check_feasible
+from ucvrp.solution import COST_TOL, check_feasible
+from ucvrp.tsp import metric_scale
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -102,9 +103,14 @@ def cmd_constants(args) -> int:
 
 
 def check_instance_invariants(inst: Instance) -> list[str]:
-    """One pass over every testable guarantee for a single instance."""
+    """One pass over every testable guarantee for a single instance.
+    Costs are compared within ``COST_TOL`` S, and bounds ordered within
+    1e-9 S, with S = ``metric_scale``: an ulp of a cost near 1e10 is
+    ~2e-6, past an absolute 1e-6."""
     failures: list[str] = []
     validate_instance(inst)
+    scale = metric_scale(inst.metric)
+    tol = COST_TOL * scale
     if radial_lower_bound(inst) > 0:
         total = f_integral(inst, Fraction(0), Fraction(1), 1)
         if abs(total - 1.0) > 1e-12:
@@ -114,34 +120,34 @@ def check_instance_invariants(inst: Instance) -> list[str]:
     for delta in (Fraction(0), Fraction(1, 10), Fraction(1, 3), Fraction(49, 100)):
         sol, _ = itp.delta_itp(inst, set(inst.customers), tour, delta)
         bound3 = itp.itp_bound(inst, inst.customers, tour.cost, delta, "lemma3")
-        if sol.cost > bound3 + 1e-6:
+        if sol.cost > bound3 + tol:
             failures.append(f"partition bound exceeded at delta={delta}")
         if not check_feasible(inst, sol).ok:
             failures.append(f"partition infeasible at delta={delta}")
         plus = itp.delta_itp_plus(inst, set(inst.customers), tour, delta)
         bound4 = itp.itp_bound(inst, inst.customers, tour.cost, delta, "lemma4")
-        if plus.cost > bound4 + 1e-6:
+        if plus.cost > bound4 + tol:
             failures.append(f"trivial-tour bound exceeded at delta={delta}")
-        if bound4 > bound3 + 1e-9:
+        if bound4 > bound3 + 1e-9 * scale:
             failures.append(f"bound ordering violated at delta={delta}")
 
     plan, big_sol = big_matching.serve_big_by_matching(inst)
     sol1 = big_matching.subalg1(inst, tour, matching=(plan, big_sol))
-    if sol1.cost > big_matching.subalg1_bound(inst, tour.cost, plan.cost) + 1e-6:
+    if sol1.cost > big_matching.subalg1_bound(inst, tour.cost, plan.cost) + tol:
         failures.append("matching-branch bound exceeded")
 
     if inst.n <= oracle.ORACLE_CAP and tour.quality_tag == "exact":
         opt = oracle.exact_cvrp(inst).opt_cost
-        if radial_lower_bound(inst) > opt + 1e-6:
+        if radial_lower_bound(inst) > opt + tol:
             failures.append("radial bound exceeds OPT")
-        if tour.cost > opt + 1e-6:
+        if tour.cost > opt + tol:
             failures.append("tour lower bound exceeds OPT")
-        if plan.cost > opt + 1e-6:
+        if plan.cost > opt + tol:
             failures.append("matching cost exceeds OPT")
         if inst.n <= 10:
             catalog = lp_round.enumerate_tours(inst, "lp1")
             lpsol = lp_round.solve_covering_lp(catalog)
-            if lpsol.objective > opt + 1e-6:
+            if lpsol.objective > opt + tol:
                 failures.append("LP objective exceeds OPT")
     return failures
 

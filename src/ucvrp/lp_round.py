@@ -14,11 +14,12 @@ set is beyond the Held-Karp cap is refused before it is enumerated.
 ``enumerate_tours`` prices the sets by a Held-Karp pass over them
 alone; a solve that builds an exact depot tour prices them off that
 tour's table instead and orders them with ``priced_catalog``, to the
-same entries.  A ``TourCatalog`` is columnar: its set masks and costs
-are arrays in entry order, and it keeps its sets' own Held-Karp
-columns.  The LP reads the arrays alone, and rounding draws only for
-the tours in the LP's support, so an entry's tour is walked only when
-a solve serves it.  An entry's cost is its tour's, so a selected entry
+same entries.  A ``TourCatalog`` is built one way, from a
+``tsp.SetTours`` in entry order: its set masks and costs are the
+catalog's arrays, and it keeps its sets' own Held-Karp columns.  The LP
+reads the arrays alone, and rounding draws only for the tours in the
+LP's support, so an entry's tour is walked only when a solve serves
+it, and only once.  An entry's cost is its tour's, so a selected entry
 is served by the tour the LP priced.
 The covering LP goes to HiGHS through the bindings scipy ships, as the
 model ``scipy.optimize.linprog(method="highs")`` would build, so it
@@ -51,13 +52,13 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ucvrp import tsp
 from ucvrp.instance import Instance
-from ucvrp.tsp import Tour, set_tours
+from ucvrp.tsp import set_tours
 
 SIZE_CAP = 5_000_000  # most tours a catalog may hold
 
@@ -77,71 +78,29 @@ class LpSolverFailed(RuntimeError):
     memory, time or iteration limit; the message names the status."""
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    customers: frozenset[int]
-    tour: Tour  # the tour the entry is priced and served by
-    digest: int  # stable 64-bit hash of the customer set
-
-    @property
-    def cost(self) -> float:
-        return self.tour.cost
-
-
 class TourCatalog:
-    """The sets of a catalog variant with their optimal tours, held by
-    columns in entry order: ``masks``, where bit i stands for
-    ``ground[i]``, and ``costs``, which the covering LP and rounding
-    read.  ``tours`` is a sequence view of the ``CatalogEntry``s: an entry,
-    with its walked tour and its digest, is built when it is indexed and
-    then kept, so its length, equality, ``to_json_dict`` and the LP walk
-    no tour.  Two catalogs are equal when they hold the same sets at the
-    same costs, in the same order, for the same variant, delta and cover
-    set: an LP solution of one is then an LP solution of the other."""
+    """The sets of a catalog variant with their optimal tours, in entry
+    order: ``tours``, a ``tsp.SetTours`` already in that order, holds
+    them, and its ``ground``, ``masks``, where bit i stands for
+    ``ground[i]``, and ``costs`` are the catalog's, which the covering LP
+    and rounding read.  The cover set is the ground.  ``tours[j]`` is
+    entry j's ``Tour``, walked once, when it is first indexed, so the
+    length, equality, ``to_json_dict`` and the LP walk no tour.  Two
+    catalogs are equal when they hold the same sets at the same costs, in
+    the same order, for the same variant and delta: an LP solution of one
+    is then an LP solution of the other."""
 
-    def __init__(self, variant: str, delta: Optional[Fraction],
-                 tours: Iterable[CatalogEntry], cover_set: Iterable[int]):
-        """A catalog hand-built from its entries, kept in the order given,
-        whose masks and costs are read off them here."""
-        entries = tuple(tours)
-        cover_set = frozenset(cover_set)
-        ground = sorted(cover_set.union(*(e.customers for e in entries)))
-        if len(ground) > 63:  # an int64 mask holds 63 members
-            raise ValueError(f"a catalog spans at most 63 customers, not {len(ground)}")
-        bit = {v: 1 << i for i, v in enumerate(ground)}
-        self._columns(variant, delta, cover_set, ground,
-                      [sum(bit[v] for v in e.customers) for e in entries],
-                      [e.cost for e in entries])
-        self._entries.update(enumerate(entries))
-        self._customers.update((j, e.customers) for j, e in enumerate(entries))
-        self._digests.update((j, e.digest) for j, e in enumerate(entries))
-
-    @classmethod
-    def _priced(cls, sets: CatalogSets, tours: tsp.SetTours, order: np.ndarray) -> TourCatalog:
-        """The catalog of ``sets`` whose entry j is set ``order[j]`` of
-        ``tours``, walked when it is indexed."""
-        self = cls.__new__(cls)
-        self._columns(sets.variant, sets.delta, frozenset(sets.ground), sets.ground,
-                      tours.masks[order], tours.costs[order])
-        self._walks, self._order = tours, order
-        return self
-
-    def _columns(self, variant, delta, cover_set, ground, masks, costs) -> None:
+    def __init__(self, variant: str, delta: Optional[Fraction], tours: tsp.SetTours):
         self.variant = variant  # "lp1" | "lp2"
         self.delta = delta
-        self.cover_set = cover_set
-        self.ground = tuple(ground)
-        self.masks = np.asarray(masks, dtype=np.int64)
-        self.costs = np.asarray(costs, dtype=float)
+        self.tours = tours
+        self.ground = tours.ground
+        self.cover_set = frozenset(self.ground)
+        self.masks, self.costs = tours.masks, tours.costs
         self.masks.setflags(write=False)
         self.costs.setflags(write=False)
-        # Built on demand: entry j, its customers and its digest.
-        self._entries, self._customers, self._digests = {}, {}, {}
-
-    @property
-    def tours(self) -> Sequence[CatalogEntry]:
-        """The entries, in order, each built when it is first indexed."""
-        return _Entries(self)
+        # Built on demand: entry j's customers and digest.
+        self._customers, self._digests = {}, {}
 
     def customers(self, j: int) -> frozenset[int]:
         """The customers of entry j, read off its mask."""
@@ -159,18 +118,11 @@ class TourCatalog:
             digest = self._digests[j] = _digest(self.customers(j))
         return digest
 
-    def _entry(self, j: int) -> CatalogEntry:
-        entry = self._entries.get(j)
-        if entry is None:
-            tour = self._walks[int(self._order[j])]
-            entry = self._entries[j] = CatalogEntry(self.customers(j), tour, self.digest(j))
-        return entry
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TourCatalog):
             return NotImplemented
-        return ((self.variant, self.delta, self.cover_set, self.ground)
-                == (other.variant, other.delta, other.cover_set, other.ground)
+        return ((self.variant, self.delta, self.ground)
+                == (other.variant, other.delta, other.ground)
                 and np.array_equal(self.masks, other.masks)
                 and np.array_equal(self.costs, other.costs))
 
@@ -188,22 +140,6 @@ class TourCatalog:
                 for j, cost in enumerate(self.costs.tolist())
             ],
         }
-
-
-class _Entries(Sequence):
-    """``TourCatalog.tours``: entry j is built, its tour walked, when it
-    is first indexed."""
-
-    def __init__(self, catalog: TourCatalog):
-        self._catalog = catalog
-
-    def __len__(self) -> int:
-        return len(self._catalog.masks)
-
-    def __getitem__(self, j: int) -> CatalogEntry:
-        if not -len(self) <= j < len(self):
-            raise IndexError(f"catalog entry {j} of {len(self)}")
-        return self._catalog._entry(j % len(self))
 
 
 @dataclass(frozen=True)
@@ -288,7 +224,8 @@ def priced_catalog(sets: CatalogSets, tours: tsp.SetTours) -> TourCatalog:
     s = len(sets.ground)
     members = tsp.mask_bits(tours.masks, s)
     reversed_bits = members @ (1 << np.arange(s - 1, -1, -1))
-    return TourCatalog._priced(sets, tours, np.lexsort((-reversed_bits, members.sum(axis=1))))
+    order = np.lexsort((-reversed_bits, members.sum(axis=1)))
+    return TourCatalog(sets.variant, sets.delta, tours.take(order))
 
 
 def enumerate_tours(
@@ -298,7 +235,8 @@ def enumerate_tours(
 ) -> TourCatalog:
     """All demand-feasible customer sets of the relevant ground set, each
     with its optimal tour from a Held-Karp pass over these sets alone,
-    in deterministic order; a tour is walked when its entry is indexed."""
+    in deterministic order; a tour is walked when its entry is first
+    indexed."""
     sets = catalog_sets(inst, variant, delta)
     return priced_catalog(sets, set_tours(inst, sets.ground, sets.masks))
 
@@ -358,10 +296,9 @@ def _highs_core():
 
 def cover_columns(catalog: TourCatalog) -> tuple[np.ndarray, np.ndarray]:
     """The cover matrix A in CSC form, (start, index) as int32: column j
-    lists, ascending, the rows of tour j's customers in the sorted cover
-    set, read off the set bits of its mask at the cover set's positions."""
-    rows = [i for i, v in enumerate(catalog.ground) if v in catalog.cover_set]
-    tour, index = np.nonzero(tsp.mask_bits(catalog.masks, len(catalog.ground))[:, rows])
+    lists, ascending, the rows of tour j's customers in the cover set,
+    which is the ground, read off the set bits of its mask."""
+    tour, index = np.nonzero(tsp.mask_bits(catalog.masks, len(catalog.ground)))
     start = np.zeros(len(catalog.masks) + 1, np.int32)
     np.cumsum(np.bincount(tour, minlength=len(catalog.masks)), out=start[1:])
     return start, index.astype(np.int32)
@@ -381,7 +318,7 @@ def solve_covering_lp(catalog: TourCatalog) -> LpSolution:
     unbounded status, such as a negative cost's unbounded LP, raises
     ``LpInfeasible``; any other status but optimal, such as a memory
     limit, raises ``LpSolverFailed``."""
-    cover = sorted(catalog.cover_set)
+    cover = catalog.ground
     if not cover:
         return LpSolution((0.0,) * len(catalog.tours), 0.0, (), catalog)
     m, n = len(cover), len(catalog.tours)

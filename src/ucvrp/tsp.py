@@ -25,10 +25,10 @@ of a family alike, is walked off a table by one scalar Python walk
 read, taking ties within a tolerance that scales with the metric and
 its skew (``_walk_tol``).  A family's tours are kept as a ``SetTours``:
 the family's own columns and every cost, read off them at once, while
-a tour is walked only when it is asked for.  A set's column does not
-depend on the family it is priced in, so ``exact_tsp_and_tours`` walks
-the exact depot tour off the table over every subset and keeps the
-columns of a catalog's sets, not the table.  ``exact_tsp`` over every
+a tour is walked only when it is first asked for, and then kept.  A
+set's column does not depend on the family it is priced in, so
+``exact_tsp_and_tours`` walks the exact depot tour off the table over
+every subset and keeps the columns of a catalog's sets, not the table.  ``exact_tsp`` over every
 customer took ~1.9-2.8 ms at s = 13 and ~0.17-0.21 s at the cap on 2
 shared vCPUs.  The approximate solver doubles a minimum spanning tree and
 shortcuts the resulting Euler walk, guaranteeing cost at most twice
@@ -36,6 +36,7 @@ the optimum."""
 
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass
@@ -89,11 +90,13 @@ def empty_tour(tag: str = "exact") -> Tour:
 class SetTours(Sequence[Tour]):
     """The optimal tours of a family of sets, mask m standing for
     {ground[i] : bit i of m set}, kept as the family's own Held-Karp
-    columns, (s + 1) x 8 bytes a set, in ``masks``' order: ``costs`` holds
-    every tour's cost, read off the columns at once, and a set's tour is
-    walked when it is indexed, each time.  A walk reads the column of
-    every set it leaves behind, so the family must be downward closed, as
-    a catalog's sets are: a walk that misses one raises ``ValueError``."""
+    columns, (s + 1) x 8 bytes a set.  ``masks`` and ``costs``, every
+    tour's cost read off the columns at once, are in the family's order,
+    or in the order a ``take`` view is given; a set's tour is walked
+    once, when it is first indexed, and then kept.  A walk reads the
+    column of every set it leaves behind, so the family must be downward
+    closed, as a catalog's sets are: a walk that misses one raises
+    ``ValueError``."""
 
     def __init__(self, sub: np.ndarray, columns: np.ndarray, ground: Sequence[int],
                  masks: np.ndarray, tol: float):
@@ -101,19 +104,34 @@ class SetTours(Sequence[Tour]):
         self.masks = masks
         self.costs = _costs(sub, columns)
         self._sub, self._columns, self._tol = sub, columns, tol
+        self._family = masks  # the columns' order
         self._walker = None
+        self._walked: dict[int, Tour] = {}
+
+    def take(self, order: np.ndarray) -> SetTours:
+        """These tours in ``order``: tour j of the view is tour ``order[j]``
+        here.  The view shares these columns, not a copy, and keeps the
+        tours it walks."""
+        view = copy.copy(self)
+        view.masks, view.costs, view._walked = self.masks[order], self.costs[order], {}
+        return view
 
     def __len__(self) -> int:
         return len(self.masks)
 
     def __getitem__(self, i: int) -> Tour:
-        mask = int(self.masks[i])
-        if self._walker is None:  # the walk's lists, built for the first tour
-            c = self._sub.tolist()
-            self._walker = c, [row[0] for row in c], dict(zip(self.masks.tolist(), range(len(self))))
-        c, back, _ = self._walker
-        return _walk(c, back, self._columns, self._column, mask, float(self.costs[i]),
-                     self.ground, self._tol)
+        i = range(len(self))[i]  # IndexError past either end
+        tour = self._walked.get(i)
+        if tour is None:
+            if self._walker is None:  # the walk's lists, built for the first tour
+                c = self._sub.tolist()
+                self._walker = c, [row[0] for row in c], dict(
+                    zip(self._family.tolist(), range(len(self._family))))
+            c, back, _ = self._walker
+            tour = self._walked[i] = _walk(c, back, self._columns, self._column,
+                                           int(self.masks[i]), float(self.costs[i]),
+                                           self.ground, self._tol)
+        return tour
 
     def _column(self, mask: int) -> int:
         try:

@@ -66,9 +66,9 @@ def rounding_monte_carlo(
     Bit-identical to calling ``round_tours`` seed by seed.
     """
     tours = catalog.tours
-    digests = np.array([t.digest for t in tours], dtype=np.uint64)
+    digests = np.array([catalog.digest(j) for j in range(len(tours))], dtype=np.uint64)
     probs = np.minimum(1.0, gamma * np.asarray(lpsol.values))
-    costs = np.array([t.cost for t in tours])
+    costs = catalog.costs
     seeds_arr = np.array([s & 0xFFFFFFFFFFFFFFFF for s in seeds], dtype=np.uint64)
 
     def mix(z: np.ndarray) -> np.ndarray:

@@ -383,8 +383,8 @@ CATALOG_CASES = [
 
 
 def catalog_rows(catalog):
-    return [(e.customers, e.tour.vertices, e.tour.quality_tag, e.cost.hex(), e.digest)
-            for e in catalog.tours]
+    return [(t.customers, t.vertices, t.quality_tag, cost.hex(), catalog.digest(j))
+            for j, (t, cost) in enumerate(zip(catalog.tours, catalog.costs.tolist()))]
 
 
 @pytest.mark.parametrize("variant, delta", [

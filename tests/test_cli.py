@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from ucvrp import algorithms, big_matching, cli, lp_round, tsp
 from ucvrp.cli import main
-from ucvrp.instance import gen_instance, load_json, radial_lower_bound, save_json
+from ucvrp.instance import from_json_dict, gen_instance, load_json, radial_lower_bound, save_json
 from ucvrp.oracle import exact_cvrp
-from ucvrp.solution import FeasibilityReport
+from ucvrp.solution import COST_TOL, FeasibilityReport
 
 
 def count_calls(monkeypatch, name, replacement=None):
@@ -27,6 +27,14 @@ def count_calls(monkeypatch, name, replacement=None):
 
         monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def scaled_instance(n, k, seed, scale):
+    """``gen_instance("euclidean", n, k, seed=seed)`` with its coordinates
+    scaled by ``scale``, read back as a file would be."""
+    data = gen_instance("euclidean", n, k, seed=seed).to_json_dict()
+    data["metric"]["coords"] = [[scale * x, scale * y] for x, y in data["metric"]["coords"]]
+    return from_json_dict(data)
 
 
 def run(capsys, *argv):
@@ -586,6 +594,25 @@ class TestCheckAndBench:
     def test_check_empty_directory(self, tmp_path, capsys):
         assert main(["check", str(tmp_path)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("scale", [1e10, 1e11])
+    def test_check_slacks_scale_with_the_metric(self, scale):
+        # At costs near 1e10 the LP objective can sit an ulp, ~2e-6, above
+        # OPT, and the matching cost too: the slacks grow with the metric.
+        for n, k in ((9, 3), (10, 4)):
+            for seed in range(40):
+                inst = scaled_instance(n, k, seed, scale)
+                assert cli.check_instance_invariants(inst) == [], (n, k, seed)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e10, 1e11])
+    def test_scaled_check_still_catches_a_bound_exceeded(self, scale, monkeypatch):
+        inst = scaled_instance(10, 4, 1, scale)
+        assert (tsp.metric_scale(inst.metric) == 1.0) == (scale == 1.0)
+        opt = exact_cvrp(inst).opt_cost
+        slack = COST_TOL * tsp.metric_scale(inst.metric)
+        for off, failures in ((slack / 2, []), (10 * slack, ["radial bound exceeds OPT"])):
+            monkeypatch.setattr(cli, "radial_lower_bound", lambda inst, off=off: opt + off)
+            assert cli.check_instance_invariants(inst) == failures
 
     def test_bench_json(self, capsys):
         code, out = run(capsys, "bench", "--suite", "small", "--seeds", "1")

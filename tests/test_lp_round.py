@@ -19,7 +19,6 @@ from ucvrp.algorithms import _catalog_lp, alg1, default_tour, lp_itp_pipeline
 from ucvrp.cli import main
 from ucvrp.instance import Instance, gen_instance, line3, save_json
 from ucvrp.lp_round import (
-    CatalogEntry,
     CatalogTooLarge,
     LpInfeasible,
     LpSolution,
@@ -30,7 +29,7 @@ from ucvrp.lp_round import (
     solve_covering_lp,
 )
 from ucvrp.oracle import exact_cvrp
-from ucvrp.tsp import Tour, exact_tsp, optimal_tours
+from ucvrp.tsp import exact_tsp, optimal_tours
 
 from reference import rounding_monte_carlo
 from test_big_matching import _probe
@@ -91,8 +90,8 @@ class TestCatalog:
         # 20 customers, but no demand-feasible set holds more than 3 of them.
         inst = gen_instance("euclidean", 20, 3, seed=1)
         cat = enumerate_tours(inst, "lp1")
-        for entry in cat.tours:
-            assert entry.tour == exact_tsp(inst, entry.customers)
+        for tour in cat.tours:
+            assert tour == exact_tsp(inst, tour.customers)
 
     def test_mst_priced_catalog_serves_its_tours(self, monkeypatch):
         # Four customers of demand 1 make 3-customer sets feasible, which a
@@ -105,11 +104,11 @@ class TestCatalog:
             enumerate_tours(inst, "lp1")
         monkeypatch.undo()
         cat = enumerate_tours(inst, "lp1")
-        for entry in cat.tours:
-            assert entry.tour == exact_tsp(inst, entry.customers)
+        for tour in cat.tours:
+            assert tour == exact_tsp(inst, tour.customers)
         lp = solve_covering_lp(cat)
         tour = default_tour(inst)
-        catalog_tours = {entry.tour for entry in cat.tours}
+        catalog_tours = set(cat.tours)
         for seed in range(5):
             _, report = alg1(inst, seed=seed, tour=tour, catalog=cat, lpsol=lp)
             assert report.feasible and report.lp_solved
@@ -141,8 +140,8 @@ class TestCatalog:
             if sum(inst.demand(v) for v in members) <= inst.capacity
         ]
         assert [sorted(t.customers) for t in cat.tours] == expected
-        for entry in cat.tours:
-            assert entry.tour == exact_tsp(inst, entry.customers)
+        for tour in cat.tours:
+            assert tour == exact_tsp(inst, tour.customers)
 
     def test_deterministic_order(self, inst_line3):
         a = enumerate_tours(inst_line3, "lp1")
@@ -150,48 +149,54 @@ class TestCatalog:
         assert [t.customers for t in a.tours] == [t.customers for t in b.tours]
 
 
-def eager_catalog(inst, variant, delta):
-    """The catalog as it is defined, one entry built per set: its
-    ``optimal_tours`` tour and digest, in order of size, then sorted
-    members."""
+def eager_rows(inst, variant, delta):
+    """The catalog as it is defined, one row per set: its customers, and
+    its ``optimal_tours`` tour's cost in hex, digest and vertices, in
+    order of size, then sorted members."""
     sets = lp_round.catalog_sets(inst, variant, delta)
-    entries = [CatalogEntry(t.customers, t, lp_round._digest(t.customers))
-               for t in optimal_tours(inst, sets.ground, sets.masks).values()]
-    entries.sort(key=lambda e: (len(e.customers), sorted(e.customers)))
-    return TourCatalog(sets.variant, sets.delta, entries, sets.ground)
+    rows = [(t.customers, t.cost.hex(), lp_round._digest(t.customers), t.vertices)
+            for t in optimal_tours(inst, sets.ground, sets.masks).values()]
+    return sorted(rows, key=lambda row: (len(row[0]), sorted(row[0])))
 
 
-def entry_columns(catalog):
-    """The covering LP's CSC built tour by tour from the entries'
-    customers: (start, index), as int32."""
-    row = {v: i for i, v in enumerate(sorted(catalog.cover_set))}
-    cols = [sorted(row[v] for v in e.customers if v in row) for e in catalog.tours]
+def rows_of(catalog):
+    """A catalog's rows, as ``eager_rows`` gives them, read off its entries."""
+    return [(catalog.customers(j), tour.cost.hex(), catalog.digest(j), tour.vertices)
+            for j, tour in enumerate(catalog.tours)]
+
+
+def row_columns(rows, ground):
+    """The covering LP's CSC built row by row from the sets' customers:
+    (start, index), as int32."""
+    at = {v: i for i, v in enumerate(ground)}
+    cols = [sorted(at[v] for v in customers) for customers, *_ in rows]
     start = np.cumsum([0, *map(len, cols)]).astype(np.int32)
     return start, np.array(list(itertools.chain.from_iterable(cols)), np.int32)
 
 
 class TestColumnarCatalog:
-    # Both ways of building a catalog, off a table over its sets alone and
-    # off the depot tour's, against entries built one set at a time.
+    # Both ways of pricing a catalog, off a table over its sets alone and
+    # off the depot tour's, against a reference built one set at a time.
     @given(inst=tour_instances(),
            delta=st.sampled_from([None, Fraction(1, 10), Fraction(1, 5), Fraction(2, 5)]))
     @settings(max_examples=60, deadline=None)
     def test_equals_eager_entries(self, inst, delta):
         variant = "lp1" if delta is None else "lp2"
-        want = eager_catalog(inst, variant, delta)
-        for cat in (enumerate_tours(inst, variant, delta),
-                    _catalog_lp(inst, variant, delta)[1]):
-            assert len(cat.tours) == len(want.tours)
-            for got, entry in zip(cat.tours, want.tours):
-                assert got.customers == entry.customers
-                assert got.cost.hex() == entry.cost.hex()
-                assert got.digest == entry.digest
-                assert got.tour.vertices == entry.tour.vertices
-                assert got.tour.quality_tag == "exact"
-            assert cat.to_json_dict() == want.to_json_dict()
-            assert cat == want
-            for got, ref in zip(lp_round.cover_columns(cat), entry_columns(want)):
+        want = eager_rows(inst, variant, delta)
+        ground = lp_round.catalog_sets(inst, variant, delta).ground
+        cats = enumerate_tours(inst, variant, delta), _catalog_lp(inst, variant, delta)[1]
+        for cat in cats:
+            assert rows_of(cat) == want
+            assert [cost.hex() for cost in cat.costs.tolist()] == [row[1] for row in want]
+            assert all(tour.customers == row[0] and tour.quality_tag == "exact"
+                       for tour, row in zip(cat.tours, want))
+            assert cat.ground == ground and cat.cover_set == frozenset(ground)
+            assert cat.to_json_dict()["tours"] == [
+                {"customers": sorted(row[0]), "cost": float.fromhex(row[1])} for row in want]
+            for got, ref in zip(lp_round.cover_columns(cat), row_columns(want, ground)):
                 assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        assert cats[0] == cats[1]
+        assert cats[0].to_json_dict() == cats[1].to_json_dict()
 
     def test_length_equality_json_and_lp_walk_nothing(self, walks):
         inst = gen_instance("euclidean", 11, 3, seed=0)
@@ -210,19 +215,33 @@ class TestColumnarCatalog:
         assert [cat.tours[j] for j in outcome.selected] == entries
         assert walks == [e.customers for e in entries]
 
-    def test_hand_built_catalog_derives_its_columns(self):
-        cat = two_singletons(3.0)
-        assert cat.ground == (1, 2) and cat.masks.tolist() == [1, 2]
-        assert cat.costs.tolist() == [3.0, 1.0]
-        assert [cat.digest(j) for j in range(2)] == [1, 2]  # the entries' own
-        # Entries may reach beyond the cover set; the LP covers it alone.
-        wide = TourCatalog("lp1", None, (
-            CatalogEntry(frozenset({1, 3}), Tour((0, 1, 3, 0), 2.0, "external"), 7),
-            CatalogEntry(frozenset({2}), Tour((0, 2, 0), 1.0, "external"), 8),
-        ), frozenset({2, 3}))
-        assert wide.ground == (1, 2, 3)
-        assert [a.tolist() for a in lp_round.cover_columns(wide)] == [[0, 1, 2], [1, 0]]
-        assert solve_covering_lp(wide).values == (1.0, 1.0)
+    def test_a_tour_indexed_twice_is_walked_once(self, walks):
+        cat = enumerate_tours(gen_instance("random_metric", 9, 3, seed=2), "lp1")
+        last = len(cat.tours) - 1
+        tour = cat.tours[last]
+        assert cat.tours[last] is tour and cat.tours[-1] is tour
+        assert walks == [cat.customers(last)] == [tour.customers]
+        with pytest.raises(IndexError):
+            cat.tours[last + 1]
+
+    @pytest.mark.parametrize("variant, delta", [("lp1", None), ("lp2", Fraction(1, 5))])
+    def test_entry_order_view_shares_the_family(self, variant, delta):
+        # The catalog's tours are a view of the mask-ordered family in entry
+        # order: the same tours and costs, bit for bit, off the same columns.
+        inst = gen_instance("euclidean", 10, 4, seed=5)
+        sets = lp_round.catalog_sets(inst, variant, delta)
+        family = tsp.set_tours(inst, sets.ground, sets.masks)
+        cat = lp_round.priced_catalog(sets, family)
+        view = cat.tours
+        assert view._columns is family._columns
+        at = {mask: i for i, mask in enumerate(family.masks.tolist())}
+        order = [at[mask] for mask in view.masks.tolist()]
+        assert sorted(order) == list(range(len(family))) and order != sorted(order)
+        assert ([cost.hex() for cost in view.costs.tolist()]
+                == [family.costs[i].hex() for i in order])
+        tours = list(family)
+        assert [(t.vertices, t.cost.hex()) for t in view] == [
+            (tours[i].vertices, tours[i].cost.hex()) for i in order]
 
 
 class TestCoveringLp:
@@ -257,15 +276,13 @@ class TestCoveringLp:
         sol = solve_covering_lp(cat)
         assert sol.objective == 0.0
 
-    def test_missing_customer_infeasible(self, inst_line3):
-        cat = enumerate_tours(inst_line3, "lp1")
-        crippled = TourCatalog(
-            cat.variant, cat.delta,
-            tuple(t for t in cat.tours if 3 not in t.customers),
-            cat.cover_set,
-        )
-        with pytest.raises(LpInfeasible):
-            solve_covering_lp(crippled)
+    def test_missing_customer_infeasible(self):
+        # Customer 3's demand exceeds the capacity, so no catalog tour holds it.
+        inst = line_instance([1.0, 2.0, 3.0], capacity=2, demands=(1, 1, 3))
+        cat = enumerate_tours(inst, "lp1")
+        assert 3 in cat.cover_set
+        with pytest.raises(LpInfeasible, match=r"customers \[3\] appear in no catalog tour"):
+            solve_covering_lp(cat)
 
     @pytest.mark.parametrize("cost", [float("nan"), float("inf"), float("-inf"), -1.0])
     def test_cost_contract_of_linprog(self, cost):
@@ -499,12 +516,12 @@ def memory_limited(monkeypatch):
 
 
 def two_singletons(cost):
-    """A hand-made catalog covering customers 1 and 2 by one tour each, the
-    first at ``cost`` and the second at 1."""
-    return TourCatalog("lp1", None, (
-        CatalogEntry(frozenset({1}), Tour((0, 1, 0), cost, "external"), 1),
-        CatalogEntry(frozenset({2}), Tour((0, 2, 0), 1.0, "external"), 2),
-    ), frozenset({1, 2}))
+    """The catalog of two customers at capacity 1, which covers each by a
+    tour of its own: the first at ``cost``, c(0,1) = cost / 2 each way,
+    and the second at 1."""
+    m = np.array([[0.0, cost / 2, 0.5], [cost / 2, 0.0, 1.0], [0.5, 1.0, 0.0]])
+    with np.errstate(invalid="ignore"):  # inf - inf in the tie tolerance's skew
+        return enumerate_tours(Instance("two", 1, (1, 1), m), "lp1")
 
 
 # perfbench's exact-lp instance specs: (kind, n, k, demand law).
@@ -549,9 +566,10 @@ def linprog_reference(cat):
     """``linprog``'s result for the covering LP of ``cat``, from the dense
     0/1 cover matrix a: min c.x subject to -a x <= -1, x >= 0."""
     cover = sorted(cat.cover_set)
-    a = np.array([[v in t.customers for t in cat.tours] for v in cover], dtype=float)
-    c = np.array([t.cost for t in cat.tours])
-    return linprog(c, A_ub=-a, b_ub=-np.ones(len(cover)), bounds=(0, None), method="highs")
+    sets = [cat.customers(j) for j in range(len(cat.costs))]
+    a = np.array([[v in members for members in sets] for v in cover], dtype=float)
+    return linprog(cat.costs, A_ub=-a, b_ub=-np.ones(len(cover)), bounds=(0, None),
+                   method="highs")
 
 
 class TestRounding:
@@ -571,11 +589,7 @@ class TestRounding:
         rng = random.Random(0)
         order = list(range(len(self.cat.tours)))
         rng.shuffle(order)
-        shuffled = TourCatalog(
-            self.cat.variant, self.cat.delta,
-            tuple(self.cat.tours[j] for j in order),
-            self.cat.cover_set,
-        )
+        shuffled = TourCatalog(self.cat.variant, self.cat.delta, self.cat.tours.take(order))
         lp2 = LpSolution(
             tuple(self.lp.values[j] for j in order), self.lp.objective
         )
