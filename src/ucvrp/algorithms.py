@@ -1,28 +1,29 @@
 """Composed solvers: the LP-round-then-partition pipeline and the two
 meta-algorithms that take the best of their branches.
 
-Each step of a solve exists once: the depot tour with the tour catalog
-and its covering LP (``_catalog_lp``), the LP branch (round the LP and
-serve each selected catalog entry by the tour it was priced by, then
-serve the leftover customers by the threshold partition) and the
-report, which checks feasibility once per solve.
-``lp_itp_pipeline`` runs one LP branch, ``alg1`` one and ``alg2`` two
-over a shared catalog.  A solve given neither tour nor catalog, whose
-depot tour is exact (n <= ``tsp.HELDKARP_CAP``), reads both off one
-Held-Karp table; the catalog keeps its own columns of it, and of its
-tours only those rounding selects are ever walked.  Every catalog holds
-optimal tours: one whose sets Held-Karp cannot tour is refused
-(``CatalogTooLarge``).
+Each is a table of ``Branch`` rows run by one runner, ``_run_branches``.
+A row is the matching branch (``subalg1``) or an LP branch: round the
+covering LP at gamma, serving each selected catalog entry by the tour it
+was priced by, then serve the leftover customers by the threshold
+partition.  ``lp_itp_pipeline`` is one LP branch; ``alg1`` adds the
+matching branch to a full-catalog one, ``alg2`` to two restricted-catalog
+ones.  The runner builds the catalog and LP once (``_catalog_lp``), the
+depot tour, and the one report, which checks feasibility once per solve.
+A solve given neither tour nor catalog, whose depot tour is exact
+(n <= ``tsp.HELDKARP_CAP``), reads both off one Held-Karp table, and of
+the catalog's tours only those rounding selects are ever walked.  A
+catalog whose sets Held-Karp cannot tour is refused (``CatalogTooLarge``),
+and one rule handles that: the solve raises, unless its caller asks for
+the fallback, which runs every LP branch at gamma = 0 with a note.
+``alg1`` asks for it; ``alg2`` and the pipeline raise.
 
-``alg1`` (fixed capacity) runs the matching branch and the full-catalog
-branch with threshold 1/3, keeping the cheaper solution; its default
-selection intensity is gamma* = ln(2 - y0/2) at the root y0 of
-ln(2 - y/2) = (3/2) y.  A refused catalog (``CatalogTooLarge``) makes it
-run its LP branch at gamma = 0, with a note.  ``alg2`` (general capacity)
-runs the matching branch plus two restricted-catalog branches, with
-default intensities gamma1 = ln(2 - 2 y1 - y2/2) and gamma2 = ln(2 - 2 y1)
-at the root y1 of (1/2) y + 6 (1 - y)(1 - e^{-y/2}) = ln(2 - 2 y),
-y2 = 4 (1 - y1)(1 - e^{-y1/2}); a refused catalog raises.
+``alg1`` (fixed capacity) partitions its LP branch at threshold 1/3; its
+default selection intensity is gamma* = ln(2 - y0/2) at the root y0 of
+ln(2 - y/2) = (3/2) y.  ``alg2`` (general capacity) partitions its LP
+branches at 1/3 and at delta, with default intensities
+gamma1 = ln(2 - 2 y1 - y2/2) and gamma2 = ln(2 - 2 y1) at the root y1 of
+(1/2) y + 6 (1 - y)(1 - e^{-y/2}) = ln(2 - 2 y),
+y2 = 4 (1 - y1)(1 - e^{-y1/2}).
 
 Every solver returns (solution, report).  Beside its JSON fields, a
 report holds what the CLI's flags print: the partition trace or matching
@@ -37,7 +38,7 @@ needs delta, why it refuses gamma and whether it keeps a trace.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from functools import partial
 from typing import Callable, Optional, Union
@@ -119,38 +120,6 @@ def _catalog_lp(inst, variant, delta_lp, tour=None, catalog=None, lpsol=None):
     return tour, catalog, lpsol
 
 
-def _round_then_partition(
-    inst, catalog, lpsol, gamma, threshold, seed, tour
-) -> tuple[Solution, float, float, Optional[tuple[TourCatalog, LpSolution]]]:
-    """One LP branch: round the fractional cover, then partition the rest.
-    Returns the solution, the rounded and partition costs and the
-    (catalog, LP solution) rounded, or None if the LP went unused; with
-    gamma = 0 the catalog is ignored and may be None."""
-    lp_used = gamma != 0 and bool(catalog.cover_set)
-    selected = ()
-    rounded_cost = 0.0
-    leftover = set(inst.customers)
-    if lp_used:
-        outcome = round_tours(catalog, lpsol, gamma, seed)
-        selected = outcome.selected
-        rounded_cost = outcome.cost
-        # Catalog tours hold cover-set customers only: the partition serves
-        # the customers outside the cover set and those rounding missed.
-        leftover = leftover.difference(catalog.cover_set) | outcome.uncovered
-
-    assignment = {}
-    for i, j in enumerate(selected):
-        for v in catalog.customers(j):
-            # First selected tour containing v wins; later tours keep
-            # their vertices with slack capacity.
-            assignment.setdefault(v, i)
-    rounded_sol = Solution(tuple(catalog.tours[j] for j in selected), assignment)
-
-    itp_sol = delta_itp_plus(inst, leftover, tour, threshold)
-    lp = (catalog, lpsol) if lp_used else None
-    return merge(rounded_sol, itp_sol), rounded_cost, itp_sol.cost, lp
-
-
 def _report(inst: Instance, sol: Solution, tour: Tour, lp=None, **named) -> SolveReport:
     """The one report of a solve: bound, feasibility, tour tag, and the
     LP rounded, if any."""
@@ -163,6 +132,69 @@ def _report(inst: Instance, sol: Solution, tour: Tour, lp=None, **named) -> Solv
         lp=lp,
         **named,
     )
+
+
+@dataclass(frozen=True)
+class Branch:
+    """A row of a solve's branch table: the matching branch (``subalg1``)
+    when gamma is None, else an LP branch that rounds the covering LP at
+    gamma, then partitions what is left at threshold."""
+
+    name: str
+    gamma: Optional[float] = None
+    threshold: Optional[Fraction] = None
+
+
+def _run_branches(inst, branches, variant, delta_lp, seed, tour, catalog, lpsol,
+                  fallback=False, notes=(), **named) -> tuple[Solution, SolveReport]:
+    """Run a branch table over one depot tour and one catalog, and report
+    its first cheapest solution.
+
+    The catalog and its LP are built only if some branch rounds at
+    gamma != 0, and before the depot tour, so a refused catalog raises
+    before the tour is built; with ``fallback`` every LP branch runs at
+    gamma = 0 instead, with a note.  The report's LP is the first one a
+    branch rounded.  Its branch costs are each branch's cost by name, but
+    a one-branch table reports its rounded and partition costs."""
+    if tour is not None and tour.customers != set(inst.customers):
+        raise ValueError("tour must cover all customers")
+    if any(b.gamma for b in branches):  # some LP branch rounds
+        try:
+            tour, catalog, lpsol = _catalog_lp(inst, variant, delta_lp, tour, catalog, lpsol)
+        except CatalogTooLarge:
+            if not fallback:
+                raise
+            # Polynomial fallback: skip the LP entirely.
+            branches = [b if b.gamma is None else replace(b, gamma=0.0) for b in branches]
+            notes += ("catalog too large; gamma forced to 0",)
+    tour = tour or default_tour(inst)
+    sols, lps = [], []
+    for branch in branches:
+        if branch.gamma is None:
+            sols.append(subalg1(inst, tour))
+            continue
+        selected, rounded_cost, leftover = (), 0.0, set(inst.customers)
+        if branch.gamma != 0 and catalog.cover_set:
+            outcome = round_tours(catalog, lpsol, branch.gamma, seed)
+            selected, rounded_cost = outcome.selected, outcome.cost
+            # Catalog tours hold cover-set customers only: the partition serves
+            # the customers outside the cover set and those rounding missed.
+            leftover = leftover.difference(catalog.cover_set) | outcome.uncovered
+            lps.append((catalog, lpsol))
+        assignment = {}
+        for i, j in enumerate(selected):
+            for v in catalog.customers(j):
+                # First selected tour containing v wins; later tours keep
+                # their vertices with slack capacity.
+                assignment.setdefault(v, i)
+        rounded_sol = Solution(tuple(catalog.tours[j] for j in selected), assignment)
+        itp_sol = delta_itp_plus(inst, leftover, tour, branch.threshold)
+        sols.append(merge(rounded_sol, itp_sol))
+    costs = ({"rounded": rounded_cost, "itp": itp_sol.cost} if len(branches) == 1
+             else {b.name: s.cost for b, s in zip(branches, sols)})
+    sol = min(sols, key=lambda s: s.cost)
+    return sol, _report(inst, sol, tour, lps[0] if lps else None, branch_costs=costs,
+                        seed=seed, notes=notes, **named)
 
 
 def lp_itp_pipeline(
@@ -188,8 +220,6 @@ def lp_itp_pipeline(
     ``tour``/``catalog``/``lpsol`` may be passed in to amortize their
     construction across seeds.
     """
-    if tour is not None and tour.customers != set(inst.customers):
-        raise ValueError("tour must cover all customers")
     check_gamma(gamma)
     delta_itp_threshold = Fraction(delta_itp_threshold)
     delta_lp = None if lp_variant == "lp1" else delta_lp
@@ -197,22 +227,15 @@ def lp_itp_pipeline(
     # An lp2 delta takes the partition's domain, as subalg4 partitions at it.
     if lp_variant == "lp2" and delta_lp is not None and not 0 < check_delta(delta_lp) < THIRD:
         notes = (f"delta_lp={delta_lp} outside the (0, 1/3) analysis regime",)
-
-    if gamma != 0:
-        tour, catalog, lpsol = _catalog_lp(inst, lp_variant, delta_lp, tour, catalog, lpsol)
-    tour = tour or default_tour(inst)
-    sol, rounded_cost, itp_cost, lp = _round_then_partition(
-        inst, catalog, lpsol, gamma, delta_itp_threshold, seed, tour
-    )
+    name = f"pipeline-{lp_variant}"
     params = {
         "gamma": gamma,
         "delta_itp": str(delta_itp_threshold),
         "delta_lp": None if delta_lp is None else str(delta_lp),
     }
-    return sol, _report(
-        inst, sol, tour, lp, algorithm=f"pipeline-{lp_variant}", params=params,
-        branch_costs={"rounded": rounded_cost, "itp": itp_cost}, seed=seed, notes=notes,
-    )
+    return _run_branches(inst, [Branch(name, gamma, delta_itp_threshold)], lp_variant,
+                         delta_lp, seed, tour, catalog, lpsol, notes=notes,
+                         algorithm=name, params=params)
 
 
 def alg1(
@@ -223,25 +246,12 @@ def alg1(
     catalog: Optional[TourCatalog] = None,
     lpsol: Optional[LpSolution] = None,
 ) -> tuple[Solution, SolveReport]:
-    """Better of the matching branch and the full-catalog LP branch."""
+    """Better of the matching branch and the full-catalog LP branch; a
+    refused catalog runs the LP branch at gamma = 0, with a note."""
     gamma = check_gamma(default_gammas().gamma_star if gamma is None else gamma)
-    branch_gamma, notes = gamma, ()
-    if gamma != 0:
-        try:
-            tour, catalog, lpsol = _catalog_lp(inst, "lp1", None, tour, catalog, lpsol)
-        except CatalogTooLarge:
-            # Polynomial fallback: skip the LP entirely.
-            branch_gamma, notes = 0.0, ("catalog too large; gamma forced to 0",)
-    tour = tour or default_tour(inst)
-    sol_a = subalg1(inst, tour)
-    sol_b, _, _, lp = _round_then_partition(
-        inst, catalog, lpsol, branch_gamma, THIRD, seed, tour
-    )
-    sol = sol_a if sol_a.cost <= sol_b.cost else sol_b
-    return sol, _report(
-        inst, sol, tour, lp, algorithm="alg1", params={"gamma": gamma},
-        branch_costs={"subalg1": sol_a.cost, "subalg2": sol_b.cost}, seed=seed, notes=notes,
-    )
+    branches = [Branch("subalg1"), Branch("subalg2", gamma, THIRD)]
+    return _run_branches(inst, branches, "lp1", None, seed, tour, catalog, lpsol,
+                         fallback=True, algorithm="alg1", params={"gamma": gamma})
 
 
 def alg2(
@@ -255,31 +265,18 @@ def alg2(
     lpsol: Optional[LpSolution] = None,
 ) -> tuple[Solution, SolveReport]:
     """Best of the matching branch and two restricted-catalog LP branches
-    (thresholds 1/3 and ``delta`` for the partition stage)."""
+    (thresholds 1/3 and ``delta`` for the partition stage); a refused
+    catalog raises."""
     delta = Fraction(delta)
     if not 0 < delta < THIRD:
         raise ValueError(f"delta must lie in (0, 1/3), got {delta}")
     gamma1 = check_gamma(default_gammas().gamma1 if gamma1 is None else gamma1)
     gamma2 = check_gamma(default_gammas().gamma2 if gamma2 is None else gamma2)
-    # The catalog first: a refused one raises before the tour is built.
-    if gamma1 != 0 or gamma2 != 0:
-        tour, catalog, lpsol = _catalog_lp(inst, "lp2", delta, tour, catalog, lpsol)
-    tour = tour or default_tour(inst)
-
-    sol_a = subalg1(inst, tour)
-    sol_b, _, _, lp_b = _round_then_partition(
-        inst, catalog, lpsol, gamma1, THIRD, seed, tour
-    )
-    sol_c, _, _, lp_c = _round_then_partition(
-        inst, catalog, lpsol, gamma2, delta, seed, tour
-    )
-    sol = min((sol_a, sol_b, sol_c), key=lambda s: s.cost)
+    branches = [Branch("subalg1"), Branch("subalg3", gamma1, THIRD),
+                Branch("subalg4", gamma2, delta)]
     params = {"delta": str(delta), "gamma1": gamma1, "gamma2": gamma2}
-    costs = {"subalg1": sol_a.cost, "subalg3": sol_b.cost, "subalg4": sol_c.cost}
-    return sol, _report(
-        inst, sol, tour, lp_b or lp_c, algorithm="alg2", params=params,
-        branch_costs=costs, seed=seed,
-    )
+    return _run_branches(inst, branches, "lp2", delta, seed, tour, catalog, lpsol,
+                         algorithm="alg2", params=params)
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,8 @@ largest LP it has solved, which no clear frees, so it is dropped after
 an LP of more than ``KEEP_COLUMNS`` = 4096 columns, which leaves it
 holding at most ~2.6 MB, and after a solve that raises.  A status HiGHS ends on other than
 optimal is typed: ``LpInfeasible`` for an infeasible or unbounded LP,
-``LpSolverFailed`` for any other, such as a memory limit.
+``LpSolverFailed`` for any other, such as a memory limit, and for an
+allocation HiGHS fails (``MemoryError``), which reaches no status.
 Rounding selects each tour independently with probability
 min{1, gamma * x*_T}; draws are keyed by (seed, tour content) so the
 outcome does not depend on enumeration order.
@@ -75,7 +76,8 @@ class LpInfeasible(RuntimeError):
 
 class LpSolverFailed(RuntimeError):
     """HiGHS stopped on a status that says nothing of the LP, such as a
-    memory, time or iteration limit; the message names the status."""
+    memory, time or iteration limit, or failed an allocation; the message
+    names the status or the failure."""
 
 
 class TourCatalog:
@@ -317,7 +319,7 @@ def solve_covering_lp(catalog: TourCatalog) -> LpSolution:
     cost raises ``ValueError``, as linprog does.  An infeasible or
     unbounded status, such as a negative cost's unbounded LP, raises
     ``LpInfeasible``; any other status but optimal, such as a memory
-    limit, raises ``LpSolverFailed``."""
+    limit, and a ``MemoryError`` out of HiGHS raise ``LpSolverFailed``."""
     cover = catalog.ground
     if not cover:
         return LpSolution((0.0,) * len(catalog.tours), 0.0, (), catalog)
@@ -351,8 +353,11 @@ def solve_covering_lp(catalog: TourCatalog) -> LpSolution:
     solver = _take_solver(highs)
     # No basis or solution of the last LP carries over.
     solver.clearSolver()
-    solver.passModel(lp)
-    solver.run()
+    try:
+        solver.passModel(lp)
+        solver.run()
+    except MemoryError as exc:  # HiGHS's std::bad_alloc; the solver is not put back
+        raise LpSolverFailed(f"LP solver failed: {exc}") from exc
     status = solver.getModelStatus()
     if status != highs.HighsModelStatus.kOptimal:
         statuses = highs.HighsModelStatus

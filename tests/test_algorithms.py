@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ucvrp.algorithms as algorithms
-from ucvrp import oracle, tsp
+from ucvrp import lp_round, oracle, tsp
 from ucvrp.algorithms import alg1, alg2, default_tour, lp_itp_pipeline
 from ucvrp.big_matching import serve_big_by_matching
 from ucvrp.constants import default_gammas
@@ -52,13 +52,18 @@ class TestPipeline:
             )
             assert check_feasible(inst, sol).ok
 
-    def test_tour_must_cover_everything(self, inst_line3):
-        from ucvrp.tsp import exact_tsp
+    def test_tour_must_cover_everything(self, inst_line3, monkeypatch):
+        # Every LP solver checks a given tour first, before any catalog is
+        # enumerated.
+        def boom(*args):
+            raise AssertionError("a catalog was enumerated")
 
-        with pytest.raises(ValueError):
-            lp_itp_pipeline(
-                inst_line3, "lp1", 1.0, THIRD, 0, exact_tsp(inst_line3, [1])
-            )
+        monkeypatch.setattr(lp_round, "feasible_masks", boom)
+        tour = exact_tsp(inst_line3, [1])
+        for solve in (partial(lp_itp_pipeline, inst_line3, "lp1", 1.0, THIRD, 0),
+                      partial(alg1, inst_line3, 0), partial(alg2, inst_line3, FIFTH, 0)):
+            with pytest.raises(ValueError, match="^tour must cover all customers$"):
+                solve(tour=tour)
 
     def test_precomputed_lp_matches(self):
         inst = gen_instance("euclidean", 7, 3, seed=13)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -327,9 +328,18 @@ class TestRefusedCatalogs:
 
     @pytest.mark.parametrize("rule", ["wide-ground", "large-set"])
     def test_no_rounding_builds_no_catalog(self, refused_files, capsys, rule):
-        code, out = run(capsys, "solve", str(refused_files[rule]), "--alg", "subalg2",
-                        "--gamma", "0")
-        assert code == 0 and json.loads(out)["feasible"]
+        # Every LP row at gamma = 0 answers with no catalog built: no
+        # refusal, and no fallback note from alg1.
+        path = str(refused_files[rule])
+        for argv in (["subalg2"], ["subalg3", "--delta", "1/25"], ["subalg4", "--delta", "1/25"],
+                     ["alg1"]):
+            code, out = run(capsys, "solve", path, "--alg", *argv, "--gamma", "0")
+            payload = json.loads(out)
+            assert code == 0 and payload["feasible"], argv
+            assert payload["report"]["notes"] == [] and not payload["report"]["lp_solved"], argv
+        # ucvrp solve takes no gamma for alg2.
+        _, rep = algorithms.alg2(load_json(path), Fraction(1, 25), gamma1=0, gamma2=0)
+        assert rep.feasible and rep.notes == () and not rep.lp_solved
 
 
 class TestLibraryErrors:

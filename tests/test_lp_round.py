@@ -364,6 +364,16 @@ class TestCoveringLp:
         assert json.loads(capsys.readouterr().out) == {
             "error": "LpSolverFailed", "message": "LP solver failed: Memory limit reached"}
 
+    def test_allocation_failure_exits_3(self, out_of_memory, tmp_path, capsys):
+        # An allocation HiGHS fails reaches no status: it raises MemoryError.
+        with pytest.raises(LpSolverFailed, match="^LP solver failed: std::bad_alloc$"):
+            solve_covering_lp(enumerate_tours(line3(), "lp1"))
+        path = tmp_path / "i.json"
+        save_json(gen_instance("euclidean", 6, 3, seed=1), str(path))
+        assert main(["solve", str(path), "--alg", "alg1"]) == 3
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "LpSolverFailed", "message": "LP solver failed: std::bad_alloc"}
+
 
 class TestKeptSolver:
     """Each thread keeps one HiGHS solver across its covering LPs; an LP
@@ -398,6 +408,15 @@ class TestKeptSolver:
             assert lp_bits(solve_covering_lp(cats[j])) == fresh[j]
 
     def test_after_a_solver_failure(self, sweep, memory_limited, monkeypatch):
+        self.check_dropped(sweep, monkeypatch, "Memory limit reached")
+
+    def test_after_an_allocation_failure(self, sweep, out_of_memory, monkeypatch):
+        self.check_dropped(sweep, monkeypatch, "std::bad_alloc")
+
+    @staticmethod
+    def check_dropped(sweep, monkeypatch, failure):
+        """A solve on patched-in failing bindings raises ``LpSolverFailed``
+        and drops the thread's solver; the next LP has a fresh solve's bits."""
         cats, fresh = sweep
         stand_in = lp_round._highs_core()
         monkeypatch.undo()
@@ -406,7 +425,7 @@ class TestKeptSolver:
         # The kept solver is the real bindings' class, so the stand-in's
         # bindings get a solver of their own.
         monkeypatch.setattr(lp_round, "_highs_core", lambda: stand_in)
-        with pytest.raises(LpSolverFailed, match="Memory limit reached"):
+        with pytest.raises(LpSolverFailed, match=failure):
             solve_covering_lp(cats[1])
         assert lp_round._kept.solver is None
         monkeypatch.undo()
@@ -510,8 +529,27 @@ def memory_limited(monkeypatch):
         def getModelStatus(self):
             return real.HighsModelStatus.kMemoryLimit
 
+    patch_highs(monkeypatch, MemoryLimited)
+
+
+@pytest.fixture
+def out_of_memory(monkeypatch):
+    """HiGHS's bindings with a solver whose run fails an allocation, which
+    reaches Python as ``MemoryError: std::bad_alloc``."""
+    real = lp_round._highs_core()
+
+    class OutOfMemory(real._Highs):
+        def run(self):
+            raise MemoryError("std::bad_alloc")
+
+    patch_highs(monkeypatch, OutOfMemory)
+
+
+def patch_highs(monkeypatch, solver_class):
+    """Load HiGHS's bindings with ``solver_class`` for their solver."""
+    real = lp_round._highs_core()
     stand_in = types.ModuleType(real.__name__)
-    vars(stand_in).update(vars(real), _Highs=MemoryLimited)
+    vars(stand_in).update(vars(real), _Highs=solver_class)
     monkeypatch.setattr(lp_round, "_highs_core", lambda: stand_in)
 
 
