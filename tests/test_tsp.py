@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -332,6 +334,38 @@ class TestHeldKarpKernel:
         one_bit = tuple((b, prev) for b, prev, _ in tsp._steps(masks, s))
         monkeypatch.setattr(tsp, "_full_schedule", lambda _: one_bit)
         assert_same_table(table, tsp._held_karp(sub, masks))
+
+
+def cap_instance(kind, n):
+    """An n-customer instance at k = 4 with ``gen_instance``'s demands:
+    euclidean, random_metric, or a 1-or-2 metric full of ties."""
+    inst = gen_instance("euclidean" if kind == "one_two" else kind, n, 4, seed=n)
+    if kind != "one_two":
+        return inst
+    upper = np.triu(np.random.default_rng(n).integers(1, 3, size=inst.metric.shape), 1)
+    return Instance(kind, 4, inst.demands, (upper + upper.T).astype(float))
+
+
+# sha256 of the rows built below: the exact depot tour and the costs of
+# the demand-feasible catalog priced off its table, at n = 15..18, where
+# the DP's table outgrows an L2 cache.  Change this only with the tours.
+CAP_PINNED_DIGEST = "5d1bcdd7e5e667a7178be9c8f8ff500539af9beec4a18bf0197831315f72b26b"
+
+
+def test_exact_tours_to_the_cap_pinned():
+    rows = []
+    for kind in ("euclidean", "random_metric", "one_two"):
+        for n in range(15, tsp.HELDKARP_CAP + 1):
+            inst = cap_instance(kind, n)
+            ground = list(inst.customers)
+            tour = exact_tsp(inst, ground)
+            masks = feasible_masks(inst.demands, inst.capacity)
+            got, tours = tsp.exact_tsp_and_tours(inst, ground, masks)
+            assert got == tour
+            rows.append([kind, n, tour.vertices, tour.cost.hex(),
+                         [cost.hex() for cost in tours.costs.tolist()]])
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert digest == CAP_PINNED_DIGEST, digest
 
 
 class TestExactTspAndTours:
