@@ -338,23 +338,21 @@ def solve_covering_lp(catalog: TourCatalog) -> LpSolution:
     # the HiGHS bindings linprog itself calls.
     highs = _highs_core()
 
-    lp = highs.HighsLp()
-    lp.num_col_ = lp.a_matrix_.num_col_ = n
-    lp.num_row_ = lp.a_matrix_.num_row_ = m
-    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
-    lp.a_matrix_.start_ = start
-    lp.a_matrix_.index_ = index
-    lp.a_matrix_.value_ = np.full(len(index), -1.0)
-    lp.col_cost_ = c
-    lp.col_lower_ = np.zeros(n)
-    lp.col_upper_ = np.full(n, highs.kHighsInf)
-    lp.row_lower_ = np.full(m, -highs.kHighsInf)
-    lp.row_upper_ = np.full(m, -1.0)
+    inf = highs.kHighsInf
     solver = _take_solver(highs)
     # No basis or solution of the last LP carries over.
     solver.clearSolver()
     try:
-        solver.passModel(lp)
+        # The arrays go in one call: column-wise (1), minimize (1), offset 0,
+        # and every column continuous.  The bindings need the integrality
+        # array; an empty one fails the pass.
+        passed = solver.passModel(
+            n, m, len(index), 1, 1, 0.0, c, np.zeros(n), np.full(n, inf),
+            np.full(m, -inf), np.full(m, -1.0), start, index, np.full(len(index), -1.0),
+            np.zeros(n, np.int32))
+        # A failed pass leaves the last LP in the solver, which run() would solve.
+        if passed != highs.HighsStatus.kOk:
+            raise LpSolverFailed(f"LP solver failed: passModel returned {passed.name}")
         solver.run()
     except MemoryError as exc:  # HiGHS's std::bad_alloc; the solver is not put back
         raise LpSolverFailed(f"LP solver failed: {exc}") from exc

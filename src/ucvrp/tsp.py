@@ -285,9 +285,9 @@ def exact_tsp_and_tours(
         return empty_tour(), SetTours(sub, np.full((1, 0), INF), ground, family, tol)
     tour, table = _exact_tour(inst, subset, tol)
     # Bit deposit: bit i of a mask moves to the bit of customer ground[i],
-    # whose row in the table is ground[i]; set m sits in column m - 1.
+    # whose row in the table is ground[i].
     wanted = mask_bits(family, len(ground)) @ (1 << (np.array(ground, dtype=np.int64) - 1))
-    columns = table[np.ix_([0, *ground], wanted - 1)]
+    columns = table[np.ix_([0, *ground], _full_family(len(subset)).column[wanted])]
     return tour, SetTours(sub, columns, ground, family, tol)
 
 
@@ -296,12 +296,14 @@ def _exact_tour(inst: Instance, subset: list[int], tol: float) -> tuple[Tour, np
     the Held-Karp table over every subset of ``subset`` it is read off.
     A singleton is toured like any other set, at c(r,v) + c(v,r).  The
     caller checks the cap."""
-    full = (1 << len(subset)) - 1
+    family = _full_family(len(subset))
     sub = _submetric(inst, subset)
-    table = _held_karp(sub, _full_family(len(subset)).masks)
+    table = _held_karp(sub, family.masks)
     c = sub.tolist()
-    cost = float(_costs(sub, table[:, -1:])[0])
-    return _walk(c, [row[0] for row in c], table, _prefix_column, full, cost, subset, tol), table
+    cost = float(_costs(sub, table[:, -1:])[0])  # the full set's column is the last
+    tour = _walk(c, [row[0] for row in c], table, family.column.item, (1 << len(subset)) - 1,
+                 cost, subset, tol)
+    return tour, table
 
 
 def _check_cap(size: int) -> None:
@@ -331,7 +333,8 @@ def mask_bits(masks: np.ndarray, s: int) -> np.ndarray:
 
 def _held_karp(sub: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """The Held-Karp subset DP over a downward-closed family of masks of
-    the ground set of ``sub`` (bit i is vertex i + 1), in increasing order.
+    the ground set of ``sub`` (bit i is vertex i + 1), in increasing order,
+    or over the kept full family ``_full_family(s).masks`` itself.
 
     The table is column-major: table[j, r] is the cheapest depot-rooted
     path that visits exactly the members of masks[r] and ends at vertex
@@ -342,32 +345,41 @@ def _held_karp(sub: np.ndarray, masks: np.ndarray) -> np.ndarray:
     chunk, add c(x_i, x_{b+1}) to row i >= 1 by broadcasting, reduce
     across rows, and scatter each bit's mins into row b + 1 of the flat
     table.  These are the scalar DP's sums and mins, so the table
-    matches it bit for bit.  The full family 1..2^s - 1, as for an exact
-    tour, runs the chunks and reads the constants built once per s
-    (``_full_schedule``, ``_full_family``); other
-    families run one-bit chunks built per call (``_steps``).  The table
-    takes len(masks) * (s+1) * 8 bytes, about 40 MB for every subset of
-    18 customers.
+    matches it bit for bit.  The kept full family, which an exact tour
+    passes, is in popcount-layer order, so a chunk gathers only from the
+    previous layer's block of columns and scatters only into its own; it
+    runs the chunks built once per s (``_full_schedule``), gathering each
+    into one buffer per call.  Every other family, an increasing one of
+    every subset included, keeps mask order and runs one-bit chunks built
+    per call (``_steps``).  The table takes len(masks) * (s+1) * 8 bytes,
+    about 40 MB for every subset of 18 customers.
     """
     s, n = len(sub) - 1, len(masks)
     full = _full_family(s) if n == (1 << s) - 1 else None
-    if full is None or masks is not full.masks:  # the kept family needs no check
+    if full is not None and masks is full.masks:  # the kept family needs no check
+        ones, first = full.ones, full.first
+        steps = _full_schedule(s)
+        # One buffer takes each chunk's gathered paths in turn.
+        buf = np.empty(s * max((prev.size for _, prev, _ in steps), default=0))
+    else:
         if (masks[1:] <= masks[:-1]).any():
             raise ValueError("Held-Karp masks must be increasing")
         _check_sets(masks, s)
-    table = np.full((s + 1, n), INF)
-    if full is not None:  # increasing and in range: every subset
-        ones, first, past = full.ones, full.first, full.past
-        steps = ((b, prev, past[b:b + len(prev)] + prev) for b, prev in _full_schedule(s))
-    else:
         ones = np.flatnonzero((masks & (masks - 1)) == 0)
         first = mask_bits(masks[ones], s) @ np.arange(1, s + 1)  # row b + 1 of set 1 << b
-        steps = _steps(masks, s)
+        steps, buf = _steps(masks, s), None
+    table = np.full((s + 1, n), INF)
     table[first, ones] = sub[0, first]
     # A path over a non-empty set never ends at the depot: rows 1..s only.
     ends, flat, into = table[1:], table.reshape(-1), sub[1:, 1:, None]
     for b, prev, dest in steps:
-        paths = ends.take(prev, axis=1)  # [i, j, r]: ends at i + 1, bit b + j
+        # paths[i, j, r]: ends at i + 1, bit b + j.  Every index is in range,
+        # so the buffered take needs no bounds check ("clip", unbuffered).
+        if buf is None:
+            paths = ends.take(prev, axis=1)
+        else:
+            paths = buf[:s * prev.size].reshape(s, *prev.shape)
+            ends.take(prev, axis=1, out=paths, mode="clip")
         paths += into[:, b:b + len(prev)]
         flat[dest] = np.minimum.reduce(paths, axis=0)
     return table
@@ -412,63 +424,76 @@ def _steps(masks: np.ndarray, s: int):
 CHUNK_BYTES = 256 * 1024
 
 
-@functools.cache
-def _full_schedule(s: int) -> tuple[tuple[int, np.ndarray], ...]:
-    """The steps of the full family 1..2^s - 1, kept read-only for reuse:
-    (b0, prev) per chunk, in popcount order, where prev[j] holds the
-    predecessor columns of the layer's sets that hold bit b0 + j.  Mask m
-    sits in column m - 1, so a set's predecessor over bit b sits 1 << b
-    before it.  Every bit is in C(s-1, l-1) sets of layer l, so a layer
-    stacks into one s x C block, cut into chunks of consecutive bits
-    with at most ``CHUNK_BYTES`` of gathered paths.  It holds
-    s 2^(s-1) - s int64 indices, 8 bytes each: 0.43 MB at s = 13, 19 MB
-    at the cap.  The DP never tours more than the cap, so at most one
-    schedule per s <= 18 is kept, ~38 MB were each used."""
-    bits = mask_bits(np.arange(1, 1 << s), s)
-    sizes = bits.sum(axis=1)
-    schedule = []
-    for size in range(2, s + 1):
-        layer = np.flatnonzero(sizes == size)  # the layer's columns, increasing
-        members = bits[layer].T
-        # Row b: the columns of the layer's sets that hold bit b, less 1 << b.
-        block = np.broadcast_to(layer, members.shape)[members].reshape(s, -1)
-        block -= 1 << np.arange(s)[:, None]
-        block.flags.writeable = False
-        width = max(1, CHUNK_BYTES // (8 * block.size))
-        schedule += [(b, block[b:b + width]) for b in range(0, s, width)]
-    return tuple(schedule)
-
-
 class _FullFamily(NamedTuple):
-    """The full family 1..2^s - 1 and its constants in ``_held_karp``:
-    ``masks`` in column order, the columns ``ones`` of the singletons
-    1 << b and their rows ``first`` = b + 1, and ``past``, an s x 1 block
-    whose row b is the flat table offset (b + 1) n + (1 << b).  Set m
-    sits in column m - 1, so a set holding bit b sits 1 << b past its
-    predecessor prev, at flat index past[b] + prev."""
+    """The full family of every non-empty subset of s customers and its
+    constants in ``_held_karp``: ``masks`` in column order, which is
+    popcount-layer order, increasing inside a layer; ``column``, the map
+    from a mask to its column (2^s entries, -1 for the empty set); the
+    columns ``ones`` of the singletons 1 << b, the first s; and their
+    rows ``first`` = b + 1.  The full set sits in the last column."""
 
     masks: np.ndarray
+    column: np.ndarray
     ones: np.ndarray
     first: np.ndarray
-    past: np.ndarray
 
 
 @functools.cache
 def _full_family(s: int) -> _FullFamily:
     """The full family of s customers and its constants, read-only, kept
-    like ``_full_schedule``; its 2^s - 1 masks take 2 MB at the cap."""
-    bit = 1 << np.arange(s, dtype=np.int64)
-    first = np.arange(1, s + 1)
-    family = _FullFamily(np.arange(1, 1 << s, dtype=np.int64), bit - 1, first,
-                         (first * ((1 << s) - 1) + bit)[:, None])
+    like ``_full_schedule``; its masks and map take 4 MB at the cap."""
+    # Popcounts of 0..2^s - 1, doubled one bit at a time; a stable sort
+    # on them lists each layer's masks in increasing order.
+    sizes = np.zeros(1, np.int8)
+    for _ in range(s):
+        sizes = np.concatenate([sizes, sizes + 1])
+    order = np.argsort(sizes, kind="stable")
+    column = np.empty(1 << s, np.int64)
+    column[order] = np.arange(-1, (1 << s) - 1)
+    family = _FullFamily(order[1:], column, np.arange(s), np.arange(1, s + 1))
     for array in family:
         array.flags.writeable = False
     return family
 
 
-def _prefix_column(mask: int) -> int:
-    """The column of ``mask`` in a table over a prefix family 1..M."""
-    return mask - 1
+@functools.cache
+def _full_schedule(s: int) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
+    """The steps of the full family in ``_full_family``'s column order,
+    kept read-only for reuse: (b0, prev, dest) per chunk, in popcount
+    order.  Row j of prev holds the predecessor columns of the layer's
+    sets that hold bit b0 + j, and row j of dest the flat table indices
+    of those sets in row b0 + j + 1.  Every bit is in C(s-1, l-1) sets of
+    layer l, so a layer stacks into one s x C block of each, cut into
+    chunks of consecutive bits with at most ``CHUNK_BYTES`` of gathered
+    paths.  Removing bit b from the layer's sets that hold it, in
+    increasing order, gives the previous layer's sets that lack it, in
+    increasing order: so a chunk gathers only from the previous layer's
+    columns and scatters only into its own, and both blocks are read off
+    each layer's member bits, not looked up set by set.  It holds
+    2 (s 2^(s-1) - s) int64 indices, 8 bytes each: 0.85 MB at s = 13 and
+    38 MB at the cap.  The DP never tours more than the cap, so at most
+    one schedule per s <= 18 is kept, ~75 MB were each used."""
+    family = _full_family(s)
+    n, shift = len(family.masks), np.arange(s)[:, None]
+    schedule, start = [], 0
+    for size in range(1, s + 1):
+        width = math.comb(s, size)
+        layer = family.masks[start:start + width].astype("<u8", copy=False)
+        # bits[b, r], bit b of the layer's set r; flatnonzero over its rows
+        # lists b width + r row by row, so each row holds its sets in order.
+        bits = np.unpackbits(layer.view(np.uint8).reshape(-1, 8).T, axis=0, count=s,
+                             bitorder="little").view(bool)
+        if size > 1:
+            dest = np.flatnonzero(bits).reshape(s, -1)
+            dest += (shift + 1) * n + start - shift * width
+            for block in prev, dest:
+                block.flags.writeable = False
+            step = max(1, CHUNK_BYTES // (8 * prev.size))
+            schedule += [(b, prev[b:b + step], dest[b:b + step]) for b in range(0, s, step)]
+        prev = np.flatnonzero(~bits).reshape(s, -1)  # the next layer's predecessors
+        prev += start - shift * width
+        start += width
+    return tuple(schedule)
 
 
 def _walk_tol(metric: np.ndarray) -> float:

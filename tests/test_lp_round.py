@@ -374,6 +374,17 @@ class TestCoveringLp:
         assert json.loads(capsys.readouterr().out) == {
             "error": "LpSolverFailed", "message": "LP solver failed: std::bad_alloc"}
 
+    def test_refused_model_is_a_solver_failure(self, pass_refused):
+        # A pass HiGHS refuses leaves the solver's last LP in place, and run()
+        # would solve that again: this LP would get the last one's answer.
+        pass_refused.refusing = False
+        assert solve_covering_lp(two_singletons(1.0)).objective == 2.0
+        assert type(lp_round._kept.solver) is pass_refused
+        pass_refused.refusing = True
+        with pytest.raises(LpSolverFailed, match="^LP solver failed: passModel returned kError$"):
+            solve_covering_lp(two_singletons(3.0))
+        assert lp_round._kept.solver is None
+
 
 class TestKeptSolver:
     """Each thread keeps one HiGHS solver across its covering LPs; an LP
@@ -412,6 +423,9 @@ class TestKeptSolver:
 
     def test_after_an_allocation_failure(self, sweep, out_of_memory, monkeypatch):
         self.check_dropped(sweep, monkeypatch, "std::bad_alloc")
+
+    def test_after_a_refused_model(self, sweep, pass_refused, monkeypatch):
+        self.check_dropped(sweep, monkeypatch, "passModel returned kError")
 
     @staticmethod
     def check_dropped(sweep, monkeypatch, failure):
@@ -543,6 +557,23 @@ def out_of_memory(monkeypatch):
             raise MemoryError("std::bad_alloc")
 
     patch_highs(monkeypatch, OutOfMemory)
+
+
+@pytest.fixture
+def pass_refused(monkeypatch):
+    """HiGHS's bindings with a solver whose ``passModel``, while its class's
+    ``refusing`` is set, passes nothing and returns ``kError``; the fixture
+    is that class."""
+    real = lp_round._highs_core()
+
+    class PassRefused(real._Highs):
+        refusing = True
+
+        def passModel(self, *model):
+            return real.HighsStatus.kError if self.refusing else super().passModel(*model)
+
+    patch_highs(monkeypatch, PassRefused)
+    return PassRefused
 
 
 def patch_highs(monkeypatch, solver_class):

@@ -255,34 +255,52 @@ class TestHeldKarpKernel:
         optimal_tours(inst, list(inst.customers), range(1, 1 << 7))
         assert tsp._full_schedule.cache_info().misses == built
         assert tsp._full_schedule(7) is schedule
-        assert all(not prev.flags.writeable for _, prev in schedule)
-        with pytest.raises(ValueError, match="read-only"):
-            schedule[-1][1][0] = 0
-        # s 2^(s-1) - s predecessor columns, one per member of each set
-        # above the singletons, as int64.
-        assert sum(prev.nbytes for _, prev in schedule) == 8 * (7 * 2 ** 6 - 7)
+        assert all(not a.flags.writeable for _, prev, dest in schedule for a in (prev, dest))
+        for j in (1, 2):
+            with pytest.raises(ValueError, match="read-only"):
+                schedule[-1][j][0] = 0
+        # s 2^(s-1) - s predecessor columns and as many flat destinations,
+        # one of each per member of each set above the singletons, as int64.
+        assert sum(prev.nbytes + dest.nbytes for _, prev, dest in schedule) == \
+            2 * 8 * (7 * 2 ** 6 - 7)
 
     @pytest.mark.parametrize("s", [0, 1, 2, 7, 13])
     def test_full_family_constants_are_kept(self, s):
-        # The full family's masks, singleton seeds and flat offsets are built
-        # once per size, read-only, and equal what any family of every
-        # subset would derive.
+        # The full family's masks, column map and singleton seeds are built
+        # once per size and read-only.  Its masks run in popcount layers,
+        # increasing inside each; the map sends each mask to its column.
         family = tsp._full_family(s)
         assert tsp._full_family(s) is family
         assert all(not array.flags.writeable for array in family)
         masks, n = np.arange(1, 1 << s), (1 << s) - 1
-        assert np.array_equal(family.masks, masks) and family.masks.dtype == np.int64
-        ones = np.flatnonzero((masks & (masks - 1)) == 0)
-        assert np.array_equal(family.ones, ones)
-        assert np.array_equal(family.first, tsp.mask_bits(masks[ones], s) @ np.arange(1, s + 1))
-        assert np.array_equal(family.past, (np.arange(1, s + 1) * n + (1 << np.arange(s)))[:, None])
+        sizes = tsp.mask_bits(masks, s).sum(axis=1)
+        assert np.array_equal(family.masks, masks[np.lexsort((masks, sizes))])
+        assert family.masks.dtype == family.column.dtype == np.int64
+        assert len(family.column) == 1 << s and family.column[0] == -1
+        assert np.array_equal(family.column[family.masks], np.arange(n))
+        assert np.array_equal(family.masks[family.ones], 1 << np.arange(s))
+        assert np.array_equal(family.first, np.arange(1, s + 1))
 
     @pytest.mark.parametrize("s", [7, 11, 13])
     def test_kept_full_family_fills_the_same_table(self, s):
         inst = layer_instance("random_metric", s)
         sub = tsp._submetric(inst, list(inst.customers))
-        kept = tsp._held_karp(sub, tsp._full_family(s).masks)
-        assert_same_table(kept, tsp._held_karp(sub, np.arange(1, 1 << s)))
+        family = tsp._full_family(s)
+        kept = tsp._held_karp(sub, family.masks)
+        masks = np.arange(1, 1 << s)
+        assert_same_table(kept[:, family.column[masks]], tsp._held_karp(sub, masks))
+
+    # From s = 14 the table outgrows an L2 cache and the middle layers
+    # run one bit a chunk; the tie-heavy metrics leave many mins equal.
+    @pytest.mark.parametrize("kind", ["equal", "one_two_jitter"])
+    @pytest.mark.parametrize("s", [14, 15])
+    def test_kept_family_matches_generic_steps_on_ties(self, s, kind):
+        inst = layer_instance(kind, s)
+        sub = tsp._submetric(inst, list(inst.customers))
+        family = tsp._full_family(s)
+        masks = np.arange(1, 1 << s)  # increasing, not the kept array: ``_steps``
+        generic = tsp._held_karp(sub, masks)
+        assert_same_table(tsp._held_karp(sub, family.masks)[:, family.column[masks]], generic)
 
     # ``tour_instances`` draws n <= 10, where every popcount layer of the
     # full family is one chunk.  At s = 12 and 13 the middle layers split
@@ -290,17 +308,25 @@ class TestHeldKarpKernel:
     @pytest.mark.parametrize("s", [0, 1, 2, 7, 11, 12, 13, 14])
     def test_full_schedule_runs_each_layer_in_chunks(self, s):
         schedule = tsp._full_schedule(s)
+        family = tsp._full_family(s)
+        n = len(family.masks)
         pairs, layers = [], []
-        for b0, prev in schedule:
-            assert prev.ndim == 2 and prev.dtype == np.int64 and not prev.flags.writeable
+        for b0, prev, dest in schedule:
+            for a in prev, dest:
+                assert a.ndim == 2 and a.dtype == np.int64 and not a.flags.writeable
+            assert prev.shape == dest.shape
             assert len(prev) == 1 or 8 * s * prev.size <= tsp.CHUNK_BYTES
             bits = np.arange(b0, b0 + len(prev))[:, None]
             assert bits[-1, 0] < s
-            sets = (prev + (1 << bits) + 1).ravel()  # column m - 1 holds mask m
-            sizes = set(tsp.mask_bits(sets, s).sum(axis=1).tolist())
+            columns = dest - (bits + 1) * n  # flat index (b + 1) n + column
+            assert ((columns >= 0) & (columns < n)).all()
+            assert (np.diff(columns, axis=1) > 0).all()  # each row's sets increase
+            sets = family.masks[columns]
+            assert np.array_equal(family.masks[prev], sets ^ (1 << bits))
+            sizes = set(tsp.mask_bits(sets.ravel(), s).sum(axis=1).tolist())
             assert len(sizes) == 1
             layers += sizes
-            pairs.append(sets * 32 + np.broadcast_to(bits, prev.shape).ravel())
+            pairs.append((sets * 32 + bits).ravel())
         assert layers == sorted(layers)
         masks = np.arange(1, 1 << s)
         members = tsp.mask_bits(masks, s)
@@ -317,21 +343,24 @@ class TestHeldKarpKernel:
         ground = list(inst.customers)
         full = (1 << s) - 1
         into, paths = held_karp_paths(inst, ground, range(1, full + 1))
-        table = tsp._held_karp(tsp._submetric(inst, ground), np.arange(1, full + 1))
-        assert_same_table(table, np.array(list(paths.values())).T)
+        family = tsp._full_family(s)
+        sub = tsp._submetric(inst, ground)
+        table = tsp._held_karp(sub, family.masks)
+        assert_same_table(table[:, family.column[1:]], np.array(list(paths.values())).T)
         wanted = [full, *range(1, full + 1, 29)]
-        tours = optimal_tours(inst, ground, range(1, full + 1))
+        tours = tsp.SetTours(sub, table, ground, family.masks, walk_tolerance(inst))
         want = [held_karp_tour(into, paths, ground, m, walk_tolerance(inst)) for m in wanted]
-        assert_same_tours([tours[m] for m in wanted], want)
+        assert_same_tours([tours[family.column[m]] for m in wanted], want)
 
     @pytest.mark.parametrize("kind", ["random_metric", "one_two_jitter"])
     @pytest.mark.parametrize("s", [13, 14])
     def test_split_layers_match_one_bit_steps(self, s, kind, monkeypatch):
         inst = layer_instance(kind, s)
         sub = tsp._submetric(inst, list(inst.customers))
-        masks = np.arange(1, 1 << s)
+        masks = tsp._full_family(s).masks
         table = tsp._held_karp(sub, masks)
-        one_bit = tuple((b, prev) for b, prev, _ in tsp._steps(masks, s))
+        one_bit = tuple((b0 + j, prev[j:j + 1], dest[j:j + 1])
+                        for b0, prev, dest in tsp._full_schedule(s) for j in range(len(prev)))
         monkeypatch.setattr(tsp, "_full_schedule", lambda _: one_bit)
         assert_same_table(table, tsp._held_karp(sub, masks))
 
