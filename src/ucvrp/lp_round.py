@@ -22,19 +22,21 @@ LP's support, so an entry's tour is walked only when a solve serves
 it, and only once.  An entry's cost is its tour's, so a selected entry
 is served by the tour the LP priced.
 The covering LP goes to HiGHS through the bindings scipy ships, as the
-model ``scipy.optimize.linprog(method="highs")`` would build, so it
-returns linprog's bits without linprog's per-call overhead; it never
-holds a dense matrix.  Those bindings are loaded from their extension
-file alone, so solving an LP never runs scipy.optimize's package
-``__init__`` (~0.4 s and ~40 MB).  Each thread keeps one HiGHS solver
-from LP to LP, cleared of the last LP's basis and solution before the
-next, so the bits are a fresh solver's.  It holds the buffers of the
-largest LP it has solved, which no clear frees, so it is dropped after
-an LP of more than ``KEEP_COLUMNS`` = 4096 columns, which leaves it
-holding at most ~2.6 MB, and after a solve that raises.  A status HiGHS ends on other than
+model ``scipy.optimize.linprog(method="highs")`` would build, passed
+as arrays in one call, so it returns linprog's bits without linprog's
+per-call overhead; it never holds a dense matrix.  Those bindings are
+loaded from their extension file alone, so solving an LP never runs
+scipy.optimize's package ``__init__`` (~0.4 s and ~40 MB).  Each thread
+keeps one HiGHS solver from LP to LP, cleared of the last LP's basis
+and solution before the next, so the bits are a fresh solver's.  It
+holds the buffers of the largest LP it has solved, which no clear
+frees, so it is dropped after an LP of more than
+``KEEP_COLUMNS`` = 4096 columns, which leaves it holding at most
+~2.6 MB, and after a solve that raises.  A status HiGHS ends on other than
 optimal is typed: ``LpInfeasible`` for an infeasible or unbounded LP,
-``LpSolverFailed`` for any other, such as a memory limit, and for an
-allocation HiGHS fails (``MemoryError``), which reaches no status.
+``LpSolverFailed`` for any other, such as a memory limit, for a model
+HiGHS refuses to take, and for an allocation HiGHS fails
+(``MemoryError``), which reaches no status.
 Rounding selects each tour independently with probability
 min{1, gamma * x*_T}; draws are keyed by (seed, tour content) so the
 outcome does not depend on enumeration order.
@@ -311,15 +313,18 @@ def solve_covering_lp(catalog: TourCatalog) -> LpSolution:
     records the catalog it solved.
 
     min c.x subject to -A x <= -1, x >= 0, where column j of the 0/1
-    matrix A marks the cover-set customers of tour j.  The model goes to
-    HiGHS exactly as ``scipy.optimize.linprog(method="highs")`` builds
-    it (the CSC of -A with ascending rows, the same bounds and options),
-    so HiGHS takes the same path and returns the same bits, without
-    linprog's per-call input cleaning and option checks.  A non-finite
-    cost raises ``ValueError``, as linprog does.  An infeasible or
-    unbounded status, such as a negative cost's unbounded LP, raises
-    ``LpInfeasible``; any other status but optimal, such as a memory
-    limit, and a ``MemoryError`` out of HiGHS raise ``LpSolverFailed``."""
+    matrix A marks the cover-set customers of tour j.  The model is the
+    one ``scipy.optimize.linprog(method="highs")`` builds (the CSC of -A
+    with ascending rows, the same bounds and options), so HiGHS takes the
+    same path and returns the same bits, without linprog's per-call input
+    cleaning and option checks.  It goes to HiGHS as arrays, in one call
+    of the bindings' ``passModel``, not as a ``HighsLp`` filled one
+    attribute at a time.  A non-finite cost raises ``ValueError``, as
+    linprog does.  An infeasible or unbounded status, such as a negative
+    cost's unbounded LP, raises ``LpInfeasible``; any other status but
+    optimal, such as a memory limit, a pass that does not return ``kOk``
+    (it leaves the solver's last LP in place), and a ``MemoryError`` out
+    of HiGHS raise ``LpSolverFailed``."""
     cover = catalog.ground
     if not cover:
         return LpSolution((0.0,) * len(catalog.tours), 0.0, (), catalog)

@@ -10,29 +10,33 @@ sums and mins as the scalar recurrence, so its tours and costs match
 it bit for bit.  Its table is column-major, one row per end vertex and
 one column per set, so each step reduces across rows over long
 contiguous arrays.  The full family of s customers, which an exact
-tour fills, runs a chunk of a layer at a time: every bit is in as
-many sets of a layer, so a layer's predecessor columns form one
-s x C block, cut into chunks of consecutive bits whose gathered paths
-take at most ``CHUNK_BYTES`` (whole layers at s <= 11, single bits in
-the middle layers from s = 14), and each chunk is one gather, one
-broadcast add, one min and one flat scatter.  These chunks are built
-once per s and kept: s 2^(s-1) - s int64 predecessor columns, 0.43 MB
-at s = 13 and 19 MB at the cap.  Other families run one bit a step.
-The table takes 2^s (s+1) 8 bytes for all subsets of s customers,
-about 40 MB at the cap.  Every tour, the exact depot tour and each set
-of a family alike, is walked off a table by one scalar Python walk
-(``_walk``), one step per member of a few list reads and one column
-read, taking ties within a tolerance that scales with the metric and
-its skew (``_walk_tol``).  A family's tours are kept as a ``SetTours``:
-the family's own columns and every cost, read off them at once, while
-a tour is walked only when it is first asked for, and then kept.  A
-set's column does not depend on the family it is priced in, so
-``exact_tsp_and_tours`` walks the exact depot tour off the table over
-every subset and keeps the columns of a catalog's sets, not the table.  ``exact_tsp`` over every
-customer took ~1.9-2.8 ms at s = 13 and ~0.17-0.21 s at the cap on 2
-shared vCPUs.  The approximate solver doubles a minimum spanning tree and
-shortcuts the resulting Euler walk, guaranteeing cost at most twice
-the optimum."""
+tour fills, keeps its columns in popcount-layer order, increasing
+inside a layer, with a kept map from each mask to its column, and runs
+a chunk of a layer at a time: every bit is in as many sets of a layer,
+so a layer's predecessor columns, all in the previous layer's block,
+form one s x C block, cut into chunks of consecutive bits whose
+gathered paths take at most ``CHUNK_BYTES`` (whole layers at s <= 11,
+single bits in the middle layers from s = 14), and each chunk is one
+gather into a buffer, one broadcast add, one min and one flat scatter
+into the layer's own block.  These chunks are built once per s and
+kept: 2 (s 2^(s-1) - s) int64 predecessor columns and destinations,
+0.85 MB at s = 13 and 38 MB at the cap.  Other families keep mask
+order and run one bit a step.  The table takes 2^s (s+1) 8 bytes for
+all subsets of s customers, about 40 MB at the cap.  Every tour, the
+exact depot tour and each set of a family alike, is walked off a table
+by one scalar Python walk (``_walk``), one step per member of a few
+list reads and one column read, taking ties within a tolerance that
+scales with the metric and its skew (``_walk_tol``).  A family's tours
+are kept as a ``SetTours``: the family's own columns and every cost,
+read off them at once, while a tour is walked only when it is first
+asked for, and then kept.  A set's column does not depend on the
+family it is priced in, so ``exact_tsp_and_tours`` walks the exact
+depot tour off the table over every subset and keeps the columns of a
+catalog's sets, not the table.  ``exact_tsp`` over every customer took
+~1.3-1.4 ms at s = 13, ~7-8.6 ms at s = 15 and ~0.09-0.10 s at the cap on
+2 shared vCPUs, in-process.  The approximate solver doubles a minimum
+spanning tree and shortcuts the resulting Euler walk, guaranteeing
+cost at most twice the optimum."""
 
 from __future__ import annotations
 
@@ -447,7 +451,7 @@ def _full_family(s: int) -> _FullFamily:
     sizes = np.zeros(1, np.int8)
     for _ in range(s):
         sizes = np.concatenate([sizes, sizes + 1])
-    order = np.argsort(sizes, kind="stable")
+    order = np.argsort(sizes, kind="stable").astype(np.int64, copy=False)
     column = np.empty(1 << s, np.int64)
     column[order] = np.arange(-1, (1 << s) - 1)
     family = _FullFamily(order[1:], column, np.arange(s), np.arange(1, s + 1))
@@ -472,7 +476,7 @@ def _full_schedule(s: int) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
     each layer's member bits, not looked up set by set.  It holds
     2 (s 2^(s-1) - s) int64 indices, 8 bytes each: 0.85 MB at s = 13 and
     38 MB at the cap.  The DP never tours more than the cap, so at most
-    one schedule per s <= 18 is kept, ~75 MB were each used."""
+    one schedule per s <= 18 is kept, ~71 MB were each used."""
     family = _full_family(s)
     n, shift = len(family.masks), np.arange(s)[:, None]
     schedule, start = [], 0
