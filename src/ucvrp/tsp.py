@@ -9,40 +9,36 @@ customers.  The DP is numpy, by popcount layers, and forms the same
 sums and mins as the scalar recurrence, so its tours and costs match
 it bit for bit.  Its table is column-major, one row per end vertex and
 one column per set, so each step reduces across rows over long
-contiguous arrays.  The full family of s customers, which an exact
-tour fills, keeps its columns in popcount-layer order, increasing
-inside a layer, with a kept map from each mask to its column, and runs
-a chunk of a layer at a time: every bit is in as many sets of a layer,
-so a layer's predecessor columns, all in the previous layer's block,
-form one s x C block, cut into chunks of consecutive bits whose
-gathered paths take at most ``CHUNK_BYTES`` (whole layers at s <= 11,
-single bits in the middle layers from s = 14), and each chunk is one
-gather into a buffer, one broadcast add, one min and one flat scatter
-into the layer's own block.  These chunks are built once per s and
-kept: 2 (s 2^(s-1) - s) int64 predecessor columns and destinations,
-0.85 MB at s = 13 and 38 MB at the cap.  Other families keep mask
-order and run one bit a step.  The table takes 2^s (s+1) 8 bytes for
-all subsets of s customers, about 40 MB at the cap.  Every tour, the
-exact depot tour and each set of a family alike, is walked off a table
-by one scalar Python walk (``_walk``), one step per member of a few
-list reads and one column read, taking ties within a tolerance that
-scales with the metric and its skew (``_walk_tol``).  A family's tours
-are kept as a ``SetTours``: the family's own columns and every cost,
-read off them at once, while a tour is walked only when it is first
-asked for, and then kept.  A set's column does not depend on the
-family it is priced in, so ``exact_tsp_and_tours`` walks the exact
-depot tour off the table over every subset and keeps the columns of a
-catalog's sets, not the table.  ``exact_tsp`` over every customer took
-~1.3-1.4 ms at s = 13, ~7-8.6 ms at s = 15 and ~0.09-0.10 s at the cap on
-2 shared vCPUs, in-process.  The approximate solver doubles a minimum
-spanning tree and shortcuts the resulting Euler walk, guaranteeing
-cost at most twice the optimum."""
+contiguous arrays.  Its one input is a ``_Family``: masks in column
+order, and steps of one gather into a buffer, one broadcast add, one
+min and one flat scatter each.  ``_full_family(s)``, which an exact
+tour fills, is built once per s and kept: popcount-layer column order,
+a map from each mask to its column, and each layer cut into chunks of
+consecutive bits whose gathered paths take at most ``CHUNK_BYTES``,
+38 MB of steps at the cap.  ``_family`` builds a caller's family per
+call, in mask order, one bit a step.  The table takes 2^s (s+1) 8
+bytes for all subsets of s customers, about 40 MB at the cap.  Every
+tour, the exact depot tour and each set of a family alike, is walked
+off a table by one scalar Python walk (``_walk``), one step per member
+of a few list reads and one column read, taking ties within a
+tolerance that scales with the metric and its skew (``_walk_tol``).
+A family's tours are kept as a ``SetTours``: the family's own columns
+and every cost, read off them at once, while a tour is walked only
+when it is first asked for, and then kept.  A set's column does not
+depend on the family it is priced in, so ``exact_tsp_and_tours`` walks
+the exact depot tour off the table over every subset and keeps the
+columns of a catalog's sets, not the table.  ``exact_tsp`` over every
+customer took ~1.3-1.4 ms at s = 13, ~7-8.6 ms at s = 15 and
+~0.09-0.10 s at the cap on 2 shared vCPUs, in-process.  The
+approximate solver doubles a minimum spanning tree and shortcuts the
+resulting Euler walk, guaranteeing cost at most twice the optimum."""
 
 from __future__ import annotations
 
 import copy
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -260,11 +256,9 @@ def set_tours(inst: Instance, ground: Sequence[int], masks: Sequence[int]) -> Se
     sets of a catalog, naming non-empty sets of ``ground``; any other
     ground or family raises ``ValueError``."""
     _check_ground(inst, ground)
-    masks = list(map(int, masks))
-    _check_cap(max(map(int.bit_count, masks), default=0))
+    family = _family(masks, len(ground))
     sub = _submetric(inst, ground)
-    family = np.array(masks, dtype=np.int64)
-    return SetTours(sub, _held_karp(sub, family), ground, family, _walk_tol(inst.metric))
+    return SetTours(sub, _held_karp(sub, family), ground, family.masks, _walk_tol(inst.metric))
 
 
 def exact_tsp_and_tours(
@@ -279,8 +273,7 @@ def exact_tsp_and_tours(
     sets keep their own columns of the table, not the table, so they must
     be downward closed for their tours to be walked (``SetTours``)."""
     _check_ground(inst, ground)
-    family = np.array(masks, dtype=np.int64)
-    _check_sets(family, len(ground))
+    family = _mask_array(masks, len(ground))
     subset = list(inst.customers)
     _check_cap(len(subset))
     tol = _walk_tol(inst.metric)
@@ -302,7 +295,7 @@ def _exact_tour(inst: Instance, subset: list[int], tol: float) -> tuple[Tour, np
     caller checks the cap."""
     family = _full_family(len(subset))
     sub = _submetric(inst, subset)
-    table = _held_karp(sub, family.masks)
+    table = _held_karp(sub, family)
     c = sub.tolist()
     cost = float(_costs(sub, table[:, -1:])[0])  # the full set's column is the last
     tour = _walk(c, [row[0] for row in c], table, family.column.item, (1 << len(subset)) - 1,
@@ -335,89 +328,104 @@ def mask_bits(masks: np.ndarray, s: int) -> np.ndarray:
     return np.unpackbits(as_bytes, axis=1, count=s, bitorder="little").view(bool)
 
 
-def _held_karp(sub: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """The Held-Karp subset DP over a downward-closed family of masks of
-    the ground set of ``sub`` (bit i is vertex i + 1), in increasing order,
-    or over the kept full family ``_full_family(s).masks`` itself.
+def _held_karp(sub: np.ndarray, family: _Family) -> np.ndarray:
+    """The Held-Karp subset DP over ``family``, a downward-closed family
+    of masks of the ground set of ``sub`` (bit i is vertex i + 1), from
+    ``_full_family`` or ``_family``.
 
     The table is column-major: table[j, r] is the cheapest depot-rooted
-    path that visits exactly the members of masks[r] and ends at vertex
-    j.  It is inf for the depot and for non-members, so a min down a
-    whole column only picks members.  Columns are filled layer by layer
-    in popcount, a chunk of member bits b0..b1 - 1 at a time: gather the
-    predecessor columns (masks[r] minus bit b) of every bit of the
-    chunk, add c(x_i, x_{b+1}) to row i >= 1 by broadcasting, reduce
-    across rows, and scatter each bit's mins into row b + 1 of the flat
-    table.  These are the scalar DP's sums and mins, so the table
-    matches it bit for bit.  The kept full family, which an exact tour
-    passes, is in popcount-layer order, so a chunk gathers only from the
-    previous layer's block of columns and scatters only into its own; it
-    runs the chunks built once per s (``_full_schedule``), gathering each
-    into one buffer per call.  Every other family, an increasing one of
-    every subset included, keeps mask order and runs one-bit chunks built
-    per call (``_steps``).  The table takes len(masks) * (s+1) * 8 bytes,
-    about 40 MB for every subset of 18 customers.
+    path that visits exactly the members of family.masks[r] and ends at
+    vertex j.  It is inf for the depot and for non-members, so a min
+    down a whole column only picks members.  The singletons' columns are
+    seeded, then each step (b0, prev, dest) of the family fills the sets
+    of one popcount layer that hold bits b0..b0 + len(prev) - 1: gather
+    their predecessor columns (the set minus bit b) into one buffer, add
+    c(x_i, x_{b+1}) to row i >= 1 by broadcasting, reduce across rows,
+    and scatter each bit's mins into row b + 1 of the flat table.  These
+    are the scalar DP's sums and mins, so the table matches it bit for
+    bit.  The table takes len(masks) * (s+1) * 8 bytes, about 40 MB for
+    every subset of 18 customers.
     """
-    s, n = len(sub) - 1, len(masks)
-    full = _full_family(s) if n == (1 << s) - 1 else None
-    if full is not None and masks is full.masks:  # the kept family needs no check
-        ones, first = full.ones, full.first
-        steps = _full_schedule(s)
-        # One buffer takes each chunk's gathered paths in turn.
-        buf = np.empty(s * max((prev.size for _, prev, _ in steps), default=0))
-    else:
-        if (masks[1:] <= masks[:-1]).any():
-            raise ValueError("Held-Karp masks must be increasing")
-        _check_sets(masks, s)
-        ones = np.flatnonzero((masks & (masks - 1)) == 0)
-        first = mask_bits(masks[ones], s) @ np.arange(1, s + 1)  # row b + 1 of set 1 << b
-        steps, buf = _steps(masks, s), None
+    s, n = len(sub) - 1, len(family.masks)
+    # One buffer takes each step's gathered paths in turn.
+    buf = np.empty(s * max((prev.size for _, prev, _ in family.steps), default=0))
     table = np.full((s + 1, n), INF)
-    table[first, ones] = sub[0, first]
+    table[family.first, family.ones] = sub[0, family.first]
     # A path over a non-empty set never ends at the depot: rows 1..s only.
     ends, flat, into = table[1:], table.reshape(-1), sub[1:, 1:, None]
-    for b, prev, dest in steps:
+    for b, prev, dest in family.steps:
         # paths[i, j, r]: ends at i + 1, bit b + j.  Every index is in range,
         # so the buffered take needs no bounds check ("clip", unbuffered).
-        if buf is None:
-            paths = ends.take(prev, axis=1)
-        else:
-            paths = buf[:s * prev.size].reshape(s, *prev.shape)
-            ends.take(prev, axis=1, out=paths, mode="clip")
+        paths = buf[:s * prev.size].reshape(s, *prev.shape)
+        ends.take(prev, axis=1, out=paths, mode="clip")
         paths += into[:, b:b + len(prev)]
         flat[dest] = np.minimum.reduce(paths, axis=0)
     return table
 
 
-def _check_sets(masks: np.ndarray, s: int) -> None:
-    """``ValueError`` unless every mask names a non-empty set of an
-    s-member ground."""
-    if len(masks) and (masks.min() < 1 or masks.max() >> s):
-        raise ValueError(f"Held-Karp masks must be downward closed, over non-empty "
-                         f"sets of the {s}-member ground")
+class _Family(NamedTuple):
+    """A family of masks and its constants in ``_held_karp``: ``masks``
+    in column order; the columns ``ones`` of the singletons 1 << b and
+    their rows ``first`` = b + 1; and the DP's ``steps`` above the
+    singletons, in order, each (b0, prev, dest).  Row j of prev holds the
+    predecessor columns of the sets of one popcount layer that hold bit
+    b0 + j, and row j of dest the flat table indices of those sets in row
+    b0 + j + 1.  ``column``, the map from a mask to its column, is kept
+    for the full family alone."""
+
+    masks: np.ndarray
+    ones: np.ndarray
+    first: np.ndarray
+    steps: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+    column: np.ndarray | None = None
 
 
-def _steps(masks: np.ndarray, s: int):
-    """The DP's steps above the singletons, in order, as one-bit chunks:
-    (b, predecessor columns, flat table indices in row b + 1), each a
-    1 x C array over the C sets of a popcount layer that hold bit b.
-    Predecessors are found by binary search; a missing one raises
-    ``ValueError``."""
-    n = len(masks)
-    bits = mask_bits(masks, s)
+def _mask_array(masks: Iterable[int], s: int) -> np.ndarray:
+    """A caller's ``masks`` as an int64 array; ``ValueError`` unless each
+    is an integer, Python or numpy, naming a non-empty set of an s-member
+    ground (bits 0..62 at most, all that int64 holds)."""
+    try:
+        masks = list(map(operator.index, masks))
+    except TypeError:
+        masks = None
+    if masks is None or masks and (min(masks) < 1 or max(masks) >> min(s, 63)):
+        raise ValueError(f"Held-Karp masks must be integers, downward closed, over "
+                         f"non-empty sets of the {s}-member ground")
+    return np.array(masks, dtype=np.int64)
+
+
+def _family(masks: Iterable[int], s: int) -> _Family:
+    """A caller's family of masks of an s-member ground, in its own
+    order, which must be increasing and downward closed, or
+    ``ValueError``; a set past the cap raises ``SubsetTooLarge``.  Its
+    steps are one-bit chunks, layer by layer, their predecessors found
+    by one binary search a layer.  The full family, built this way,
+    measured 4-5x slower than ``_full_family`` at s = 18, and putting a
+    catalog's sets in layer order cost more than it saved."""
+    masks = _mask_array(masks, s)
+    if (masks[1:] <= masks[:-1]).any():
+        raise ValueError("Held-Karp masks must be increasing")
+    n, bits = len(masks), mask_bits(masks, s)
     layers = bits.sum(axis=1)
+    _check_cap(int(layers.max(initial=0)))
+    ones = np.flatnonzero(layers == 1)
+    steps = []
     for size in range(2, int(layers.max(initial=0)) + 1):
         layer = np.flatnonzero(layers == size)
-        members = bits[layer]
-        for b in range(s):
-            cols = layer[members[:, b]]
-            if not cols.size:
-                continue
-            wanted = masks[cols] ^ (1 << b)
-            prev = masks.searchsorted(wanted)
-            if (masks[prev] != wanted).any():
-                raise ValueError("Held-Karp masks must be downward closed")
-            yield b, prev[None], (cols + (b + 1) * n)[None]
+        # The layer's (bit, set) pairs, bit by bit, each bit's sets in
+        # increasing order: each bit's run of pairs is one step.
+        held, cols = np.nonzero(bits[layer].T)
+        cols = layer[cols]
+        wanted = masks[cols] ^ (1 << held)
+        prev = masks.searchsorted(wanted)
+        if (masks[prev] != wanted).any():
+            raise ValueError("Held-Karp masks must be downward closed")
+        del wanted  # 3.6 MB a layer at n = 22, k = 6: free it before dest
+        runs = np.flatnonzero(np.diff(held, prepend=-1, append=s)).tolist()
+        dest = cols + (held + 1) * n
+        steps += [(int(held[i]), prev[None, i:j], dest[None, i:j])
+                  for i, j in zip(runs, runs[1:])]
+    return _Family(masks, ones, bits[ones] @ np.arange(1, s + 1), tuple(steps))
 
 
 # The most bytes one chunk of the full family gathers, s x bits x sets
@@ -428,24 +436,25 @@ def _steps(masks: np.ndarray, s: int):
 CHUNK_BYTES = 256 * 1024
 
 
-class _FullFamily(NamedTuple):
-    """The full family of every non-empty subset of s customers and its
-    constants in ``_held_karp``: ``masks`` in column order, which is
-    popcount-layer order, increasing inside a layer; ``column``, the map
-    from a mask to its column (2^s entries, -1 for the empty set); the
-    columns ``ones`` of the singletons 1 << b, the first s; and their
-    rows ``first`` = b + 1.  The full set sits in the last column."""
-
-    masks: np.ndarray
-    column: np.ndarray
-    ones: np.ndarray
-    first: np.ndarray
-
-
 @functools.cache
-def _full_family(s: int) -> _FullFamily:
-    """The full family of s customers and its constants, read-only, kept
-    like ``_full_schedule``; its masks and map take 4 MB at the cap."""
+def _full_family(s: int) -> _Family:
+    """The full family of every non-empty subset of s customers, built
+    once per s and kept read-only.  Its masks run in popcount-layer
+    order, increasing inside a layer, so the full set sits in the last
+    column; ``column`` maps each of the 2^s masks to its column (-1 for
+    the empty set), and the singletons are the first s columns.  Every
+    bit is in C(s-1, l-1) sets of layer l, so a layer's predecessor
+    columns and destinations stack into one s x C block each, cut into
+    steps of consecutive bits with at most ``CHUNK_BYTES`` of gathered
+    paths.  Removing bit b from the layer's sets that hold it, in
+    increasing order, gives the previous layer's sets that lack it, in
+    increasing order: so a step gathers only from the previous layer's
+    columns and scatters only into its own, and both blocks are read off
+    each layer's member bits, not looked up set by set.  The steps hold
+    2 (s 2^(s-1) - s) int64 indices, 0.85 MB at s = 13 and 38 MB at the
+    cap, and the masks and map 4 MB more there.  The DP never tours more
+    than the cap, so at most one family per s <= 18 is kept, ~80 MB were
+    each used."""
     # Popcounts of 0..2^s - 1, doubled one bit at a time; a stable sort
     # on them lists each layer's masks in increasing order.
     sizes = np.zeros(1, np.int8)
@@ -454,35 +463,11 @@ def _full_family(s: int) -> _FullFamily:
     order = np.argsort(sizes, kind="stable").astype(np.int64, copy=False)
     column = np.empty(1 << s, np.int64)
     column[order] = np.arange(-1, (1 << s) - 1)
-    family = _FullFamily(order[1:], column, np.arange(s), np.arange(1, s + 1))
-    for array in family:
-        array.flags.writeable = False
-    return family
-
-
-@functools.cache
-def _full_schedule(s: int) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
-    """The steps of the full family in ``_full_family``'s column order,
-    kept read-only for reuse: (b0, prev, dest) per chunk, in popcount
-    order.  Row j of prev holds the predecessor columns of the layer's
-    sets that hold bit b0 + j, and row j of dest the flat table indices
-    of those sets in row b0 + j + 1.  Every bit is in C(s-1, l-1) sets of
-    layer l, so a layer stacks into one s x C block of each, cut into
-    chunks of consecutive bits with at most ``CHUNK_BYTES`` of gathered
-    paths.  Removing bit b from the layer's sets that hold it, in
-    increasing order, gives the previous layer's sets that lack it, in
-    increasing order: so a chunk gathers only from the previous layer's
-    columns and scatters only into its own, and both blocks are read off
-    each layer's member bits, not looked up set by set.  It holds
-    2 (s 2^(s-1) - s) int64 indices, 8 bytes each: 0.85 MB at s = 13 and
-    38 MB at the cap.  The DP never tours more than the cap, so at most
-    one schedule per s <= 18 is kept, ~71 MB were each used."""
-    family = _full_family(s)
-    n, shift = len(family.masks), np.arange(s)[:, None]
-    schedule, start = [], 0
+    masks, n, shift = order[1:], (1 << s) - 1, np.arange(s)[:, None]
+    steps, start = [], 0
     for size in range(1, s + 1):
         width = math.comb(s, size)
-        layer = family.masks[start:start + width].astype("<u8", copy=False)
+        layer = masks[start:start + width].astype("<u8", copy=False)
         # bits[b, r], bit b of the layer's set r; flatnonzero over its rows
         # lists b width + r row by row, so each row holds its sets in order.
         bits = np.unpackbits(layer.view(np.uint8).reshape(-1, 8).T, axis=0, count=s,
@@ -493,11 +478,14 @@ def _full_schedule(s: int) -> tuple[tuple[int, np.ndarray, np.ndarray], ...]:
             for block in prev, dest:
                 block.flags.writeable = False
             step = max(1, CHUNK_BYTES // (8 * prev.size))
-            schedule += [(b, prev[b:b + step], dest[b:b + step]) for b in range(0, s, step)]
+            steps += [(b, prev[b:b + step], dest[b:b + step]) for b in range(0, s, step)]
         prev = np.flatnonzero(~bits).reshape(s, -1)  # the next layer's predecessors
         prev += start - shift * width
         start += width
-    return tuple(schedule)
+    family = _Family(masks, np.arange(s), np.arange(1, s + 1), tuple(steps), column)
+    for array in family.masks, family.ones, family.first, family.column:
+        array.flags.writeable = False
+    return family
 
 
 def _walk_tol(metric: np.ndarray) -> float:

@@ -464,9 +464,9 @@ def test_one_table_per_cold_solve(monkeypatch, n):
     tables = []
     real = tsp._held_karp
 
-    def counting(sub, masks):
-        tables.append(len(masks))
-        return real(sub, masks)
+    def counting(sub, family):
+        tables.append(len(family.masks))
+        return real(sub, family)
 
     monkeypatch.setattr(tsp, "_held_karp", counting)
     alg1(inst, seed=1)

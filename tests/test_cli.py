@@ -120,9 +120,9 @@ class TestSolve:
         tables = []
         real = tsp._held_karp
 
-        def counting(sub, masks):
-            tables.append(len(masks))
-            return real(sub, masks)
+        def counting(sub, family):
+            tables.append(len(family.masks))
+            return real(sub, family)
 
         monkeypatch.setattr(tsp, "_held_karp", counting)
         delta = ["--delta", "1/5"] if algorithms.SOLVERS[alg].needs_delta else []

@@ -182,9 +182,9 @@ class TestHeldKarpKernel:
         assert list(got) == list(want) == masks
         assert_same_tours(got.values(), want.values())
 
-    # A prefix family 1..M finds each predecessor by subtraction, not by
-    # binary search.  The full family M = 2^s - 1 runs the schedule built
-    # once per s; an M short of it leaves the top layers partial.
+    # A prefix family 1..M is a caller's family, in mask order: at
+    # M = 2^s - 1 it holds every subset, and an M short of that leaves the
+    # top layers partial.
     @given(inst=tour_instances(), data=st.data())
     @settings(max_examples=100, deadline=None)
     def test_prefix_family_matches_scalar_kernel(self, inst, data):
@@ -213,6 +213,21 @@ class TestHeldKarpKernel:
     def test_rejects_family_not_downward_closed(self, inst_line3, masks):
         with pytest.raises(ValueError, match="downward closed"):
             optimal_tours(inst_line3, [1, 2, 3], masks)
+
+    # Unchecked, 1 << 70 raises an untyped OverflowError where the masks
+    # become the int64 family array, and 1.5 tours mask 1.
+    @pytest.mark.parametrize("masks", [[1, 1 << 70], [1 << 63], [1.5], [1, 2.0], ["1"], [None]])
+    def test_rejects_masks_the_family_cannot_hold(self, inst_line3, masks):
+        for tours in (tsp.set_tours, optimal_tours, tsp.exact_tsp_and_tours):
+            with pytest.raises(ValueError, match="must be integers"):
+                tours(inst_line3, [1, 2, 3], masks)
+
+    def test_accepts_python_and_numpy_integer_masks(self, inst_line3):
+        want = optimal_tours(inst_line3, [1, 2, 3], [1, 2, 3])
+        for masks in ([np.int64(1), np.uint8(2), 3], np.arange(1, 4, dtype=np.uint64)):
+            assert optimal_tours(inst_line3, [1, 2, 3], masks) == want
+            assert list(tsp.exact_tsp_and_tours(inst_line3, [1, 2, 3], masks)[1]) == \
+                list(want.values())
 
     # Unchecked, at n = 5, [0, 1] is toured as (0, 0, 0) at cost 0.0,
     # [-1] as (0, -1, 0) and [1, 1] as (0, 1, 1, 0), and [6] raises an
@@ -249,12 +264,13 @@ class TestHeldKarpKernel:
     def test_full_schedule_is_built_once_per_size(self):
         inst = gen_instance("euclidean", 7, 3, seed=4)
         exact_tsp(inst, inst.customers)
-        schedule = tsp._full_schedule(7)
-        built = tsp._full_schedule.cache_info().misses
+        family = tsp._full_family(7)
+        built = tsp._full_family.cache_info().misses
         exact_tsp(inst, inst.customers)
         optimal_tours(inst, list(inst.customers), range(1, 1 << 7))
-        assert tsp._full_schedule.cache_info().misses == built
-        assert tsp._full_schedule(7) is schedule
+        assert tsp._full_family.cache_info().misses == built
+        assert tsp._full_family(7) is family
+        schedule = family.steps
         assert all(not a.flags.writeable for _, prev, dest in schedule for a in (prev, dest))
         for j in (1, 2):
             with pytest.raises(ValueError, match="read-only"):
@@ -264,6 +280,15 @@ class TestHeldKarpKernel:
         assert sum(prev.nbytes + dest.nbytes for _, prev, dest in schedule) == \
             2 * 8 * (7 * 2 ** 6 - 7)
 
+    # A caller's family of every subset, the one whose size the kept
+    # family shares, is priced without building or keeping it.
+    def test_caller_family_keeps_no_full_family(self):
+        inst = gen_instance("euclidean", 10, 4, seed=1)
+        tsp._full_family.cache_clear()
+        tour_costs_all_subsets(inst, list(range(1, 11)))
+        optimal_tours(inst, list(range(1, 9)), range(1, 1 << 8))
+        assert tsp._full_family.cache_info().currsize == 0
+
     @pytest.mark.parametrize("s", [0, 1, 2, 7, 13])
     def test_full_family_constants_are_kept(self, s):
         # The full family's masks, column map and singleton seeds are built
@@ -271,7 +296,8 @@ class TestHeldKarpKernel:
         # increasing inside each; the map sends each mask to its column.
         family = tsp._full_family(s)
         assert tsp._full_family(s) is family
-        assert all(not array.flags.writeable for array in family)
+        assert all(not array.flags.writeable
+                   for array in (family.masks, family.column, family.ones, family.first))
         masks, n = np.arange(1, 1 << s), (1 << s) - 1
         sizes = tsp.mask_bits(masks, s).sum(axis=1)
         assert np.array_equal(family.masks, masks[np.lexsort((masks, sizes))])
@@ -286,9 +312,10 @@ class TestHeldKarpKernel:
         inst = layer_instance("random_metric", s)
         sub = tsp._submetric(inst, list(inst.customers))
         family = tsp._full_family(s)
-        kept = tsp._held_karp(sub, family.masks)
+        kept = tsp._held_karp(sub, family)
         masks = np.arange(1, 1 << s)
-        assert_same_table(kept[:, family.column[masks]], tsp._held_karp(sub, masks))
+        generic = tsp._held_karp(sub, tsp._family(masks, s))
+        assert_same_table(kept[:, family.column[masks]], generic)
 
     # From s = 14 the table outgrows an L2 cache and the middle layers
     # run one bit a chunk; the tie-heavy metrics leave many mins equal.
@@ -298,17 +325,17 @@ class TestHeldKarpKernel:
         inst = layer_instance(kind, s)
         sub = tsp._submetric(inst, list(inst.customers))
         family = tsp._full_family(s)
-        masks = np.arange(1, 1 << s)  # increasing, not the kept array: ``_steps``
-        generic = tsp._held_karp(sub, masks)
-        assert_same_table(tsp._held_karp(sub, family.masks)[:, family.column[masks]], generic)
+        masks = np.arange(1, 1 << s)  # in mask order: one-bit steps by binary search
+        generic = tsp._held_karp(sub, tsp._family(masks, s))
+        assert_same_table(tsp._held_karp(sub, family)[:, family.column[masks]], generic)
 
     # ``tour_instances`` draws n <= 10, where every popcount layer of the
     # full family is one chunk.  At s = 12 and 13 the middle layers split
     # into chunks of 5 and 2 bits, and from s = 14 into single bits.
     @pytest.mark.parametrize("s", [0, 1, 2, 7, 11, 12, 13, 14])
     def test_full_schedule_runs_each_layer_in_chunks(self, s):
-        schedule = tsp._full_schedule(s)
         family = tsp._full_family(s)
+        schedule = family.steps
         n = len(family.masks)
         pairs, layers = [], []
         for b0, prev, dest in schedule:
@@ -345,7 +372,7 @@ class TestHeldKarpKernel:
         into, paths = held_karp_paths(inst, ground, range(1, full + 1))
         family = tsp._full_family(s)
         sub = tsp._submetric(inst, ground)
-        table = tsp._held_karp(sub, family.masks)
+        table = tsp._held_karp(sub, family)
         assert_same_table(table[:, family.column[1:]], np.array(list(paths.values())).T)
         wanted = [full, *range(1, full + 1, 29)]
         tours = tsp.SetTours(sub, table, ground, family.masks, walk_tolerance(inst))
@@ -354,15 +381,14 @@ class TestHeldKarpKernel:
 
     @pytest.mark.parametrize("kind", ["random_metric", "one_two_jitter"])
     @pytest.mark.parametrize("s", [13, 14])
-    def test_split_layers_match_one_bit_steps(self, s, kind, monkeypatch):
+    def test_split_layers_match_one_bit_steps(self, s, kind):
         inst = layer_instance(kind, s)
         sub = tsp._submetric(inst, list(inst.customers))
-        masks = tsp._full_family(s).masks
-        table = tsp._held_karp(sub, masks)
+        family = tsp._full_family(s)
         one_bit = tuple((b0 + j, prev[j:j + 1], dest[j:j + 1])
-                        for b0, prev, dest in tsp._full_schedule(s) for j in range(len(prev)))
-        monkeypatch.setattr(tsp, "_full_schedule", lambda _: one_bit)
-        assert_same_table(table, tsp._held_karp(sub, masks))
+                        for b0, prev, dest in family.steps for j in range(len(prev)))
+        assert_same_table(tsp._held_karp(sub, family),
+                          tsp._held_karp(sub, family._replace(steps=one_bit)))
 
 
 def cap_instance(kind, n):
